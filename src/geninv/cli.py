@@ -189,12 +189,12 @@ def cmd_drazin(args):
         raise InputError("bad operator table: %s" % e)
     if not T.is_endofunction:
         raise InputError("drazin needs an endofunction (domain = codomain)")
-    chain = endofunction.image_chain(T)
     res = endofunction.drazin_inverse(T)
+    # T^j(V) = {v : exit_level[v] >= j} for j = 0..k, in O(n) output
     out = {"exists": res.exists,
            "index": res.index,
-           "inverse_table": (list(res.inverse.table) if res.exists else None),
-           "chain": [[int(i) for i in s] for s in chain.sets]}
+           "inverse_table": list(res.inverse.table),
+           "exit_level": res.graph.exit_level.tolist()}
     _emit(out)
     return EXIT_OK
 

@@ -8,7 +8,6 @@ operator and accumulating: p(T)(v) = sum_i a_i T^i(v).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 import json
 
 import numpy as np
@@ -31,18 +30,29 @@ class FiniteOperator:
     table: tuple
 
     def __post_init__(self):
-        arr = np.asarray(self.table, dtype=np.int64)
+        table = self.table
+        if isinstance(table, np.ndarray):
+            kinds = None
+            integral = table.dtype.kind in "iu" or not table.size
+        else:
+            kinds = set(map(type, table))           # bool is an int subclass
+            integral = all(issubclass(k, (int, np.integer)) and k is not bool
+                           for k in kinds)
+        if not integral:
+            raise ValueError("table entries must be integers")
+        try:
+            arr = np.array(table, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("table entries must lie inside the codomain")
         if arr.ndim != 1 or len(arr) != self.domain_size:
             raise ValueError("table length must equal domain_size")
         if self.codomain_size <= 0 and self.domain_size > 0:
             raise ValueError("nonempty domain needs a nonempty codomain")
         if self.domain_size and (arr.min() < 0 or arr.max() >= self.codomain_size):
             raise ValueError("table entries must lie inside the codomain")
-        object.__setattr__(self, "table", tuple(arr.tolist()))
-
-    @cached_property
-    def arr(self):
-        return np.asarray(self.table, dtype=np.int64)
+        if not (isinstance(table, tuple) and kinds <= {int}):
+            object.__setattr__(self, "table", tuple(arr.tolist()))
+        object.__setattr__(self, "arr", arr)      # the table as an int64 array
 
     def __call__(self, i):
         return self.table[i]
@@ -81,16 +91,19 @@ def power(T, k):
         raise DimensionMismatch("power requires an endofunction")
     if k < 0:
         raise ValueError("power exponent must be non-negative")
-    n = T.domain_size
-    out = np.arange(n, dtype=np.int64)
-    base = T.arr
-    # binary exponentiation on tables
+    return FiniteOperator(T.domain_size, T.domain_size, table_power(T.arr, k))
+
+
+def table_power(t, k):
+    """T^k of an endofunction table by binary exponentiation on arrays."""
+    out = np.arange(len(t), dtype=np.int64)
+    base = t
     while k:
         if k & 1:
             out = base[out]
         base = base[base]
         k >>= 1
-    return FiniteOperator(n, n, out)
+    return out
 
 
 def image(T):

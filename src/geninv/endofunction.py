@@ -1,17 +1,19 @@
 """Drazin and left-Drazin inverses of finite endofunctions.
 
-The image chain V = T^0(V) containing T^1(V) containing ... stabilizes by
-step |V|; the restriction of T to the stabilized image is the permutation
-of the functional graph's cyclic part. The Drazin inverse is
-S^-(k+1) T^k on that permutation; the left-Drazin inverse only needs an
-injective restriction and is free off T^(k+1)(V).
+The image chain V = T^0(V) containing T^1(V) containing ... stabilizes at
+step k <= |V| on the cyclic part of the functional graph, where T is a
+permutation S. The Drazin inverse is S^-(k+1) T^k; the left-Drazin
+inverse only needs an injective restriction and is free off T^(k+1)(V).
+Every routine here reads the chain from one pointer-doubling analysis of
+the graph, `functional_graph`, in O(n log n) time and O(n) memory.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core_ops import FiniteOperator, compose, power
+from .core_ops import FiniteOperator, compose, power, table_power
 
 
 def _require_endo(T):
@@ -20,82 +22,120 @@ def _require_endo(T):
 
 
 @dataclass
+class FunctionalGraph:
+    on_cycle: np.ndarray       # per node: lies on a cycle of the graph
+    cycle_length: np.ndarray   # per node: length of the cycle it runs into
+    depth: np.ndarray          # per node: steps until it reaches its cycle
+    exit_level: np.ndarray     # per node: last j with v in T^j(V); k on cycles
+    k: int                     # first k with T^k(V) = T^(k+1)(V)
+
+
+def functional_graph(table):
+    """Cycles, cycle lengths, depths and exit levels of an endofunction table.
+
+    Pointer doubling, so every loop runs O(log n) times: T^(2^r) for
+    2^r >= n maps V onto the cyclic nodes; while it is squared, a
+    `maximum` scatter doubles the longest known path into each node, which
+    off the cycles is the exit level. Depths come from pointer jumping in
+    which the cycles absorb, cycle lengths from propagating the least
+    label around each cycle and counting labels.
+    """
+    t = np.asarray(table, dtype=np.int64)
+    n = len(t)
+    rounds = max(n - 1, 0).bit_length()          # 2^rounds > n - 1 >= depth
+    longest = np.zeros(n, dtype=np.int64)        # longest path into v, < 2^r steps
+    jump = t                                     # T^(2^r)
+    for r in range(rounds):
+        np.maximum.at(longest, jump, longest + (1 << r))
+        jump = jump[jump]
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[jump] = True
+    tail = longest[~on_cycle]
+    k = int(tail.max()) + 1 if tail.size else 0
+    exit_level = np.where(on_cycle, k, longest)
+
+    depth = (~on_cycle).astype(np.int64)
+    nxt = np.where(on_cycle, np.arange(n), t)
+    for _ in range(k.bit_length()):
+        depth += depth[nxt]
+        nxt = nxt[nxt]
+
+    cyc = np.flatnonzero(on_cycle)
+    pos = np.empty(n, dtype=np.int64)
+    pos[cyc] = np.arange(len(cyc))
+    label = np.arange(len(cyc))                  # least position on each cycle
+    step = pos[t[cyc]]
+    for _ in range(max(len(cyc) - 1, 0).bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    length = np.bincount(label, minlength=len(cyc))[label]
+    cycle_length = length[pos[jump]]
+    return FunctionalGraph(on_cycle, cycle_length, depth, exit_level, k)
+
+
+@dataclass
 class ImageChain:
-    sets: list                 # [T^0(V), T^1(V), ..., T^k*(V)], sorted id arrays
+    exit_level: np.ndarray     # T^j(V) = {v : exit_level[v] >= j}
     stabilization_step: int    # first k with T^k(V) = T^(k+1)(V)
     injective: list            # per step k: T restricted to sets[k] is injective
     bijective: list            # per step k: restriction is a bijection of sets[k]
 
+    @cached_property
+    def sets(self):
+        """[T^0(V), T^1(V), ..., T^k(V)] as sorted id arrays."""
+        return [np.flatnonzero(self.exit_level >= j)
+                for j in range(self.stabilization_step + 1)]
+
 
 def image_chain(T):
-    """Nested images with per-step injective/bijective flags."""
+    """Nested images with per-step injective/bijective flags.
+
+    The restriction of T to T^j(V) is onto T^(j+1)(V), so it is injective
+    exactly when the chain has stopped shrinking, and then bijective.
+    """
     _require_endo(T)
-    t = T.arr
-    sets = [np.arange(T.domain_size, dtype=np.int64)]
-    injective = []
-    bijective = []
-    while True:
-        cur = sets[-1]
-        nxt = np.unique(t[cur]) if cur.size else cur
-        inj = len(nxt) == len(cur)
-        bij = inj and np.array_equal(nxt, cur)
-        injective.append(inj)
-        bijective.append(bij)
-        if np.array_equal(nxt, cur):
-            return ImageChain(sets, len(sets) - 1, injective, bijective)
-        sets.append(nxt)
+    fg = functional_graph(T.arr)
+    flags = [False] * fg.k + [True]
+    return ImageChain(fg.exit_level, fg.k, flags, list(flags))
 
 
 @dataclass
 class DrazinResult:
-    exists: bool
-    inverse: FiniteOperator    # None when no Drazin inverse exists
+    exists: bool               # always true for a finite endofunction
+    inverse: FiniteOperator
     index: int                 # minimal m with T^(m+1) G = T^m
     k: int                     # chain parameter used by the construction
+    graph: FunctionalGraph     # the analysis the construction read k from
 
 
 def drazin_inverse(T):
     """Drazin inverse by the image-chain construction, axiom-verified.
 
-    Exists iff the restriction of T to the stabilized image is bijective;
-    the inverse is then S^-(k+1) T^k with S that bijection. Nonexistence
-    is a value, not an error.
+    The restriction S of T to the stabilized image T^k(V) is always a
+    bijection, so the inverse S^-(k+1) T^k always exists. Its index, the
+    least m >= 1 with T^(m+1) G = T^m, is max(k, 1): T^(m+1) G maps into
+    the cyclic part, which T^m reaches only from step k on.
     """
     _require_endo(T)
-    chain = image_chain(T)
-    k = chain.stabilization_step
-    M = chain.sets[-1]
     t = T.arr
-    pos = -np.ones(T.domain_size, dtype=np.int64)
+    n = T.domain_size
+    fg = functional_graph(t)
+    k = fg.k
+    M = np.flatnonzero(fg.on_cycle)               # T^k(V)
+    pos = np.empty(n, dtype=np.int64)
     pos[M] = np.arange(len(M))
-    perm = pos[t[M]]                      # restriction as a permutation of positions
-    if len(np.unique(perm)) != len(M):
-        return DrazinResult(False, None, None, k)
-    inv_perm = np.argsort(perm)
-    # S^-(k+1) on positions
-    comp = np.arange(len(M), dtype=np.int64)
-    for _ in range(k + 1):
-        comp = inv_perm[comp]
-    tk = power(T, k).arr
-    table = M[comp[pos[tk]]]
-    G = FiniteOperator(T.domain_size, T.domain_size, table)
+    inv_perm = np.empty(len(M), dtype=np.int64)   # S^-1 on positions
+    inv_perm[pos[t[M]]] = np.arange(len(M))
+    tk = table_power(t, k)
+    g = M[table_power(inv_perm, k + 1)[pos[tk]]]
+    G = FiniteOperator(n, n, g)
 
     kk = max(k, 1)
-    tkk = power(T, kk).arr
-    g = G.arr
+    tkk = tk if k else t
     assert np.array_equal(tkk[g[t]], tkk), "MP1^k failed; construction bug"
     assert np.array_equal(g[t[g]], g), "MP2 failed; construction bug"
     assert np.array_equal(t[g], g[t]), "D5 failed; construction bug"
-
-    index = None
-    tm = np.arange(T.domain_size, dtype=np.int64)    # T^0
-    for m in range(1, T.domain_size + 2):
-        tm = t[tm]                                   # now T^m
-        if np.array_equal(t[tm][g], tm):             # T^(m+1) G = T^m
-            index = m
-            break
-    assert index is not None, "index scan exceeded |V|+1; construction bug"
-    return DrazinResult(True, G, index, k)
+    return DrazinResult(True, G, kk, k, fg)
 
 
 def drazin_loop_formula(T, n, k):
@@ -125,19 +165,15 @@ def left_drazin_inverse(T, fill=None):
     the identity there. Returns the inverse and the parameter max(k, 1).
     """
     _require_endo(T)
-    chain = image_chain(T)
-    k = next((i for i, inj in enumerate(chain.injective) if inj), None)
-    if k is None:
-        return None
-    t = T.arr
-    level = chain.sets[k] if k < len(chain.sets) else chain.sets[-1]
+    fg = functional_graph(T.arr)
+    cyc = np.flatnonzero(fg.on_cycle)       # T^k(V) = T^(k+1)(V)
     table = np.arange(T.domain_size, dtype=np.int64)
     if fill is not None:
         table = np.array([fill(i) for i in range(T.domain_size)], dtype=np.int64)
-    # constrained part: on T(level) = T^(k+1)(V), G must invert the restriction
-    for v in level:
-        table[t[v]] = v
+    # constrained part: on T^(k+1)(V), G must invert the restriction
+    table[T.arr[cyc]] = cyc
     G = FiniteOperator(T.domain_size, T.domain_size, table)
+    k = fg.k
     m = max(k, 1)
     lhs = compose(G, power(T, m + 1))
     assert lhs == power(T, m), "left-Drazin identity failed; construction bug"

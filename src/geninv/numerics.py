@@ -48,7 +48,7 @@ def mp_inverse(A, tol=1e-12):
     A = np.asarray(A, dtype=float)
     f = svd(A)
     cutoff = tol * (f.S[0] if f.S.size else 0.0)
-    inv = np.where(f.S > cutoff, np.divide(1.0, f.S, where=f.S > 0), 0.0)
+    inv = np.divide(1.0, f.S, out=np.zeros_like(f.S), where=f.S > cutoff)
     r, c = A.shape
     Sig_pinv = np.zeros((c, r))
     k = len(f.S)

@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core_ops import OperatorPolynomial
+from .endofunction import functional_graph
 from .numerics import fp_check, fp_solve_kernel, fp_char_poly, fp_matmul
 
 SPACE_CAP = 100_000
@@ -126,15 +127,10 @@ def poly_vanishes(poly, T):
 
 
 def stabilization_profile(T):
-    """(l, m): least l with |T^l(V)| = |T^(l+1)(V)|, and that common size m."""
-    cur = np.arange(T.size, dtype=np.int64)
-    l = 0
-    while True:
-        nxt = np.unique(T.table[cur])
-        if len(nxt) == len(cur):
-            return l, len(cur)
-        cur = nxt
-        l += 1
+    """(l, m): least l with |T^l(V)| = |T^(l+1)(V)|, and that common size m,
+    the number of cyclic vectors."""
+    fg = functional_graph(T.table)
+    return fg.k, int(np.count_nonzero(fg.on_cycle))
 
 
 class _FpReducer:
@@ -174,49 +170,36 @@ class _FpReducer:
         return None
 
 
+def _poly_lcm(polys, p):
+    """Monic least common multiple over F_p: lcm(a, f) = a (f / gcd(a, f))."""
+    out = OperatorPolynomial([1], p)
+    for f in polys:
+        a, b = out, f
+        while not b.is_zero:                      # Euclid; a ends as a gcd
+            a, b = b, a.divmod(b)[1]
+        out = out.mul(f.divmod(a.monic())[0])
+    return out
+
+
 def find_vanishing_poly(T, l=None):
     """Nonzero polynomial q with q(T)(v) = 0 for all v, degree <= m^2 + l.
 
     l defaults to the least pre-iteration count at which image sizes
     stabilize (m = |T^l(V)|); a supplied l must satisfy the same size
-    condition. The polynomial is x^l times the first linear dependence
-    among the iterate-incidence rows of the stabilized image, and the
-    result is verified exhaustively before returning.
+    condition. On the stabilized image T permutes m vectors, so q is x^l
+    times lcm_c (x^c - 1) over its cycle lengths c: the minimal polynomial
+    of that permutation's incidence matrix. The result is verified
+    exhaustively before returning.
     """
-    l0, m = stabilization_profile(T)
+    fg = functional_graph(T.table)
     if l is None:
-        l = l0
-    else:
-        cur = np.arange(T.size, dtype=np.int64)
-        for _ in range(l):
-            cur = np.unique(T.table[cur])
-        nxt = np.unique(T.table[cur])
-        if len(cur) != len(nxt):
-            raise ValueError("image sizes still shrinking after %d iterations" % l)
-        m = len(cur)
-
-    stable = np.arange(T.size, dtype=np.int64)
-    for _ in range(l):
-        stable = np.unique(T.table[stable])
-    tv = T.table[stable]                       # T(v_k), a permutation of `stable`
-    pos = -np.ones(T.size, dtype=np.int64)
-    pos[tv] = np.arange(m)
-
-    reducer = _FpReducer(T.p)
-    cur = stable.copy()                        # T^(i-1)(v_j), starting at i = 1
-    dependence = None
-    for _ in range(m * m + 1):
-        row = np.zeros(m * m, dtype=np.int64)
-        row[np.arange(m) * m + pos[cur]] = 1
-        dependence = reducer.offer(row)
-        if dependence is not None:
-            break
-        cur = T.table[cur]
-    assert dependence is not None, "no dependence within m^2+1 rows; pigeonhole broken"
-
-    coeffs = np.zeros(l + len(dependence), dtype=np.int64)
-    coeffs[l:] = dependence
-    poly = OperatorPolynomial(coeffs, T.p)
+        l = fg.k
+    elif l < fg.k:
+        raise ValueError("image sizes still shrinking after %d iterations" % l)
+    m = int(np.count_nonzero(fg.on_cycle))
+    lcm = _poly_lcm([OperatorPolynomial([-1] + [0] * (c - 1) + [1], T.p)   # x^c - 1
+                     for c in np.unique(fg.cycle_length[fg.on_cycle])], T.p)
+    poly = lcm.shift(l)
     assert poly.degree <= m * m + l
     assert poly_vanishes(poly, T), "constructed polynomial fails to vanish"
     return poly

@@ -4,6 +4,8 @@ import numpy as np
 
 from geninv import cli
 
+from helpers import image_chain_steps
+
 
 def run(capsys, argv):
     rc = cli.main(argv)
@@ -128,6 +130,28 @@ def test_drazin_idempotent(tmp_path, capsys):
     rc, out = run(capsys, ["drazin", "--op", str(op)])
     assert rc == 0
     assert out["exists"] and out["inverse_table"] == table and out["index"] == 1
+
+
+def test_drazin_exit_levels_rebuild_the_chain(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 30, 200):
+        table = [int(x) for x in rng.integers(0, n, n)]
+        op = tmp_path / "T.json"
+        op.write_text(json.dumps({"domain": n, "codomain": n, "table": table}))
+        rc, out = run(capsys, ["drazin", "--op", str(op)])
+        assert rc == 0 and "chain" not in out
+        sets, k, _, _ = image_chain_steps(table)
+        level = np.array(out["exit_level"])
+        assert int(level.max()) == k
+        assert [np.flatnonzero(level >= j).tolist() for j in range(k + 1)] == \
+            [s.tolist() for s in sets]
+
+
+def test_drazin_rejects_non_integer_table(tmp_path, capsys):
+    op = tmp_path / "float.json"
+    op.write_text(json.dumps({"domain": 2, "codomain": 2, "table": [1.7, 0.2]}))
+    rc, _ = run(capsys, ["drazin", "--op", str(op)])
+    assert rc == cli.EXIT_INPUT_ERROR
 
 
 def test_drazin_rejects_non_endofunction(tmp_path, capsys):

@@ -142,6 +142,29 @@ def test_finite_operator_json_roundtrip():
     assert FiniteOperator.from_json(T.to_json()) == T
 
 
+@pytest.mark.parametrize("table", [(1.7, 0.2), (1.0, 0.0), (True, False), (1, True),
+                                   (np.True_, 0), ("1", "0"), (1, None),
+                                   np.array([1.5, 0.0]), np.array([True, False])])
+def test_finite_operator_rejects_non_integer_entries(table):
+    with pytest.raises(ValueError):
+        FiniteOperator(2, 2, table)
+
+
+@pytest.mark.parametrize("table", [[0.5, 1], [1, True], [False, 0], [2 ** 70, 0]])
+def test_finite_operator_from_json_rejects_non_integer_entries(table):
+    with pytest.raises(ValueError):
+        FiniteOperator.from_json({"domain": 2, "codomain": 2, "table": table})
+
+
+def test_finite_operator_accepts_integer_kinds():
+    expect = FiniteOperator(3, 3, (2, 0, 1))
+    assert FiniteOperator(3, 3, [2, 0, 1]) == expect
+    assert FiniteOperator(3, 3, np.array([2, 0, 1], dtype=np.uint8)) == expect
+    assert FiniteOperator(3, 3, tuple(np.array([2, 0, 1]))) == expect
+    assert all(type(x) is int for x in FiniteOperator(3, 3, np.array([2, 0, 1])).table)
+    assert FiniteOperator(0, 0, np.array([])).table == ()
+
+
 def test_vector_operator_affine_wrapper():
     T = VectorOperator.from_scalar(lambda v: np.maximum(v, 0.0))
     S = VectorOperator.affine_of(T, 2.0, 3.0, np.array([1.0]))

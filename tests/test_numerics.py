@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,15 @@ def test_mp_inverse_idempotent_example():
 def test_mp_inverse_identity_and_zero():
     assert np.allclose(mp_inverse(np.eye(4)), np.eye(4), atol=1e-12)
     assert np.allclose(mp_inverse(np.zeros((3, 5))), np.zeros((5, 3)), atol=0)
+
+
+def test_mp_inverse_rank_deficient_warns_nothing():
+    E = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])           # rank 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = mp_inverse(E)
+    r = mp_residuals(E, G)
+    assert max(r.values()) <= 1e-12
 
 
 def test_mp_axioms_random():
