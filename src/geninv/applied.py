@@ -4,15 +4,18 @@ The layer T(v) = sigma(A v) with full-rank wide A is inverted per
 activation: arctanh plus the matrix pseudo-inverse for tanh, a mixed
 equality/inequality least-norm program for ReLU and for tanh clipped to
 [-1+1/k, 1-1/k]^m. The QP solver is a small working-set method for
-strictly convex min ||v||^2 problems.
+strictly convex min ||v||^2 problems. Wavelet thresholding runs the O(n)
+Haar transform and the scalar closed-form table of `pseudo_inverse`.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core_ops import VectorOperator
 from .numerics import mp_inverse
+from .pseudo_inverse import Scalar1DOperator, pinv_table
 
 QP_CAP = 500
 
@@ -294,45 +297,80 @@ def relu_layer_pinv(layer, w, tol=1e-9):
 # wavelet thresholding
 # ---------------------------------------------------------------------------
 
+SQRT2 = np.sqrt(2.0)
+PARSEVAL_TOL = 1e-12
+
+
 @dataclass
 class WaveletBasis:
-    """Orthonormal Haar transform matrix (rows are basis elements)."""
+    """Orthonormal Haar transform on signals of length n = 2^k.
 
-    matrix: np.ndarray
+    Coefficients come in the row order of the Haar matrix: the approximation,
+    then the detail levels from coarsest to finest. `forward` and `inverse`
+    work on sums and differences of neighbouring pairs, level by level, in
+    O(n) time and memory; `matrix` builds the dense n x n matrix on first
+    use, for small n and as an oracle.
+    """
 
-    @property
-    def n(self):
-        return self.matrix.shape[0]
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.n & (self.n - 1):
+            raise ValueError("Haar basis needs a power-of-two length")
+
+    def _check_length(self, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.n,):
+            raise ValueError("signal length must match the basis size")
+        return x
+
+    def forward(self, x):
+        """Haar coefficients H x, certified by Parseval: ||H x|| = ||x||."""
+        x = self._check_length(x)
+        out = np.empty(self.n)
+        s, m = x, self.n
+        while m > 1:
+            pair = s.reshape(-1, 2)
+            out[m // 2:m] = (pair[:, 0] - pair[:, 1]) / SQRT2
+            s = (pair[:, 0] + pair[:, 1]) / SQRT2
+            m //= 2
+        out[0] = s[0]
+        e_in, e_out = float(x @ x), float(out @ out)
+        if abs(e_out - e_in) > PARSEVAL_TOL * e_in:
+            raise ArithmeticError("Haar transform lost orthonormality (%g)"
+                                  % abs(e_out - e_in))
+        return out
+
+    def inverse(self, c):
+        """Signal H^T c from Haar coefficients c."""
+        c = self._check_length(c)
+        s, m = c[:1].copy(), 1
+        while m < self.n:
+            d = c[m:2 * m]
+            nxt = np.empty(2 * m)
+            nxt[0::2] = (s + d) / SQRT2
+            nxt[1::2] = (s - d) / SQRT2
+            s, m = nxt, 2 * m
+        return s
+
+    @cached_property
+    def matrix(self):
+        """Dense Haar matrix (rows are basis elements), Gram-checked."""
+        H = np.array([[1.0]])
+        while H.shape[0] < self.n:
+            m = H.shape[0]
+            top = np.kron(H, [1.0, 1.0])
+            bot = np.kron(np.eye(m), [1.0, -1.0])
+            H = np.concatenate([top, bot], axis=0) / SQRT2
+        gram_err = np.max(np.abs(H.T @ H - np.eye(self.n)))
+        if gram_err > 1e-12:
+            raise ArithmeticError("Haar construction lost orthonormality (%g)" % gram_err)
+        return H
 
 
 def haar_basis(n):
     """Orthonormal Haar basis for signal length n = 2^k."""
-    if n < 1 or n & (n - 1):
-        raise ValueError("Haar basis needs a power-of-two length")
-    H = np.array([[1.0]])
-    while H.shape[0] < n:
-        m = H.shape[0]
-        top = np.kron(H, [1.0, 1.0])
-        bot = np.kron(np.eye(m), [1.0, -1.0])
-        H = np.concatenate([top, bot], axis=0) / np.sqrt(2.0)
-    gram_err = np.max(np.abs(H.T @ H - np.eye(n)))
-    if gram_err > 1e-12:
-        raise ArithmeticError("Haar construction lost orthonormality (%g)" % gram_err)
-    return WaveletBasis(H)
-
-
-def _threshold(kind, a, u):
-    if kind == "hard":
-        return u * (np.abs(u) >= a)
-    if kind == "soft":
-        return np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
-    raise ValueError("threshold kind must be hard or soft")
-
-
-def _threshold_pinv(kind, a, u):
-    if kind == "hard":
-        return np.sign(u) * (np.abs(u) > a / 2.0) * np.maximum(a, np.abs(u))
-    return np.sign(u) * (np.abs(u) + a)
+    return WaveletBasis(n)
 
 
 @dataclass
@@ -354,25 +392,20 @@ def wavelet_threshold_roundtrip(basis, kind, a, x):
     """
     if kind not in ("hard", "soft"):
         raise ValueError("threshold kind must be hard or soft")
-    A = basis.matrix
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (basis.n,):
-        raise ValueError("signal length must match the basis size")
-    Ainv = A.T     # orthonormal
+    sigma = Scalar1DOperator(kind, a=a)
 
-    def denoise(sig):
-        return Ainv @ _threshold(kind, a, A @ sig)
+    def denoise_and_roundtrip(sig):
+        u = sigma.forward(basis.forward(sig))
+        return basis.inverse(u), basis.inverse(pinv_table(sigma, u)[0])
 
-    def roundtrip(sig):
-        return Ainv @ _threshold_pinv(kind, a, _threshold(kind, a, A @ sig))
-
-    d, r = denoise(x), roundtrip(x)
+    d, r = denoise_and_roundtrip(x)
     diff = float(np.linalg.norm(d - r))
     witness = None
     wdiff = 0.0
     if kind == "soft" and a > 0:
         coeffs = np.zeros(basis.n)
         coeffs[0] = a + 1.0
-        witness = Ainv @ coeffs
-        wdiff = float(np.linalg.norm(denoise(witness) - roundtrip(witness)))
+        witness = basis.inverse(coeffs)
+        wd, wr = denoise_and_roundtrip(witness)
+        wdiff = float(np.linalg.norm(wd - wr))
     return WaveletRoundtrip(d, r, diff, witness, wdiff)

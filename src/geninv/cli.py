@@ -170,7 +170,10 @@ def cmd_denoise(args):
     x = _read_csv_signal(args.signal)
     if len(x) != args.n:
         raise InputError("signal length %d does not match --n %d" % (len(x), args.n))
-    rt = applied.wavelet_threshold_roundtrip(basis, args.kind, args.a, x)
+    try:
+        rt = applied.wavelet_threshold_roundtrip(basis, args.kind, args.a, x)
+    except ValueError as e:
+        raise InputError(str(e))
     _write_csv_signal(args.out, rt.denoised)
     again = applied.wavelet_threshold_roundtrip(basis, args.kind, args.a, rt.roundtrip)
     out = {"out": args.out,

@@ -1,8 +1,8 @@
 """Dense real linear algebra (SVD, Moore-Penrose inverse) and exact F_p algebra.
 
 Real matrices are plain float ndarrays. Prime-field matrices are int64
-ndarrays with entries reduced mod p; p must be an odd-or-2 prime below
-2^31 so products fit in int64 before reduction.
+ndarrays with entries reduced mod p; p must be a prime below 2^31, so
+that the product of two reduced entries fits in int64.
 """
 
 from dataclasses import dataclass
@@ -122,8 +122,34 @@ def fp_asarray(A, p):
     A = np.asarray(A, dtype=np.int64)
     return np.mod(A, p)
 
+
+INT64_LIMIT = 2**63
+LIMB_BITS = 16
+
+
 def fp_matmul(A, B, p):
-    return np.mod(np.asarray(A, dtype=np.int64) @ np.asarray(B, dtype=np.int64), p)
+    """Exact product A B over F_p for every prime p below 2^31.
+
+    One int64 product suffices while k (p-1)^2 < 2^63, with k the inner
+    dimension. Otherwise B is split into 16-bit limbs and the inner
+    dimension into chunks, so every partial sum stays below 2^63, and each
+    partial product is reduced mod p before the limbs are recombined.
+    """
+    p = int(p)
+    A, B = fp_asarray(A, p), fp_asarray(B, p)
+    k = A.shape[-1]
+    if k * (p - 1) ** 2 < INT64_LIMIT:
+        return np.mod(A @ B, p)
+    limb = (1 << LIMB_BITS) - 1
+    chunk = max(1, (INT64_LIMIT - 1) // ((p - 1) * limb))
+    out = np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
+    for shift in range(0, p.bit_length(), LIMB_BITS):
+        part = (B >> shift) & limb
+        scale = pow(2, shift, p)
+        for lo in range(0, k, chunk):
+            prod = np.mod(A[..., lo:lo + chunk] @ part[lo:lo + chunk], p)
+            out = np.mod(out + np.mod(prod * scale, p), p)
+    return out
 
 
 def fp_rref(A, p):

@@ -2,8 +2,9 @@
 
 A pseudo-inverse G of T must satisfy BAS -- G(w) minimizes ||T(v) - w||
 and, among minimizers, has minimal ||v|| -- together with MP2. This module
-holds the closed forms for the named one-dimensional operators, a grid
-search oracle realizing BAS directly, report-producing verifiers, and the
+holds the closed forms for the named one-dimensional operators, evaluated
+on whole arrays by one table (`pinv_table`), a grid search oracle
+realizing BAS directly, report-producing verifiers, and the
 expanding-domain limit construction.
 
 Closed forms return "undefined at w" as a value (not an error) wherever
@@ -128,43 +129,67 @@ class Pinv1D:
 UNDEFINED = Pinv1D(False, ())
 
 
+def _nonneg(w):
+    """max(w, 0) per entry; like Python's max it keeps -0.0 and NaN."""
+    return np.where(w < 0.0, 0.0, w)
+
+
+def pinv_table(op, w):
+    """Closed-form pseudo-inverse of `op` at every target in the array w.
+
+    Returns (values, defined), both shaped like w. Where the nearest-point
+    problem has no solution, defined is False and the value is NaN. For
+    the square kind, values holds the nonnegative root; the other root is
+    its negation.
+    """
+    w = np.asarray(w, dtype=float)
+    k, a = op.kind, op.a
+    undefined = None
+    # log(0) and arctanh(+-1) at undefined targets are masked below, and
+    # overflow to +-inf is the value the float formula gives: no warnings
+    with np.errstate(all="ignore"):
+        if k == "square":
+            v = np.sqrt(_nonneg(w))
+        elif k == "shifted_square":
+            v = a - np.sign(a) * np.sqrt(_nonneg(w))
+        elif k == "relu":
+            v = _nonneg(w)
+        elif k == "hard_threshold":
+            aw = np.abs(w)
+            v = np.sign(w) * (aw > a / 2.0) * np.where(aw > a, aw, a)
+        elif k == "soft_threshold":
+            v = np.sign(w) * (np.abs(w) + a)
+        elif k == "tanh":
+            undefined = np.abs(w) >= 1.0
+            v = np.arctanh(w)
+        elif k == "sign":
+            undefined = np.abs(w) > 0.5
+            v = np.zeros_like(w)
+        elif k == "sign_eps":
+            v = op.eps * np.clip(w, -1.0, 1.0)
+        elif k == "exp":
+            undefined = w <= 0.0
+            v = np.log(w)
+        elif k == "sine":
+            v = np.arcsin(np.clip(w, -1.0, 1.0))
+        elif k == "linear":
+            v = np.zeros_like(w) if op.c == 0.0 else w / op.c
+        else:
+            raise ValueError("no closed form for kind %r" % (k,))
+    if undefined is None:
+        return np.asarray(v, dtype=float), np.ones(w.shape, dtype=bool)
+    return np.where(undefined, np.nan, v), ~undefined
+
+
 def closed_form_pinv(op, w):
     """Table closed form for one scalar target w."""
-    w = float(w)
-    k, a = op.kind, op.a
-    if k == "square":
-        r = np.sqrt(max(w, 0.0))
-        return Pinv1D(True, (0.0,)) if r == 0.0 else Pinv1D(True, (-r, r))
-    if k == "shifted_square":
-        return Pinv1D(True, (a - np.sign(a) * np.sqrt(max(w, 0.0)),))
-    if k == "relu":
-        return Pinv1D(True, (max(w, 0.0),))
-    if k == "hard_threshold":
-        v = np.sign(w) * (abs(w) > a / 2.0) * max(a, abs(w))
-        return Pinv1D(True, (float(v),))
-    if k == "soft_threshold":
-        return Pinv1D(True, (float(np.sign(w) * (abs(w) + a)),))
-    if k == "tanh":
-        if abs(w) >= 1.0:
-            return UNDEFINED
-        return Pinv1D(True, (float(np.arctanh(w)),))
-    if k == "sign":
-        if abs(w) > 0.5:
-            return UNDEFINED
-        return Pinv1D(True, (0.0,))
-    if k == "sign_eps":
-        return Pinv1D(True, (float(op.eps * np.clip(w, -1.0, 1.0)),))
-    if k == "exp":
-        if w <= 0.0:
-            return UNDEFINED
-        return Pinv1D(True, (float(np.log(w)),))
-    if k == "sine":
-        return Pinv1D(True, (float(np.arcsin(np.clip(w, -1.0, 1.0))),))
-    if k == "linear":
-        if op.c == 0.0:
-            return Pinv1D(True, (0.0,))
-        return Pinv1D(True, (w / op.c,))
-    raise ValueError("no closed form for kind %r" % (k,))
+    values, defined = pinv_table(op, np.array([float(w)]))
+    if not defined[0]:
+        return UNDEFINED
+    v = float(values[0])
+    if op.kind == "square":
+        return Pinv1D(True, (0.0,) if v == 0.0 else (-v, v))
+    return Pinv1D(True, (v,))
 
 
 def pinv1d_operator(op):
@@ -173,14 +198,10 @@ def pinv1d_operator(op):
         raise ValueError("kind %r has no single-valued closed form" % op.kind)
 
     def f(w):
-        out = np.empty_like(np.asarray(w, dtype=float))
-        flat = np.asarray(w, dtype=float).ravel()
-        vals = [closed_form_pinv(op, x) for x in flat]
-        for r in vals:
-            if not r.defined:
-                raise ValueError("pseudo-inverse undefined inside batch")
-        out.ravel()[:] = [r.value for r in vals]
-        return out
+        values, defined = pinv_table(op, w)
+        if not defined.all():
+            raise ValueError("pseudo-inverse undefined inside batch")
+        return values
 
     return VectorOperator.from_scalar(f, name=op.kind + "_pinv")
 

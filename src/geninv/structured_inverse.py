@@ -111,6 +111,8 @@ class Intersection(ConvexSet):
     """Intersection of listed sets, projected by Dykstra's algorithm.
 
     Nonemptiness is certified by a feasible point supplied at construction.
+    A projection that has not settled to DYKSTRA_TOL after DYKSTRA_CAP
+    sweeps raises ArithmeticError instead of returning its last iterate.
     """
 
     kind = "intersection"
@@ -141,8 +143,9 @@ class Intersection(ConvexSet):
                 x = p.project_batch(z)
                 corrections[i] = z - x
             if np.max(np.abs(x - prev)) <= DYKSTRA_TOL:
-                break
-        return x
+                return x
+        raise ArithmeticError("Dykstra projection did not settle to %g within %d sweeps"
+                              % (DYKSTRA_TOL, DYKSTRA_CAP))
 
     def to_json(self):
         return {"kind": "intersection",

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 
+from geninv.pseudo_inverse import Pinv1D, UNDEFINED
+
 
 def qp_oracle_enumerate(qp, tol=1e-9):
     """Exhaustive active-set oracle for min ||v||^2 under linear constraints.
@@ -153,3 +155,70 @@ def vanishing_poly_reducer(T):
             return [0] * l + [int(c) for c in dependence]
         cur = T.table[cur]
     raise AssertionError("no dependence within m^2+1 rows")
+
+
+def closed_form_pinv_scalar(op, w):
+    """Closed form of `op` at one target, one Python branch per kind.
+
+    The per-element implementation that `pinv_table` replaced; the table
+    must agree with it on the defined mask and, bit for bit, on the values.
+    """
+    w = float(w)
+    k, a = op.kind, op.a
+    if k == "square":
+        r = np.sqrt(max(w, 0.0))
+        return Pinv1D(True, (0.0,)) if r == 0.0 else Pinv1D(True, (-r, r))
+    if k == "shifted_square":
+        return Pinv1D(True, (a - np.sign(a) * np.sqrt(max(w, 0.0)),))
+    if k == "relu":
+        return Pinv1D(True, (max(w, 0.0),))
+    if k == "hard_threshold":
+        v = np.sign(w) * (abs(w) > a / 2.0) * max(a, abs(w))
+        return Pinv1D(True, (float(v),))
+    if k == "soft_threshold":
+        return Pinv1D(True, (float(np.sign(w) * (abs(w) + a)),))
+    if k == "tanh":
+        if abs(w) >= 1.0:
+            return UNDEFINED
+        return Pinv1D(True, (float(np.arctanh(w)),))
+    if k == "sign":
+        if abs(w) > 0.5:
+            return UNDEFINED
+        return Pinv1D(True, (0.0,))
+    if k == "sign_eps":
+        return Pinv1D(True, (float(op.eps * np.clip(w, -1.0, 1.0)),))
+    if k == "exp":
+        if w <= 0.0:
+            return UNDEFINED
+        return Pinv1D(True, (float(np.log(w)),))
+    if k == "sine":
+        return Pinv1D(True, (float(np.arcsin(np.clip(w, -1.0, 1.0))),))
+    if k == "linear":
+        if op.c == 0.0:
+            return Pinv1D(True, (0.0,))
+        return Pinv1D(True, (w / op.c,))
+    raise ValueError("no closed form for kind %r" % (k,))
+
+
+def wavelet_roundtrip_dense(H, kind, a, x):
+    """(denoised, roundtrip) of Haar thresholding through the dense matrix H,
+    with the hard/soft threshold and its pseudo-inverse written out."""
+    def threshold(u):
+        if kind == "hard":
+            return u * (np.abs(u) >= a)
+        return np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
+
+    def threshold_pinv(u):
+        if kind == "hard":
+            return np.sign(u) * (np.abs(u) > a / 2.0) * np.maximum(a, np.abs(u))
+        return np.sign(u) * (np.abs(u) + a)
+
+    u = threshold(H @ x)
+    return H.T @ u, H.T @ threshold_pinv(u)
+
+
+def fp_matmul_object(A, B, p):
+    """A B mod p in Python integers (object dtype): no overflow at any p."""
+    A = np.asarray(A, dtype=np.int64).astype(object)
+    B = np.asarray(B, dtype=np.int64).astype(object)
+    return np.asarray((A @ B) % p, dtype=np.int64)

@@ -7,6 +7,7 @@ from geninv import (Box, L2Ball, Halfspace, Intersection, project,
                     projection_after_operator_pinv,
                     Scalar1DOperator, pinv1d_operator, VectorOperator,
                     check_pseudo_inverse, grid_bas_oracle)
+from geninv import structured_inverse
 from geninv.structured_inverse import convex_set_from_json
 
 
@@ -52,6 +53,26 @@ def test_dykstra_intersection_known_answer():
                      feasible_point=np.array([0.25, 0.25]))
     got = project(C, np.array([2.0, 2.0]))
     assert np.linalg.norm(got - np.array([0.5, 0.5])) <= 1e-8
+
+
+def _three_set_intersection():
+    dim = 3
+    return Intersection([Box(-np.ones(dim), np.ones(dim)),
+                         L2Ball(np.full(dim, 0.3), 1.2),
+                         Halfspace(np.ones(dim), 0.8)], np.zeros(dim))
+
+
+# a far point that needs several hundred Dykstra sweeps to settle
+FAR_POINT = 20 * np.array([0.8367, 0.5444, -0.0593])
+
+
+def test_dykstra_raises_at_its_cap(monkeypatch):
+    C = _three_set_intersection()
+    got = C.project(FAR_POINT)
+    assert all(part.contains(got, tol=1e-8) for part in C.parts)
+    monkeypatch.setattr(structured_inverse, "DYKSTRA_CAP", 5)
+    with pytest.raises(ArithmeticError):
+        C.project_batch(FAR_POINT[None, :])
 
 
 def test_dykstra_no_sampled_point_is_closer():
