@@ -211,6 +211,10 @@ def cmd_vanish(args):
     if not T_table.is_endofunction:
         raise InputError("vanishing polynomials need an endofunction")
     p = args.prime
+    try:
+        numerics.fp_check(p)
+    except ValueError as e:
+        raise InputError(str(e))
     size = T_table.domain_size
     n = 0
     while p ** n < size:
@@ -218,7 +222,7 @@ def cmd_vanish(args):
     if p ** n != size:
         raise InputError("domain size %d is not a power of prime %d" % (size, p))
     try:
-        T = vanishing.FpVectorOperator(p, n, np.asarray(T_table.table))
+        T = vanishing.FpVectorOperator(p, n, T_table.arr)
     except ValueError as e:
         raise InputError(str(e))
     l, m = vanishing.stabilization_profile(T)

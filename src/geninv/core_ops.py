@@ -21,6 +21,41 @@ class DimensionMismatch(ValueError):
 # finite operators
 # ---------------------------------------------------------------------------
 
+def checked_table(table, domain_size, codomain_size):
+    """`table` as a new int64 array, checked to be a total map
+    {0..domain_size-1} -> {0..codomain_size-1}.
+
+    Entries must be integers and not booleans; floats are rejected, never
+    truncated, even when their value is integral. Raises ValueError.
+    """
+    return _checked_table(table, domain_size, codomain_size)[0]
+
+
+def _checked_table(table, domain_size, codomain_size):
+    """checked_table, plus the set of entry types (None for an array), so
+    FiniteOperator can keep a tuple of Python ints without a second scan."""
+    kinds = None
+    if isinstance(table, np.ndarray):
+        integral = table.dtype.kind in "iu" or not table.size
+    else:                                       # bool is an int subclass
+        kinds = set(map(type, table))
+        integral = all(issubclass(k, (int, np.integer)) and k is not bool
+                       for k in kinds)
+    if not integral:
+        raise ValueError("table entries must be integers")
+    try:
+        arr = np.array(table, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("table entries must lie inside the codomain")
+    if arr.ndim != 1 or len(arr) != domain_size:
+        raise ValueError("table length must equal domain_size")
+    if codomain_size <= 0 and domain_size > 0:
+        raise ValueError("nonempty domain needs a nonempty codomain")
+    if domain_size and (arr.min() < 0 or arr.max() >= codomain_size):
+        raise ValueError("table entries must lie inside the codomain")
+    return arr, kinds
+
+
 @dataclass(frozen=True)
 class FiniteOperator:
     """A total map {0..domain_size-1} -> {0..codomain_size-1} as a table."""
@@ -30,27 +65,8 @@ class FiniteOperator:
     table: tuple
 
     def __post_init__(self):
-        table = self.table
-        if isinstance(table, np.ndarray):
-            kinds = None
-            integral = table.dtype.kind in "iu" or not table.size
-        else:
-            kinds = set(map(type, table))           # bool is an int subclass
-            integral = all(issubclass(k, (int, np.integer)) and k is not bool
-                           for k in kinds)
-        if not integral:
-            raise ValueError("table entries must be integers")
-        try:
-            arr = np.array(table, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("table entries must lie inside the codomain")
-        if arr.ndim != 1 or len(arr) != self.domain_size:
-            raise ValueError("table length must equal domain_size")
-        if self.codomain_size <= 0 and self.domain_size > 0:
-            raise ValueError("nonempty domain needs a nonempty codomain")
-        if self.domain_size and (arr.min() < 0 or arr.max() >= self.codomain_size):
-            raise ValueError("table entries must lie inside the codomain")
-        if not (isinstance(table, tuple) and kinds <= {int}):
+        arr, kinds = _checked_table(self.table, self.domain_size, self.codomain_size)
+        if not (isinstance(self.table, tuple) and kinds <= {int}):
             object.__setattr__(self, "table", tuple(arr.tolist()))
         object.__setattr__(self, "arr", arr)      # the table as an int64 array
 
@@ -89,13 +105,13 @@ def power(T, k):
     """k-fold self-composition of an endofunction; power(T, 0) is the identity."""
     if not T.is_endofunction:
         raise DimensionMismatch("power requires an endofunction")
-    if k < 0:
-        raise ValueError("power exponent must be non-negative")
     return FiniteOperator(T.domain_size, T.domain_size, table_power(T.arr, k))
 
 
 def table_power(t, k):
     """T^k of an endofunction table by binary exponentiation on arrays."""
+    if k < 0:
+        raise ValueError("power exponent must be non-negative")
     out = np.arange(len(t), dtype=np.int64)
     base = t
     while k:

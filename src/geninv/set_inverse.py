@@ -8,10 +8,11 @@ identities exactly on id tables.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .core_ops import FiniteOperator, compose, image
+from .core_ops import FiniteOperator, checked_table, image
 
 
 class InvalidSpec(ValueError):
@@ -41,63 +42,62 @@ class OneTwoInverseSpec:
         return {"v0": [int(v) for v in self.v0], "p0": [int(q) for q in self.p0]}
 
     def validate(self, T):
-        img = image(T)
-        img_set = set(int(w) for w in img)
-        v0 = [int(v) for v in self.v0]
-        if len(set(v0)) != len(v0):
-            raise InvalidSpec("v0 contains duplicate ids")
-        if len(v0) != len(img):
+        """Check the spec against T, raising InvalidSpec; returns (v0, p0)
+        as int64 arrays."""
+        try:
+            v0 = checked_table(self.v0, len(self.v0), T.domain_size)
+        except ValueError as e:
+            raise InvalidSpec("v0: %s" % e)
+        try:
+            p0 = checked_table(self.p0, T.codomain_size, T.codomain_size)
+        except ValueError as e:
+            raise InvalidSpec("p0: %s" % e)
+        on_image = np.bincount(T.arr, minlength=T.codomain_size) > 0
+        if len(v0) != np.count_nonzero(on_image):
             raise InvalidSpec("v0 must pick exactly one source per image element")
-        hit = set()
-        for v in v0:
-            if not 0 <= v < T.domain_size:
-                raise InvalidSpec("v0 id %d outside domain" % v)
-            w = T(v)
-            if w in hit:
-                raise InvalidSpec("v0 contains two sources of %d" % w)
-            hit.add(w)
-        if hit != img_set:
-            raise InvalidSpec("v0 does not cover the image")
-        if len(self.p0) != T.codomain_size:
-            raise InvalidSpec("p0 must assign a value to every codomain id")
-        for w, q in enumerate(self.p0):
-            q = int(q)
-            if q not in img_set:
-                raise InvalidSpec("p0 value %d is outside the image" % q)
-            if w in img_set and q != w:
-                raise InvalidSpec("p0 must be the identity on the image")
+        hits = np.bincount(T.arr[v0], minlength=T.codomain_size)
+        if hits.max(initial=0) > 1:     # else the hits are distinct and cover the image
+            raise InvalidSpec("v0 contains two sources of %d" % np.argmax(hits))
+        if not on_image[p0].all():
+            raise InvalidSpec("p0 value %d is outside the image"
+                              % p0[np.argmin(on_image[p0])])
+        if not np.array_equal(p0[on_image], np.flatnonzero(on_image)):
+            raise InvalidSpec("p0 must be the identity on the image")
+        return v0, p0
 
 
 def default_spec(T):
     """Smallest-id source per image element; nearest-id retraction."""
-    img = image(T)
-    v0 = []
-    taken = set()
-    for v in range(T.domain_size):
-        w = T(v)
-        if w not in taken:
-            taken.add(w)
-            v0.append(v)
-    p0 = []
-    for w in range(T.codomain_size):
-        if w in taken:
-            p0.append(w)
-        else:
-            j = int(np.argmin(np.abs(img - w)))   # ties resolve to the smaller id
-            p0.append(int(img[j]))
-    return OneTwoInverseSpec(tuple(v0), tuple(p0))
+    img, first = np.unique(T.arr, return_index=True)
+    if not img.size and T.codomain_size:
+        raise ValueError("no retraction of a nonempty codomain onto an empty image")
+    w = np.arange(T.codomain_size, dtype=np.int64)
+    j = np.searchsorted(img, w)                 # img[j - 1] < w <= img[j]
+    lower = img[np.maximum(j - 1, 0)]          # equal to upper past either end
+    upper = img[np.minimum(j, len(img) - 1)]
+    p0 = np.where(w - lower <= upper - w, lower, upper)   # ties to the smaller id
+    return OneTwoInverseSpec(tuple(np.sort(first).tolist()), tuple(p0.tolist()))
+
+
+def _invert_on(t, sources, targets, size):
+    """Send t[s] to s for each chosen source s, then read at `targets`.
+
+    t must be injective on `sources`, so no index is written twice; every
+    target must be some t[s]. The -1 fill makes a violation fail the
+    FiniteOperator range check.
+    """
+    inv = np.full(size, -1, dtype=np.int64)
+    inv[t[sources]] = sources
+    return inv[targets]
 
 
 def build_one_two_inverse(T, spec=None):
     """Construct (T|_V0)^-1 P0, a {1,2}-inverse of T."""
     if spec is None:
         spec = default_spec(T)
-    spec.validate(T)
-    source_of = {}
-    for v in spec.v0:
-        source_of[T(v)] = v
-    table = tuple(source_of[int(q)] for q in spec.p0)
-    G = FiniteOperator(T.codomain_size, T.domain_size, table)
+    v0, p0 = spec.validate(T)
+    G = FiniteOperator(T.codomain_size, T.domain_size,
+                       _invert_on(T.arr, v0, p0, T.codomain_size))
     mp1, mp2 = check_mp_axioms(T, G)
     assert mp1 and mp2, "construction violated MP1-2; spec validation is broken"
     return G
@@ -117,31 +117,24 @@ def double_inverse(T, Tbar):
     """Apply the construction to Tbar with W0 = T(V), Q0 = Tbar T; returns T.
 
     Requires Tbar in T{1,2}; the symmetric choice of (W0, Q0) makes the
-    double inverse land exactly back on T.
+    double inverse land exactly back on T. Tbar is injective on T(V),
+    because T Tbar is the identity there.
     """
     mp1, mp2 = check_mp_axioms(T, Tbar)
     if not (mp1 and mp2):
         raise InvalidSpec("Tbar is not a {1,2}-inverse of T")
-    w0 = image(T)
-    q0 = compose(Tbar, T)          # V -> V, identity on Tbar(W)
-    source_of = {}                 # under Tbar, one source in W0 per element of Tbar(W)
-    for w in w0:
-        source_of[Tbar(int(w))] = int(w)
-    table = tuple(source_of[q0(v)] for v in range(T.domain_size))
-    out = FiniteOperator(T.domain_size, T.codomain_size, table)
-    return out
+    tbar = Tbar.arr
+    table = _invert_on(tbar, image(T), tbar[T.arr], T.domain_size)
+    return FiniteOperator(T.domain_size, T.codomain_size, table)
 
 
 def one_two_inverse_count(T):
     """Number of {1,2}-inverses: product over the image of preimage sizes,
     times |image|^(#codomain ids off the image)."""
-    img = image(T)
-    counts = np.bincount(T.arr, minlength=T.codomain_size)
-    total = 1
-    for w in img:
-        total *= int(counts[w])
-    off = T.codomain_size - len(img)
-    return total * len(img) ** off
+    preimages = np.bincount(T.arr, minlength=T.codomain_size)
+    choices = np.where(preimages > 0, preimages, np.count_nonzero(preimages))
+    values, mult = np.unique(choices, return_counts=True)
+    return math.prod(pow(int(c), int(m)) for c, m in zip(values, mult))
 
 
 def enumerate_one_two_inverses(T, cap=10**6, chunk=200_000):

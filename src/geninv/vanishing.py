@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_ops import OperatorPolynomial
+from .core_ops import OperatorPolynomial, checked_table, table_power
 from .endofunction import functional_graph
 from .numerics import fp_check, fp_solve_kernel, fp_char_poly, fp_matmul
 
@@ -41,12 +41,7 @@ class FpVectorOperator:
             raise ValueError("space size %d exceeds the enumeration cap" % p ** n)
         self.p = int(p)
         self.n = int(n)
-        table = np.asarray(table, dtype=np.int64)
-        if table.shape != (p ** n,):
-            raise ValueError("table must cover all %d vectors" % p ** n)
-        if table.min(initial=0) < 0 or table.max(initial=0) >= p ** n:
-            raise ValueError("table entries must be valid vector indices")
-        self.table = table
+        self.table = checked_table(table, self.size, self.size)
 
     @property
     def size(self):
@@ -54,9 +49,6 @@ class FpVectorOperator:
 
     def space(self):
         return _space(self.p, self.n)
-
-    def apply_vec(self, v):
-        return self.space()[self.table[int(encode(v, self.p)[0])]]
 
     def __eq__(self, other):
         return (isinstance(other, FpVectorOperator) and self.p == other.p
@@ -68,14 +60,7 @@ class FpVectorOperator:
         return FpVectorOperator(self.p, self.n, self.table[inner.table])
 
     def power(self, k):
-        out = np.arange(self.size, dtype=np.int64)
-        base = self.table
-        while k:
-            if k & 1:
-                out = base[out]
-            base = base[base]
-            k >>= 1
-        return FpVectorOperator(self.p, self.n, out)
+        return FpVectorOperator(self.p, self.n, table_power(self.table, k))
 
     def is_surjective(self):
         return len(np.unique(self.table)) == self.size
@@ -227,6 +212,15 @@ def minimal_poly(T):
     raise AssertionError("no vanishing polynomial found; finite space guarantee broken")
 
 
+def _tail_operator(poly, k, T):
+    """-a_k^-1 sum_{i>k} a_i T^(i-k-1): the coefficient tail after a_k,
+    evaluated in T and scaled; the zero operator when the tail is empty."""
+    p = T.p
+    tail = fp_apply_polynomial(OperatorPolynomial(poly.coeffs[k + 1:], p), T)
+    scale = (-pow(int(poly.coeff(k)), -1, p)) % p
+    return FpVectorOperator(p, T.n, encode(tail * scale % p, p))
+
+
 def poly_left_inverse(poly, T):
     """Left inverse S = -a0^-1 sum_{i>=1} a_i T^(i-1) from a vanishing poly.
 
@@ -236,24 +230,13 @@ def poly_left_inverse(poly, T):
     """
     if not poly_vanishes(poly, T):
         raise ValueError("polynomial does not vanish in T")
-    a0 = poly.coeff(0)
-    if a0 == 0:
+    if poly.coeff(0) == 0:
         return None
-    p = T.p
-    scale = (-pow(int(a0), -1, p)) % p
-    vecs = T.space()
-    acc = np.zeros_like(vecs)
-    cur = np.arange(T.size, dtype=np.int64)    # T^(i-1) iterate, i starting at 1
-    for i in range(1, poly.degree + 1):
-        a = poly.coeff(i)
-        if a:
-            acc = (acc + a * vecs[cur]) % p
-        cur = T.table[cur]
-    S = FpVectorOperator(p, T.n, encode(acc * scale % p, p))
-    assert S.compose(T) == FpVectorOperator.identity(p, T.n), \
+    S = _tail_operator(poly, 0, T)
+    assert S.compose(T) == FpVectorOperator.identity(T.p, T.n), \
         "left-inverse identity failed; vanishing certificate inconsistent"
     if T.is_surjective():
-        assert T.compose(S) == FpVectorOperator.identity(p, T.n), \
+        assert T.compose(S) == FpVectorOperator.identity(T.p, T.n), \
             "surjective operator must make the left inverse two-sided"
     return S
 
@@ -267,18 +250,8 @@ def left_drazin_from_poly(poly, T):
     """
     if not poly_vanishes(poly, T):
         raise ValueError("polynomial does not vanish in T")
-    p = T.p
     k = next(i for i, a in enumerate(poly.coeffs) if a)
-    scale = (-pow(int(poly.coeff(k)), -1, p)) % p
-    vecs = T.space()
-    acc = np.zeros_like(vecs)
-    cur = np.arange(T.size, dtype=np.int64)    # T^(i-k-1), i starting at k+1
-    for i in range(k + 1, poly.degree + 1):
-        a = poly.coeff(i)
-        if a:
-            acc = (acc + a * vecs[cur]) % p
-        cur = T.table[cur]
-    G = FpVectorOperator(p, T.n, encode(acc * scale % p, p))
+    G = _tail_operator(poly, k, T)
     m = max(k, 1)
     lhs = G.compose(T.power(m + 1))
     assert lhs == T.power(m), "left-Drazin identity failed"
@@ -322,16 +295,19 @@ def power_vanishing_poly(poly, k, l):
     return result
 
 
+def _fp_matrix_poly(coeffs, A, p):
+    """sum_i c_i A^i over F_p for a square matrix A, by Horner's rule."""
+    A = np.asarray(A, dtype=np.int64) % p
+    eye = np.eye(A.shape[0], dtype=np.int64)
+    acc = np.zeros_like(A)
+    for c in reversed(coeffs):
+        acc = (fp_matmul(acc, A, p) + c * eye) % p
+    return acc
+
+
 def affine_vanishing_poly(poly, A, p, b=None):
     """p^2 - p(1) p, vanishing in T(v) = A v + b when p vanishes in A."""
-    A = np.asarray(A, dtype=np.int64) % p
-    n = A.shape[0]
-    acc = np.zeros((n, n), dtype=np.int64)
-    Ai = np.eye(n, dtype=np.int64)
-    for a in poly.coeffs:
-        acc = (acc + a * Ai) % p
-        Ai = fp_matmul(Ai, A, p)
-    if acc.any():
+    if _fp_matrix_poly(poly.coeffs, A, p).any():
         raise ValueError("polynomial does not vanish in the matrix")
     return poly.mul(poly).add(poly.scale(-poly.eval_scalar(1)))
 
@@ -472,11 +448,5 @@ def cayley_hamilton_inverse(A, p):
     a0 = coeffs[0]
     if a0 == 0:
         return None
-    n = A.shape[0]
     scale = (-pow(int(a0), -1, p)) % p
-    acc = np.zeros((n, n), dtype=np.int64)
-    Ai = np.eye(n, dtype=np.int64)
-    for a in coeffs[1:]:
-        acc = (acc + a * Ai) % p
-        Ai = fp_matmul(Ai, A, p)
-    return acc * scale % p
+    return _fp_matrix_poly(coeffs[1:], A, p) * scale % p

@@ -222,3 +222,87 @@ def fp_matmul_object(A, B, p):
     A = np.asarray(A, dtype=np.int64).astype(object)
     B = np.asarray(B, dtype=np.int64).astype(object)
     return np.asarray((A @ B) % p, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# per-id loop oracles for the array-native table algebra
+# ---------------------------------------------------------------------------
+
+def one_two_spec_valid_loop(T, v0, p0):
+    """The per-id (V0, P0) check, walked through dicts and sets."""
+    img_set = set(int(w) for w in np.unique(T.arr))
+    v0 = [int(v) for v in v0]
+    if len(set(v0)) != len(v0) or len(v0) != len(img_set):
+        return False
+    hit = set()
+    for v in v0:
+        if not 0 <= v < T.domain_size or T(v) in hit:
+            return False
+        hit.add(T(v))
+    if hit != img_set or len(p0) != T.codomain_size:
+        return False
+    return all(int(q) in img_set and (w not in img_set or int(q) == w)
+               for w, q in enumerate(p0))
+
+
+def default_spec_loop(T):
+    """(v0, p0): first source per image element in id order; nearest-id
+    retraction, ties to the smaller id."""
+    img = np.unique(T.arr)
+    v0, taken = [], set()
+    for v in range(T.domain_size):
+        if T(v) not in taken:
+            taken.add(T(v))
+            v0.append(v)
+    p0 = []
+    for w in range(T.codomain_size):
+        if w in taken:
+            p0.append(w)
+        else:
+            p0.append(int(img[int(np.argmin(np.abs(img - w)))]))
+    return tuple(v0), tuple(p0)
+
+
+def one_two_inverse_loop(T, v0, p0):
+    """(T|_V0)^-1 P0 as a tuple, through a dict from image element to source."""
+    source_of = {}
+    for v in v0:
+        source_of[T(v)] = v
+    return tuple(source_of[int(q)] for q in p0)
+
+
+def double_inverse_loop(T, Tbar):
+    """The construction applied to Tbar with W0 = T(V) and Q0 = Tbar T."""
+    source_of = {}
+    for w in np.unique(T.arr):
+        source_of[Tbar(int(w))] = int(w)
+    return tuple(source_of[Tbar(T(v))] for v in range(T.domain_size))
+
+
+def one_two_inverse_count_loop(T):
+    """Product over the image of preimage sizes, times |image|^(off-image ids)."""
+    img = np.unique(T.arr)
+    counts = np.bincount(T.arr, minlength=T.codomain_size)
+    total = 1
+    for w in img:
+        total *= int(counts[w])
+    return total * len(img) ** (T.codomain_size - len(img))
+
+
+def tail_operator_loop(poly, k, T):
+    """-a_k^-1 sum_{i>k} a_i T^(i-k-1) as a table, accumulated one power
+    at a time: the loop of the polynomial left inverse (k = 0) and of the
+    left-Drazin inverse (k the least nonzero index)."""
+    from geninv.vanishing import encode
+
+    p = T.p
+    scale = (-pow(int(poly.coeff(k)), -1, p)) % p
+    vecs = T.space()
+    acc = np.zeros_like(vecs)
+    cur = np.arange(T.size, dtype=np.int64)
+    for i in range(k + 1, poly.degree + 1):
+        a = poly.coeff(i)
+        if a:
+            acc = (acc + a * vecs[cur]) % p
+        cur = T.table[cur]
+    return encode(acc * scale % p, p)
