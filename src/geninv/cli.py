@@ -124,7 +124,10 @@ def cmd_oracle(args):
         raise InputError("target has dim %d but operator maps to dim %d"
                          % (len(w), T.dim_out))
     box = [(args.box[0], args.box[1])] * T.dim_in
-    best = pseudo_inverse.grid_bas_oracle(T, w, box, args.step)
+    try:
+        best = pseudo_inverse.grid_bas_oracle(T, w, box, args.step)
+    except ValueError as e:           # a bad box or step, or a grid past the cap
+        raise InputError(str(e))
     _emit({"v": [float(x) for x in best.v], "residual": best.residual,
            "norm": best.norm})
     return EXIT_OK

@@ -140,11 +140,20 @@ class VectorOperator:
     (N, dim_out) array, so grid oracles can evaluate in bulk.
     """
 
+    # the parts of a componentwise product; set by product_operator
+    _factors = ()
+
     def __init__(self, dim_in, dim_out, fn, name=""):
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
         self.fn = fn
         self.name = name
+
+    @property
+    def factors(self):
+        """Operators this one is the componentwise product of, in axis
+        order and never themselves products; (self,) for any other operator."""
+        return self._factors or (self,)
 
     def apply(self, v):
         v = np.atleast_1d(np.asarray(v, dtype=float))

@@ -12,6 +12,7 @@ the nearest-point problem has no solution, e.g. exp at w <= 0.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -228,14 +229,88 @@ class OracleBest:
     index: int
 
 
+def _residuals(values, w):
+    """||values[i] - w|| for every row of an (N, d) array.
+
+    Below 8 columns the squares are summed column by column, which gives
+    the bits of np.linalg.norm(values - w, axis=1) on C-ordered rows and
+    streams each column once when `values` is Fortran-ordered. numpy sums
+    longer rows pairwise, so those go to it as C-ordered rows.
+    """
+    d = values.shape[1]
+    if not 0 < d < 8:
+        return np.linalg.norm(np.ascontiguousarray(values) - w[None, :], axis=1)
+    diff = values[:, 0] - w[0]
+    sq = diff * diff
+    for k in range(1, d):
+        diff = values[:, k] - w[k]
+        sq += diff * diff
+    return np.sqrt(sq)
+
+
+class _Grid:
+    """A box grid in row-major order, with T and the norm at every point."""
+
+    def __init__(self, T, axes):
+        total = int(np.prod([len(ax) for ax in axes], dtype=object))
+        if total > MAX_GRID_POINTS:
+            raise ValueError("grid of %d points is too large" % total)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        self.points = np.stack([m.ravel() for m in mesh], axis=1)
+        self.values = T.apply_batch(self.points)
+        self.norms = np.linalg.norm(self.points, axis=1)
+
+    @cached_property
+    def _columns(self):
+        if self.values.shape[1] < 8:
+            return np.asfortranarray(self.values)
+        return self.values
+
+    def residuals(self, w):
+        """||T(p) - w|| at every grid point p, in one scan of the values."""
+        return _residuals(self._columns, w)
+
+    def best(self, w, tie_tol=0.0):
+        """Index of the least residual (within tie_tol), then the least
+        norm, then the first in grid order; and the residual array."""
+        res = self.residuals(w)
+        tie = np.flatnonzero(res <= res.min() + tie_tol)
+        return tie[np.argmin(self.norms[tie])], res
+
+    def min_norm(self, res, res_bound):
+        """Smallest norm among the points whose residual in `res` is <= res_bound."""
+        hit = res <= res_bound
+        if not hit.any():
+            return np.inf
+        return float(self.norms[hit].min())
+
+
 class GridOracle:
     """Exhaustive BAS search over a fixed box grid.
 
-    Precomputes T on every grid point, so repeated targets are cheap.
     `query` minimizes the residual, breaking ties by smaller norm and then
     by lexicographic (row-major) grid order. A positive `tie_tol` widens
     the residual tie group before the norm tie-break; the default 0.0 is
     the exact deterministic rule.
+
+    The oracle holds one grid per factor of T (`T.factors`: the parts of a
+    componentwise product, or T itself) with T's part evaluated on it.
+    The residual and the norm of a product are both sums of squares over
+    its factors, so the exact BAS rule picks each factor's point on its
+    own: `query` with tie_tol 0 searches d grids of n points in place of
+    one of n^d. A positive tie_tol, `min_norm_within` and the `points`,
+    `values` and `norms` arrays read the joint grid, built on first use;
+    MAX_GRID_POINTS bounds each factor grid at construction and the joint
+    grid when it is built.
+
+    In floats the per-factor answer can differ from a scan of the joint
+    grid in two ways. (a) Where a factor has several coordinates, its
+    values come from the factor grid, not from the joint batch, and
+    batched matrix products may round those differently. (b) Where one
+    factor's residuals differ by less than an ulp of the joint sum of
+    squares, the joint scan sees a tie and breaks it by norm; the
+    per-factor search does not. `residual` and `norm` are computed at the
+    chosen point by the joint scan's expression.
     """
 
     def __init__(self, T, box, step):
@@ -246,36 +321,63 @@ class GridOracle:
             box = [tuple(box)]
         if len(box) != T.dim_in:
             raise DimensionMismatch("box must give one interval per input axis")
-        axes = [_axis(lo, hi, step) for lo, hi in box]
-        sizes = [len(ax) for ax in axes]
-        total = int(np.prod(sizes))
-        if total == 0:
-            raise ValueError("empty grid")
-        if total > MAX_GRID_POINTS:
-            raise ValueError("grid of %d points is too large" % total)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.points = np.stack([m.ravel() for m in mesh], axis=1)
-        self.values = T.apply_batch(self.points)
-        self.norms = np.linalg.norm(self.points, axis=1)
+        self.T = T
+        self.axes = [_axis(lo, hi, step) for lo, hi in box]
+        self.factors, start = [], 0
+        for part in T.factors:
+            self.factors.append(_Grid(part, self.axes[start:start + part.dim_in]))
+            start += part.dim_in
         self.step = step
 
-    def query(self, w, tie_tol=0.0):
+    @cached_property
+    def grid(self):
+        """The joint grid; the one factor's grid when T is not a product."""
+        if len(self.factors) == 1:
+            return self.factors[0]
+        return _Grid(self.T, self.axes)
+
+    @property
+    def points(self):
+        return self.grid.points
+
+    @property
+    def values(self):
+        return self.grid.values
+
+    @property
+    def norms(self):
+        return self.grid.norms
+
+    def _target(self, w):
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        res = np.linalg.norm(self.values - w[None, :], axis=1)
-        rmin = res.min()
-        tie = np.flatnonzero(res <= rmin + tie_tol)
-        j = tie[np.argmin(self.norms[tie])]
-        return OracleBest(self.points[j].copy(), float(res[j]),
-                          float(self.norms[j]), int(j))
+        if w.shape != (self.T.dim_out,):
+            raise DimensionMismatch("target of dim %d expected" % self.T.dim_out)
+        return w
+
+    def query(self, w, tie_tol=0.0):
+        w = self._target(w)
+        if tie_tol < 0:
+            raise ValueError("tie_tol must be non-negative")
+        if tie_tol > 0:
+            j, res = self.grid.best(w, tie_tol)
+            return OracleBest(self.points[j].copy(), float(res[j]),
+                              float(self.norms[j]), int(j))
+        index, v, value, start = 0, [], [], 0
+        for f in self.factors:
+            stop = start + f.values.shape[1]
+            j, _ = f.best(w[start:stop])
+            index = index * len(f.points) + int(j)
+            v.append(f.points[j])
+            value.append(f.values[j])
+            start = stop
+        v = np.concatenate(v)
+        residual = _residuals(np.concatenate(value)[None, :], w)[0]
+        return OracleBest(v, float(residual),
+                          float(np.linalg.norm(v[None, :], axis=1)[0]), index)
 
     def min_norm_within(self, w, res_bound):
         """Smallest grid-point norm among points with residual <= res_bound."""
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        res = np.linalg.norm(self.values - w[None, :], axis=1)
-        hit = res <= res_bound
-        if not hit.any():
-            return np.inf
-        return float(self.norms[hit].min())
+        return self.grid.min_norm(self.grid.residuals(self._target(w)), res_bound)
 
 
 def grid_bas_oracle(T, w, box, step, tie_tol=0.0):
@@ -314,6 +416,7 @@ def check_pseudo_inverse(T, G, samples, box, step, res_slack=1e-9,
         oracle = GridOracle(T, box, step)
     if norm_slack is None:
         norm_slack = 2.0 * step * np.sqrt(T.dim_in)
+    grid = oracle.grid
     reports = []
     for w in samples:
         w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -324,9 +427,10 @@ def check_pseudo_inverse(T, G, samples, box, step, res_slack=1e-9,
         gtv = G.apply(Tv)
         mp1 = float(np.linalg.norm(T.apply(gtv) - Tv))
         mp2 = float(np.linalg.norm(gtv - v))
-        best = oracle.query(w)
-        tie_norm = oracle.min_norm_within(w, max(residual, best.residual) + res_slack)
-        residual_gap = residual - best.residual
+        res = grid.residuals(w)                 # one scan serves both bounds
+        best_residual = float(res.min())
+        tie_norm = grid.min_norm(res, max(residual, best_residual) + res_slack)
+        residual_gap = residual - best_residual
         norm_gap = norm - tie_norm
         bas_ok = residual_gap <= res_slack and norm_gap <= norm_slack
         reports.append(PseudoInverseReport(w, v, residual, norm, mp1, mp2,

@@ -39,19 +39,26 @@ class OneTwoInverseSpec:
         return OneTwoInverseSpec(tuple(obj["v0"]), tuple(obj["p0"]))
 
     def to_json(self):
-        return {"v0": [int(v) for v in self.v0], "p0": [int(q) for q in self.p0]}
+        # without T, v0 holds non-negative ids and p0 maps its own length into itself
+        v0, p0 = self._checked(np.iinfo(np.int64).max, len(self.p0))
+        return {"v0": v0.tolist(), "p0": p0.tolist()}
+
+    def _checked(self, domain_size, codomain_size):
+        """(v0, p0) as int64 arrays checked by checked_table; raises InvalidSpec."""
+        try:
+            v0 = checked_table(self.v0, len(self.v0), domain_size)
+        except ValueError as e:
+            raise InvalidSpec("v0: %s" % e)
+        try:
+            p0 = checked_table(self.p0, codomain_size, codomain_size)
+        except ValueError as e:
+            raise InvalidSpec("p0: %s" % e)
+        return v0, p0
 
     def validate(self, T):
         """Check the spec against T, raising InvalidSpec; returns (v0, p0)
         as int64 arrays."""
-        try:
-            v0 = checked_table(self.v0, len(self.v0), T.domain_size)
-        except ValueError as e:
-            raise InvalidSpec("v0: %s" % e)
-        try:
-            p0 = checked_table(self.p0, T.codomain_size, T.codomain_size)
-        except ValueError as e:
-            raise InvalidSpec("p0: %s" % e)
+        v0, p0 = self._checked(T.domain_size, T.codomain_size)
         on_image = np.bincount(T.arr, minlength=T.codomain_size) > 0
         if len(v0) != np.count_nonzero(on_image):
             raise InvalidSpec("v0 must pick exactly one source per image element")

@@ -99,7 +99,8 @@ class Halfspace(ConvexSet):
         self.normal, self.offset = normal, float(offset)
 
     def project_batch(self, X):
-        excess = np.maximum(X @ self.normal - self.offset, 0.0)
+        # a row sum, not X @ normal: BLAS rounds a row by its place in the batch
+        excess = np.maximum((X * self.normal).sum(axis=1) - self.offset, 0.0)
         return X - np.outer(excess / (self.normal @ self.normal), self.normal)
 
     def to_json(self):
@@ -111,8 +112,15 @@ class Intersection(ConvexSet):
     """Intersection of listed sets, projected by Dykstra's algorithm.
 
     Nonemptiness is certified by a feasible point supplied at construction.
-    A projection that has not settled to DYKSTRA_TOL after DYKSTRA_CAP
-    sweeps raises ArithmeticError instead of returning its last iterate.
+    A point settles when no part's correction moves by more than
+    DYKSTRA_TOL in a sweep; the iterate alone can stand still for several
+    sweeps while the corrections still change (Birgin & Raydan, "Robust
+    stopping criteria for Dykstra's algorithm", 2005). Since y - x is the
+    sum of the corrections, this also bounds how far x moves. Only points
+    that have not settled are swept again, so each row of a batch gets the
+    bits of its own single-point projection. A point that has not settled
+    after DYKSTRA_CAP sweeps raises ArithmeticError instead of returning
+    its last iterate.
     """
 
     kind = "intersection"
@@ -134,18 +142,26 @@ class Intersection(ConvexSet):
 
     def project_batch(self, X):
         X = np.asarray(X, dtype=float)
-        x = X.copy()
-        corrections = [np.zeros_like(x) for _ in self.parts]
+        out = X.copy()
+        rows = np.arange(len(X))                # the points still sweeping
+        x = X
+        corrections = np.zeros((len(self.parts),) + X.shape)
         for _ in range(DYKSTRA_CAP):
-            prev = x.copy()
+            before = corrections.copy()
             for i, p in enumerate(self.parts):
                 z = x + corrections[i]
                 x = p.project_batch(z)
                 corrections[i] = z - x
-            if np.max(np.abs(x - prev)) <= DYKSTRA_TOL:
-                return x
-        raise ArithmeticError("Dykstra projection did not settle to %g within %d sweeps"
-                              % (DYKSTRA_TOL, DYKSTRA_CAP))
+            settled = np.abs(corrections - before).max(axis=(0, 2)) <= DYKSTRA_TOL
+            if settled.any():
+                out[rows[settled]] = x[settled]
+                keep = ~settled
+                rows, x, corrections = rows[keep], x[keep], corrections[:, keep]
+            if not len(rows):
+                return out
+        raise ArithmeticError("Dykstra projection: %d of %d points did not settle to %g "
+                              "within %d sweeps" % (len(rows), len(X), DYKSTRA_TOL,
+                                                    DYKSTRA_CAP))
 
     def to_json(self):
         return {"kind": "intersection",
@@ -233,8 +249,12 @@ def _axiom_spot_check(T, G, samples, tol):
 
 
 def product_operator(ops):
-    """Componentwise operator on the direct product of the parts' spaces."""
-    ops = list(ops)
+    """Componentwise operator on the direct product of the parts' spaces.
+
+    The result records its parts as `factors`; parts that are products
+    themselves are flattened into theirs.
+    """
+    ops = [f for op in ops for f in op.factors]
     din = [op.dim_in for op in ops]
     dout = [op.dim_out for op in ops]
     in_ofs = np.cumsum([0] + din)
@@ -244,7 +264,9 @@ def product_operator(ops):
         outs = [op.fn(batch[:, in_ofs[i]:in_ofs[i + 1]]) for i, op in enumerate(ops)]
         return np.concatenate(outs, axis=1)
 
-    return VectorOperator(int(in_ofs[-1]), int(out_ofs[-1]), f, name="product")
+    T = VectorOperator(int(in_ofs[-1]), int(out_ofs[-1]), f, name="product")
+    T._factors = tuple(ops)
+    return T
 
 
 def product_inverse(parts, check_samples=None, tol=1e-8):

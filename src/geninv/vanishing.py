@@ -411,6 +411,21 @@ class EigenRootReport:
         return self.ok_fixed and self.ok_kernel
 
 
+def _generator(p):
+    """The least generator of F_p^*, by trial division of p - 1."""
+    m, factors, q = p - 1, [], 2
+    while q * q <= m:
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
 def eigen_root_check(T, poly):
     """Eigenvalue/root instances for lambda in {0, 1}.
 
@@ -426,12 +441,9 @@ def eigen_root_check(T, poly):
     homogeneous = T.table[0] == 0
     one_h = bool(homogeneous)
     if one_h:
-        vecs = T.space()
-        for a in range(2, T.p):
-            scaled = encode(vecs * a % T.p, T.p)
-            if not np.array_equal(T.table[scaled], scaled[T.table]):
-                one_h = False
-                break
+        # T(g v) = g T(v) for one generator g of F_p^* gives every power of g
+        scaled = encode(T.space() * _generator(T.p) % T.p, T.p)
+        one_h = bool(np.array_equal(T.table[scaled], scaled[T.table]))
     p1 = poly.eval_scalar(1)
     p0 = poly.coeff(0)
     ok_fixed = fixed == 0 or p1 == 0

@@ -306,3 +306,86 @@ def tail_operator_loop(poly, k, T):
             acc = (acc + a * vecs[cur]) % p
         cur = T.table[cur]
     return encode(acc * scale % p, p)
+
+
+# ---------------------------------------------------------------------------
+# joint-grid scans, plain Dykstra and the per-scalar homogeneity loop
+# ---------------------------------------------------------------------------
+
+def grid_dense(T, box, step):
+    """(points, values, norms) of T on the joint row-major box grid."""
+    axes = [lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
+            for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    return points, T.apply_batch(points), np.linalg.norm(points, axis=1)
+
+
+def grid_query_dense(T, box, step, w):
+    """BAS grid search by one scan of the joint grid: least residual, then
+    least norm, then first in row-major order. Returns (v, residual, norm,
+    index, residuals, norms)."""
+    points, values, norms = grid_dense(T, box, step)
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    res = np.linalg.norm(values - w[None, :], axis=1)
+    tie = np.flatnonzero(res <= res.min())
+    j = tie[np.argmin(norms[tie])]
+    return points[j].copy(), float(res[j]), float(norms[j]), int(j), res, norms
+
+
+def check_pseudo_inverse_two_scan(T, G, samples, box, step, res_slack=1e-9,
+                                  norm_slack=None, mp2_tol=1e-9):
+    """The BAS certificate with two joint-grid scans per sample: one for the
+    best residual, one for the least norm among near-ties. Returns one tuple
+    per sample in the field order of PseudoInverseReport."""
+    points, values, norms = grid_dense(T, box, step)
+    if norm_slack is None:
+        norm_slack = 2.0 * step * np.sqrt(T.dim_in)
+    out = []
+    for w in samples:
+        w = np.atleast_1d(np.asarray(w, dtype=float))
+        v = G.apply(w)
+        Tv = T.apply(v)
+        residual = float(np.linalg.norm(Tv - w))
+        norm = float(np.linalg.norm(v))
+        gtv = G.apply(Tv)
+        mp1 = float(np.linalg.norm(T.apply(gtv) - Tv))
+        mp2 = float(np.linalg.norm(gtv - v))
+        res = np.linalg.norm(values - w[None, :], axis=1)
+        tie = np.flatnonzero(res <= res.min())
+        best = float(res[tie[np.argmin(norms[tie])]])
+        res = np.linalg.norm(values - w[None, :], axis=1)
+        hit = res <= max(residual, best) + res_slack
+        tie_norm = float(norms[hit].min()) if hit.any() else np.inf
+        gap, ngap = residual - best, norm - tie_norm
+        out.append((w, v, residual, norm, mp1, mp2,
+                    bool(gap <= res_slack and ngap <= norm_slack), bool(mp2 <= mp2_tol),
+                    float(gap), float(ngap)))
+    return out
+
+
+def dykstra_fixed_sweeps(parts, y, sweeps):
+    """Dykstra's alternating projections of one point for a fixed number of
+    sweeps, with no stopping rule."""
+    x = np.asarray(y, dtype=float)[None, :]
+    corrections = [np.zeros_like(x) for _ in parts]
+    for _ in range(sweeps):
+        for i, p in enumerate(parts):
+            z = x + corrections[i]
+            x = p.project_batch(z)
+            corrections[i] = z - x
+    return x[0]
+
+
+def one_homogeneous_loop(T):
+    """T(0) = 0 and T(a v) = a T(v) for every scalar a = 2..p-1, one pass
+    over all p^n vectors per scalar."""
+    from geninv.vanishing import encode
+    if T.table[0] != 0:
+        return False
+    vecs = T.space()
+    for a in range(2, T.p):
+        scaled = encode(vecs * a % T.p, T.p)
+        if not np.array_equal(T.table[scaled], scaled[T.table]):
+            return False
+    return True

@@ -209,3 +209,14 @@ def test_enumeration_constant_map_with_off_image_point():
     assert len(found) == 3 == one_two_inverse_count(T)
     for row in found:
         assert row[1] == row[0]
+
+
+def test_spec_to_json_rejects_what_it_would_truncate():
+    with pytest.raises(InvalidSpec):
+        OneTwoInverseSpec((0.9, 2.2), (True, 1.7)).to_json()
+    with pytest.raises(InvalidSpec):
+        OneTwoInverseSpec((0, 1), (0, 5)).to_json()       # p0 maps outside its length
+    with pytest.raises(InvalidSpec):
+        OneTwoInverseSpec((-1,), (0,)).to_json()
+    spec = OneTwoInverseSpec((np.int64(2), 0), (0, 0, 2))
+    assert spec.to_json() == {"v0": [2, 0], "p0": [0, 0, 2]}

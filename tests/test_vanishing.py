@@ -367,3 +367,51 @@ def test_minimal_poly_brute_force_minimality():
                 cand = OperatorPolynomial(coeffs, p)
                 if not cand.is_zero:
                     assert not poly_vanishes(cand, T)
+
+
+# ---------------------------------------------------------------------------
+# one-homogeneity from one generator of F_p^* against the per-scalar loop
+# ---------------------------------------------------------------------------
+
+def equivariant_table(rng, p, n, scalars):
+    """A map with T(0) = 0 and T(a v) = a T(v) for a in `scalars`, drawn
+    one orbit of nonzero vectors at a time."""
+    vecs = FpVectorOperator(p, n, np.zeros(p ** n, dtype=np.int64)).space()
+    table = np.full(p ** n, -1, dtype=np.int64)
+    table[0] = 0
+    for i in range(1, p ** n):
+        if table[i] < 0:
+            target = vecs[rng.integers(p ** n)]
+            for a in scalars:
+                table[encode(vecs[i] * a % p, p)[0]] = encode(target * a % p, p)[0]
+    return np.where(table < 0, rng.integers(0, p ** n, size=p ** n), table)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_eigen_root_one_homogeneity_matches_per_scalar_loop(p):
+    from helpers import one_homogeneous_loop
+    rng = np.random.default_rng(p)
+    n_max = max(n for n in range(1, 8) if p ** n <= 150)
+    seen = set()
+    for trial in range(40):
+        n = int(rng.integers(1, n_max + 1))
+        shape = trial % 4
+        if shape == 0:        # linear, so homogeneous of every degree
+            A = rng.integers(0, p, size=(n, n))
+            vecs = FpVectorOperator(p, n, np.zeros(p ** n, dtype=np.int64)).space()
+            table = encode(vecs @ A.T % p, p)
+        elif shape == 1:      # equivariant under all of F_p^*, not linear
+            table = equivariant_table(rng, p, n, range(1, p))
+        elif shape == 2:      # odd only: equivariant under -1
+            table = equivariant_table(rng, p, n, sorted({1, p - 1}))
+        else:                 # a random map, fixing 0 on odd trials
+            table = rng.integers(0, p ** n, size=p ** n)
+            table[0] = table[0] * (trial // 4 % 2)
+        if trial % 5 == 4:    # one entry moved
+            table = table.copy()
+            table[rng.integers(1, p ** n)] = rng.integers(0, p ** n)
+        T = FpVectorOperator(p, n, table)
+        rep = eigen_root_check(T, find_vanishing_poly(T))
+        assert rep.one_homogeneous == one_homogeneous_loop(T)
+        seen.add(rep.one_homogeneous)
+    assert seen == {True, False}
