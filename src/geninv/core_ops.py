@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 
+from .numerics import fp_check, integer_entries
+
 
 class DimensionMismatch(ValueError):
     """Raised when operator shapes are incompatible."""
@@ -25,8 +27,7 @@ def checked_table(table, domain_size, codomain_size):
     """`table` as a new int64 array, checked to be a total map
     {0..domain_size-1} -> {0..codomain_size-1}.
 
-    Entries must be integers and not booleans; floats are rejected, never
-    truncated, even when their value is integral. Raises ValueError.
+    Entries must pass numerics.integer_entries. Raises ValueError.
     """
     return _checked_table(table, domain_size, codomain_size)[0]
 
@@ -34,15 +35,7 @@ def checked_table(table, domain_size, codomain_size):
 def _checked_table(table, domain_size, codomain_size):
     """checked_table, plus the set of entry types (None for an array), so
     FiniteOperator can keep a tuple of Python ints without a second scan."""
-    kinds = None
-    if isinstance(table, np.ndarray):
-        integral = table.dtype.kind in "iu" or not table.size
-    else:                                       # bool is an int subclass
-        kinds = set(map(type, table))
-        integral = all(issubclass(k, (int, np.integer)) and k is not bool
-                       for k in kinds)
-    if not integral:
-        raise ValueError("table entries must be integers")
+    kinds = integer_entries(table)
     try:
         arr = np.array(table, dtype=np.int64)
     except OverflowError:
@@ -341,10 +334,14 @@ class OperatorPolynomial:
 
     @staticmethod
     def from_json(text):
+        """A prime field's prime must pass fp_check, its coeffs integer_entries."""
         obj = json.loads(text) if isinstance(text, str) else text
         field = obj.get("field", "real")
-        prime = None if field == "real" else int(field["prime"])
-        return OperatorPolynomial(obj["coeffs"], prime)
+        if field == "real":
+            return OperatorPolynomial(obj["coeffs"])
+        fp_check(field["prime"])
+        integer_entries(obj["coeffs"])
+        return OperatorPolynomial(obj["coeffs"], int(field["prime"]))
 
     def to_json(self):
         field = "real" if self.prime is None else {"prime": self.prime}

@@ -1,8 +1,9 @@
 """Dense real linear algebra (SVD, Moore-Penrose inverse) and exact F_p algebra.
 
 Real matrices are plain float ndarrays. Prime-field matrices are int64
-ndarrays with entries reduced mod p; p must be a prime below 2^31, so
-that the product of two reduced entries fits in int64.
+ndarrays reduced mod p, a prime below 2^31, so one product of two entries
+fits in int64; sums of products go through fp_matmul, and every F_p
+routine, the characteristic polynomial included, is O(n^3).
 """
 
 from dataclasses import dataclass
@@ -83,13 +84,14 @@ def matrix_to_json(A):
 
 
 def fp_matrix_from_json(text):
-    """F_p matrix JSON: the dense format plus a "prime" field."""
+    """F_p matrix JSON: the dense format plus "prime"; rejects a bad prime or entry."""
     obj = json.loads(text) if isinstance(text, str) else text
-    p = int(obj["prime"])
+    p = obj["prime"]
     fp_check(p)
-    A = np.asarray(obj["data"], dtype=np.int64).reshape(int(obj["rows"]),
-                                                        int(obj["cols"]))
-    return np.mod(A, p), p
+    integer_entries(obj["data"])
+    integer_entries([obj["rows"], obj["cols"]])
+    A = np.asarray(obj["data"], dtype=np.int64).reshape(obj["rows"], obj["cols"])
+    return np.mod(A, p), int(p)
 
 
 def fp_matrix_to_json(A, p):
@@ -102,19 +104,41 @@ def fp_matrix_to_json(A, p):
 # exact prime-field linear algebra
 # ---------------------------------------------------------------------------
 
+def integer_entries(values):
+    """The set of entry types of `values` (None for an array). ValueError unless
+    each entry is an integer, not a boolean; floats are rejected, never truncated."""
+    kinds = None
+    if isinstance(values, np.ndarray):
+        integral = values.dtype.kind in "iu" or not values.size
+    else:                                       # bool is an int subclass
+        kinds = set(map(type, values))
+        integral = all(issubclass(k, (int, np.integer)) and k is not bool
+                       for k in kinds)
+    if not integral:
+        raise ValueError("entries must be integers, not floats or booleans")
+    return kinds
+
+
 def is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin on bases 2, 3, 5 and 7: exact below 3,215,031,751."""
+    p = int(p)
+    if p >= 3_215_031_751:
+        raise ValueError("is_prime is exact only below 3,215,031,751")
+    if p < 2 or any(p % a == 0 for a in (2, 3, 5, 7)):
+        return p in (2, 3, 5, 7)
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 1 << j, p) != p - 1 for j in range(s)):
             return False
-        d += 1
     return True
 
 
 def fp_check(p):
-    if not (2 <= p < 2**31 and is_prime(p)):
+    """Raise ValueError unless p is an integer and a prime below 2^31."""
+    if not (isinstance(p, (int, np.integer)) and 2 <= p < 2**31 and is_prime(p)):
         raise ValueError("field size must be a prime below 2^31, got %r" % (p,))
 
 
@@ -168,7 +192,7 @@ def fp_rref(A, p):
         i = r + nz[0]
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+        R[r] = R[r] * pow(int(R[r, c]), -1, int(p)) % p
         mask = np.nonzero(R[:, c])[0]
         mask = mask[mask != r]
         if mask.size:
@@ -218,54 +242,31 @@ def fp_invert(A, p):
 
 
 def fp_char_poly(A, p):
-    """Characteristic polynomial det(xI - A) over F_p, low-degree first.
-
-    Cofactor expansion over the polynomial ring; exact, intended for the
-    small matrices this library works with (n <= ~6).
+    """Characteristic polynomial det(xI - A) over F_p as n+1 Python ints, low
+    degree first, monic. O(n^3): A is reduced to upper Hessenberg form H by
+    similarity, and det(xI - H) follows by the recurrence on its leading
+    blocks (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
     """
     fp_check(p)
-    A = fp_asarray(A, p)
-    n = A.shape[0]
-
-    def poly_add(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] = (out[i] + x) % p
-        return out
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        return out
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            i, j = rows[0], cols[0]
-            d = [(-A[i, j]) % p]
-            if i == j:
-                d = poly_add(d, [0, 1])
-            return d
-        acc = [0]
-        i = rows[0]
-        sign = 1
-        for idx, j in enumerate(cols):
-            entry = [(-A[i, j]) % p]
-            if i == j:
-                entry = poly_add(entry, [0, 1])
-            if any(entry):
-                minor = det(rows[1:], cols[:idx] + cols[idx + 1:])
-                term = poly_mul(entry, minor)
-                if sign < 0:
-                    term = [(-t) % p for t in term]
-                acc = poly_add(acc, term)
-            sign = -sign
-        return acc
-
-    coeffs = det(list(range(n)), list(range(n)))
-    coeffs += [0] * (n + 1 - len(coeffs))
-    return coeffs
+    H = fp_asarray(A, p)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError("fp_char_poly requires a square matrix")
+    n = len(H)
+    for m in range(1, n - 1):
+        i = m + int(np.argmax(H[m:, m - 1] != 0))
+        if H[i, m - 1] == 0:
+            continue
+        H[[m, i]] = H[[i, m]]
+        H[:, [m, i]] = H[:, [i, m]]
+        u = H[m + 1:, m - 1] * pow(int(H[m, m - 1]), -1, int(p)) % p
+        H[m + 1:] = (H[m + 1:] - np.outer(u, H[m]) % p) % p
+        H[:, m] = (H[:, m] + fp_matmul(H[:, m + 1:], u, p)) % p   # an exact sum
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)    # P[k]: char poly of H[:k, :k]
+    P[0, 0] = 1
+    s = np.zeros(0, dtype=np.int64)     # s[r] = prod of H[j, j-1], j = r+1..c; s[c] = 1
+    for c in range(n):
+        s = np.append(s * H[c, c - 1] % p, 1)
+        P[c + 1, 1:] = P[c, :-1]
+        P[c + 1] = (P[c + 1] - H[c, c] * P[c] % p
+                    - fp_matmul(s[:c] * H[:c, c] % p, P[:c], p)) % p
+    return P[n].tolist()

@@ -224,6 +224,116 @@ def fp_matmul_object(A, B, p):
     return np.asarray((A @ B) % p, dtype=np.int64)
 
 
+def fp_rref_object(A, p):
+    """Reduced row echelon form over F_p in Python integers (object dtype),
+    one row operation at a time: (R, pivot_cols, rank)."""
+    R = np.asarray(A, dtype=np.int64).astype(object) % p
+    rows, cols = R.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        below = [i for i in range(r, rows) if R[i, c] != 0]
+        if not below:
+            continue
+        R[[r, below[0]]] = R[[below[0], r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+        for k in range(rows):
+            if k != r and R[k, c] != 0:
+                R[k] = (R[k] - R[k, c] * R[r]) % p
+        pivots.append(c)
+    return np.asarray(R, dtype=np.int64), pivots, len(pivots)
+
+
+def fp_kernel_object(A, p):
+    """The null space basis read off fp_rref_object: one vector per free
+    column, that column set to 1, in increasing column order."""
+    R, pivots, _ = fp_rref_object(A, p)
+    cols = R.shape[1]
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -int(R[r, f]) % p
+        basis.append(v)
+    return basis
+
+
+def fp_invert_object(A, p):
+    """The inverse over F_p by object-dtype elimination on [A | I], or None
+    when A has rank below n."""
+    n = len(A)
+    if fp_rref_object(A, p)[2] < n:
+        return None
+    return fp_rref_object(np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1), p)[0][:, n:]
+
+
+def is_prime_trial_division(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def fp_char_poly_cofactor(A, p):
+    """Characteristic polynomial det(xI - A) over F_p, low-degree first.
+
+    Cofactor expansion over the polynomial ring; exact, factorial time, so
+    an oracle for n <= 7.
+    """
+    from geninv.numerics import fp_asarray, fp_check
+    fp_check(p)
+    A = fp_asarray(A, p)
+    n = A.shape[0]
+
+    def poly_add(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] = (out[i] + x) % p
+        return out
+
+    def poly_mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            i, j = rows[0], cols[0]
+            d = [(-A[i, j]) % p]
+            if i == j:
+                d = poly_add(d, [0, 1])
+            return d
+        acc = [0]
+        i = rows[0]
+        sign = 1
+        for idx, j in enumerate(cols):
+            entry = [(-A[i, j]) % p]
+            if i == j:
+                entry = poly_add(entry, [0, 1])
+            if any(entry):
+                minor = det(rows[1:], cols[:idx] + cols[idx + 1:])
+                term = poly_mul(entry, minor)
+                if sign < 0:
+                    term = [(-t) % p for t in term]
+                acc = poly_add(acc, term)
+            sign = -sign
+        return acc
+
+    coeffs = det(list(range(n)), list(range(n)))
+    coeffs += [0] * (n + 1 - len(coeffs))
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # per-id loop oracles for the array-native table algebra
 # ---------------------------------------------------------------------------

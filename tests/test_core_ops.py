@@ -137,6 +137,18 @@ def test_polynomial_json_roundtrip():
     assert OperatorPolynomial.from_json(q.to_json()) == q
 
 
+@pytest.mark.parametrize("obj", [
+    {"field": {"prime": 5}, "coeffs": [1.5, 1]},
+    {"field": {"prime": 5}, "coeffs": [1.0, 1]},
+    {"field": {"prime": 5}, "coeffs": [True, 1]},
+    {"field": {"prime": 4}, "coeffs": [1, 1]},
+    {"field": {"prime": 5.0}, "coeffs": [1, 1]},
+])
+def test_polynomial_from_json_rejects_bad_prime_field_input(obj):
+    with pytest.raises(ValueError):
+        OperatorPolynomial.from_json(obj)
+
+
 def test_finite_operator_json_roundtrip():
     T = FiniteOperator(3, 2, (1, 1, 0))
     assert FiniteOperator.from_json(T.to_json()) == T

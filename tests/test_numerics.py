@@ -2,10 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from geninv import (svd, mp_inverse, mp_residuals, fp_rank,
-                    fp_solve_kernel, fp_invert, fp_matmul, fp_char_poly)
-from geninv.numerics import matrix_from_json, matrix_to_json
+from geninv import (svd, mp_inverse, mp_residuals, fp_rank, fp_rref,
+                    fp_solve_kernel, fp_invert, fp_matmul, fp_char_poly,
+                    cayley_hamilton_inverse)
+from geninv.numerics import (matrix_from_json, matrix_to_json, fp_matrix_from_json,
+                             fp_check, is_prime)
+
+from helpers import (fp_rref_object, fp_kernel_object, fp_invert_object,
+                     fp_char_poly_cofactor, fp_matmul_object, is_prime_trial_division)
+
+P31 = 2**31 - 1
+PRIMES = [2, 3, 65521, P31]
 
 
 def test_svd_identity():
@@ -168,3 +177,165 @@ def test_fp_matrix_json_roundtrip():
     assert obj["prime"] == 5
     B, p = fp_matrix_from_json(obj)
     assert p == 5 and np.array_equal(A % 5, B)
+
+
+# ---------------------------------------------------------------------------
+# exact F_p routines against Python-int oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def fp_matrices(draw, square=False, min_n=0, max_n=6):
+    """(A, p) with entries often 0, 1 or p-1, sometimes unreduced, and on
+    some draws a last row that depends on the first two."""
+    p = draw(st.sampled_from(PRIMES))
+    rows = draw(st.integers(min_n, max_n))
+    cols = rows if square else draw(st.integers(min_n, max_n))
+    entry = (st.sampled_from([0, 0, 1, p - 1]) | st.integers(0, p - 1)
+             | st.integers(-2 * p, 2 * p))
+    A = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols)
+    if rows >= 2 and draw(st.booleans()):
+        A[-1] = (A[0] % p * draw(st.integers(0, p - 1)) + A[1] % p) % p
+    return A, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_matrices())
+def test_fp_rref_matches_object_oracle(case):
+    A, p = case
+    R, pivots, rank = fp_rref(A, p)
+    want_R, want_pivots, want_rank = fp_rref_object(A, p)
+    assert R.dtype == np.int64 and np.array_equal(R, want_R)
+    assert (pivots, rank) == (want_pivots, want_rank)
+    assert np.array_equal(fp_rref(A, np.int64(p))[0], want_R)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_matrices())
+def test_fp_solve_kernel_matches_object_oracle(case):
+    A, p = case
+    basis = fp_solve_kernel(A, p)
+    assert [v.tolist() for v in basis] == fp_kernel_object(A, p)
+    for v in basis:
+        assert not fp_matmul_object(A, v[:, None], p).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_matrices(square=True))
+def test_fp_invert_matches_object_oracle(case):
+    A, p = case
+    got, want = fp_invert(A, p), fp_invert_object(A, p)
+    if want is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, want)
+        assert np.array_equal(fp_matmul_object(A, got, p), np.eye(len(A), dtype=np.int64))
+
+
+SWAP = np.array([[1, 2, 3], [0, 4, 5], [6, 0, 7]])         # H[1, 0] = 0 < H[2, 0]
+SKIP = np.array([[1, 2, 0, 3], [4, 5, 6, 0], [0, 0, 7, 8],  # column 1 below row 2 is zero
+                 [0, 0, 9, 1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_matrices(square=True, min_n=1, max_n=7))
+@example((SWAP, 65521))
+@example((SWAP, P31))
+@example((SKIP, 3))
+@example((SKIP, P31))
+@example((np.zeros((7, 7), dtype=np.int64), 2))
+@example((np.full((7, 7), P31 - 1), P31))
+def test_fp_char_poly_matches_cofactor_oracle(case):
+    A, p = case
+    got = fp_char_poly(A, p)
+    assert all(type(c) is int for c in got)
+    assert got == [int(c) for c in fp_char_poly_cofactor(A, p)]
+    assert len(got) == len(A) + 1 and got[-1] == 1
+    assert fp_char_poly(A, np.int64(p)) == got
+
+
+def _fp_poly_of_matrix(coeffs, A, p):
+    acc = np.zeros_like(A)
+    for c in reversed(coeffs):
+        acc = (fp_matmul(acc, A, p) + c * np.eye(len(A), dtype=np.int64)) % p
+    return acc
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("p", PRIMES)
+def test_fp_char_poly_large(n, p):
+    rng = np.random.default_rng(1000 * n + p % 1000)
+    L = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(rng.integers(0, p, (n, n)), 1) + np.diag(rng.integers(1, p, n))
+    sparse = rng.integers(0, p, (n, n)) * (rng.random((n, n)) < 0.1)
+    for A in (fp_matmul(L, U, p), sparse, rng.integers(0, p, (n, n))):
+        coeffs = fp_char_poly(A, p)
+        assert len(coeffs) == n + 1 and coeffs[-1] == 1
+        assert not _fp_poly_of_matrix(coeffs, A, p).any()           # Cayley-Hamilton
+        assert coeffs[n - 1] == -int(np.trace(A % p)) % p
+        inv = fp_invert(A, p)
+        ch = cayley_hamilton_inverse(A, p)
+        assert (ch is None) == (inv is None)
+        if inv is not None:
+            assert np.array_equal(ch, inv)
+    assert fp_invert(fp_matmul(L, U, p), p) is not None
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,), (2, 2, 2), ()])
+def test_fp_char_poly_rejects_non_square(shape):
+    with pytest.raises(ValueError):
+        fp_char_poly(np.ones(shape, dtype=np.int64), 5)
+
+
+def test_fp_char_poly_empty_matrix():
+    assert fp_char_poly(np.zeros((0, 0), dtype=np.int64), 5) == [1]
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == is_prime_trial_division(n) for n in range(-5, 10**5))
+    # strong pseudoprimes to bases 2; 2, 3; 2, 3, 5; and a Carmichael number
+    for n in (2047, 1373653, 25326001, 561):
+        assert not is_prime(n) and not is_prime_trial_division(n)
+    rng = np.random.default_rng(7)
+    near = list(range(2**31 - 200, 2**31)) + [int(n) for n in rng.integers(2**30, 2**31, 200)]
+    assert P31 in near
+    assert all(is_prime(n) == is_prime_trial_division(n) for n in near)
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
+    assert is_prime(3_215_031_749) == is_prime_trial_division(3_215_031_749)
+    with pytest.raises(ValueError):
+        is_prime(3_215_031_751)
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -7, 561, 2**31, 2**31 + 11, 5.0, 5.5, True,
+                               np.float64(5.0), "5", None])
+def test_fp_check_rejects(p):
+    with pytest.raises(ValueError):
+        fp_check(p)
+
+
+def test_fp_check_accepts_integer_kinds():
+    for p in (2, 3, 65521, P31, np.int64(P31), np.int32(7)):
+        fp_check(p)
+
+
+@pytest.mark.parametrize("obj", [
+    {"rows": 1, "cols": 2, "data": [1.7, True], "prime": 5},
+    {"rows": 1, "cols": 2, "data": [1.0, 2], "prime": 5},
+    {"rows": 1, "cols": 2, "data": [False, 2], "prime": 5},
+    {"rows": 1, "cols": 2, "data": [1, 2], "prime": 4},
+    {"rows": 1, "cols": 2, "data": [1, 2], "prime": 5.0},
+    {"rows": 1, "cols": 2, "data": [1, 2], "prime": True},
+    {"rows": 1.5, "cols": 2, "data": [1, 2], "prime": 5},
+    {"rows": 1, "cols": True, "data": [1], "prime": 5},
+])
+def test_fp_matrix_from_json_rejects(obj):
+    with pytest.raises(ValueError):
+        fp_matrix_from_json(obj)
+
+
+def test_fp_matrix_from_json_reduces_integers():
+    A, p = fp_matrix_from_json('{"rows": 1, "cols": 3, "data": [-1, 7, 2], "prime": 5}')
+    assert p == 5 and A.tolist() == [[4, 2, 2]]
