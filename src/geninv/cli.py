@@ -138,6 +138,8 @@ def cmd_layer_pinv(args):
         A = numerics.matrix_from_json(_read_json_file(args.weights))
     except KeyError as e:
         raise InputError("weights JSON is missing the %s field" % e)
+    except ValueError as e:
+        raise InputError("bad weights matrix: %s" % e)
     try:
         layer = applied.NeuralLayer(A, args.act, args.clip)
     except ValueError as e:

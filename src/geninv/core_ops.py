@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .numerics import fp_check, integer_entries
+from .numerics import fp_check, fp_convolve, fp_poly_divmod, integer_entries
 
 
 class DimensionMismatch(ValueError):
@@ -228,23 +228,30 @@ class VectorOperator:
 class OperatorPolynomial:
     """Polynomial with low-degree-first coefficients over the reals or F_p.
 
-    prime=None means real coefficients. The zero polynomial has no degree;
-    `degree` returns -1 for it as a sentinel.
+    prime=None means real coefficients. Over F_p the coefficients are also
+    kept as an int64 array, `arr`, on which mul, divmod, gcd and lcm run.
+    The zero polynomial has no degree; `degree` returns -1 for it as a
+    sentinel.
     """
 
     def __init__(self, coeffs, prime=None):
-        self.prime = prime
         if prime is None:
             c = [float(x) for x in coeffs]
             while c and c[-1] == 0.0:
                 c.pop()
-        else:
-            if prime < 2:
-                raise ValueError("prime must be >= 2")
-            c = [int(x) % prime for x in coeffs]
-            while c and c[-1] == 0:
-                c.pop()
-        self.coeffs = tuple(c)
+            self.prime = None
+            self.coeffs = tuple(c)
+            return
+        if prime < 2:
+            raise ValueError("prime must be >= 2")
+        self.prime = p = int(prime)
+        try:
+            arr = np.mod(np.array(coeffs, dtype=np.int64), p)
+        except OverflowError:                   # Python ints past int64
+            arr = np.array([int(x) % p for x in coeffs], dtype=np.int64)
+        nz = arr.nonzero()[0]
+        self.arr = arr[:nz[-1] + 1] if nz.size else arr[:0]
+        self.coeffs = tuple(self.arr.tolist())
 
     @property
     def is_zero(self):
@@ -273,7 +280,15 @@ class OperatorPolynomial:
         c = [self.coeff(i) + other.coeff(i) for i in range(n)]
         return OperatorPolynomial(c, self.prime)
 
+    def _common_field(self, other, what):
+        if self.prime is None or other.prime != self.prime:
+            raise ValueError("%s is supported over a common prime field" % what)
+
     def mul(self, other):
+        if self.prime is not None:
+            self._common_field(other, "mul")
+            return OperatorPolynomial(fp_convolve(self.arr, other.arr, self.prime),
+                                      self.prime)
         if self.is_zero or other.is_zero:
             return OperatorPolynomial([], self.prime)
         c = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -283,6 +298,8 @@ class OperatorPolynomial:
         return OperatorPolynomial(c, self.prime)
 
     def scale(self, a):
+        if self.prime is not None:
+            return OperatorPolynomial(self.arr * (int(a) % self.prime), self.prime)
         return OperatorPolynomial([a * c for c in self.coeffs], self.prime)
 
     def shift(self, k):
@@ -303,30 +320,45 @@ class OperatorPolynomial:
         lead = self.coeffs[-1]
         if self.prime is None:
             return self.scale(1.0 / lead)
-        return self.scale(pow(int(lead), -1, self.prime))
+        return self if lead == 1 else self.scale(pow(lead, -1, self.prime))
 
     def divmod(self, other):
         """Exact polynomial division with remainder; prime fields only."""
-        if self.prime is None or other.prime != self.prime:
-            raise ValueError("divmod is supported over a common prime field")
+        self._common_field(other, "divmod")
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
+        q, r = fp_poly_divmod(self.arr, other.arr, self.prime)
+        return OperatorPolynomial(q, self.prime), OperatorPolynomial(r, self.prime)
+
+    def gcd(self, other):
+        """Monic greatest common divisor over F_p by Euclid, one vectorized
+        row operation per eliminated leading term; zero when both are zero."""
+        self._common_field(other, "gcd")
         p = self.prime
-        rem = list(self.coeffs)
-        q = [0] * max(len(rem) - len(other.coeffs) + 1, 1)
-        dlead_inv = pow(int(other.coeffs[-1]), -1, p)
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(rem):
-            k = len(rem) - 1
-            if rem[k] == 0:
-                rem.pop()
-                continue
-            factor = rem[k] * dlead_inv % p
-            q[k - dd] = factor
-            for i, b in enumerate(other.coeffs):
-                rem[k - dd + i] = (rem[k - dd + i] - factor * b) % p
-            rem.pop()
-        return OperatorPolynomial(q, p), OperatorPolynomial(rem, p)
+        a, b = self.arr.copy(), other.arr.copy()
+        while b.size > 1:
+            inv = pow(int(b[-1]), -1, p)
+            while a.size >= b.size:               # a <- a mod b
+                top = a[a.size - b.size:]
+                top -= int(a[-1]) * inv % p * b
+                top %= p
+                k = a.size - 1
+                while k >= 0 and not a[k]:
+                    k -= 1
+                a = a[:k + 1]
+            a, b = b, a
+        g = b if b.size else a                    # a nonzero constant b: gcd 1
+        return OperatorPolynomial(g * pow(int(g[-1]), -1, p) if g.size else g, p)
+
+    def lcm(self, other):
+        """Monic least common multiple over F_p, a (b / gcd(a, b)); zero when
+        either is zero."""
+        self._common_field(other, "lcm")
+        if self.is_zero or other.is_zero:
+            return OperatorPolynomial([], self.prime)
+        p = self.prime
+        q = fp_poly_divmod(other.arr, self.gcd(other).arr, p)[0]
+        return OperatorPolynomial(fp_convolve(self.arr, q, p), p).monic()
 
     def divides(self, other):
         _, r = other.divmod(self)

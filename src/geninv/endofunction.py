@@ -28,6 +28,7 @@ class FunctionalGraph:
     depth: np.ndarray          # per node: steps until it reaches its cycle
     exit_level: np.ndarray     # per node: last j with v in T^j(V); k on cycles
     k: int                     # first k with T^k(V) = T^(k+1)(V)
+    cycle_root: np.ndarray     # per node: least node of the cycle it runs into
 
 
 def functional_graph(table):
@@ -38,7 +39,8 @@ def functional_graph(table):
     `maximum` scatter doubles the longest known path into each node, which
     off the cycles is the exit level. Depths come from pointer jumping in
     which the cycles absorb, cycle lengths from propagating the least
-    label around each cycle and counting labels.
+    label around each cycle and counting labels; the least label names
+    each cycle's least node.
     """
     t = np.asarray(table, dtype=np.int64)
     n = len(t)
@@ -70,7 +72,8 @@ def functional_graph(table):
         step = step[step]
     length = np.bincount(label, minlength=len(cyc))[label]
     cycle_length = length[pos[jump]]
-    return FunctionalGraph(on_cycle, cycle_length, depth, exit_level, k)
+    cycle_root = cyc[label[pos[jump]]]
+    return FunctionalGraph(on_cycle, cycle_length, depth, exit_level, k, cycle_root)
 
 
 @dataclass

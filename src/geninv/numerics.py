@@ -72,9 +72,17 @@ def mp_residuals(A, G):
 
 
 def matrix_from_json(text):
+    """Real matrix JSON: flat "data" of rows * cols numbers. ValueError unless
+    rows and cols pass integer_entries and the data pass real_entries and
+    fill the shape exactly."""
     obj = json.loads(text) if isinstance(text, str) else text
-    A = np.asarray(obj["data"], dtype=float).reshape(int(obj["rows"]), int(obj["cols"]))
-    return A
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    integer_entries([rows, cols])
+    real_entries(data)
+    A = np.asarray(data, dtype=float)
+    if A.ndim != 1 or min(rows, cols) < 0 or A.size != rows * cols:
+        raise ValueError("matrix data must hold rows * cols = %d x %d numbers" % (rows, cols))
+    return A.reshape(rows, cols)
 
 
 def matrix_to_json(A):
@@ -104,19 +112,33 @@ def fp_matrix_to_json(A, p):
 # exact prime-field linear algebra
 # ---------------------------------------------------------------------------
 
+def _entries(values, dtype_kinds, types, message):
+    kinds = None
+    if isinstance(values, np.ndarray):
+        ok = values.dtype.kind in dtype_kinds or not values.size
+    else:                                       # bool is an int subclass
+        try:
+            kinds = set(map(type, values))
+        except TypeError:                       # not a sequence at all
+            raise ValueError(message)
+        ok = all(issubclass(k, types) and k is not bool for k in kinds)
+    if not ok:
+        raise ValueError(message)
+    return kinds
+
+
 def integer_entries(values):
     """The set of entry types of `values` (None for an array). ValueError unless
     each entry is an integer, not a boolean; floats are rejected, never truncated."""
-    kinds = None
-    if isinstance(values, np.ndarray):
-        integral = values.dtype.kind in "iu" or not values.size
-    else:                                       # bool is an int subclass
-        kinds = set(map(type, values))
-        integral = all(issubclass(k, (int, np.integer)) and k is not bool
-                       for k in kinds)
-    if not integral:
-        raise ValueError("entries must be integers, not floats or booleans")
-    return kinds
+    return _entries(values, "iu", (int, np.integer),
+                    "entries must be integers, not floats or booleans")
+
+
+def real_entries(values):
+    """ValueError unless each entry of `values` is an integer or a float, not a
+    boolean, a string or a list; the set of entry types (None for an array)."""
+    return _entries(values, "iuf", (int, float, np.integer, np.floating),
+                    "entries must be numbers, not booleans, strings or lists")
 
 
 def is_prime(p):
@@ -174,6 +196,55 @@ def fp_matmul(A, B, p):
             prod = np.mod(A[..., lo:lo + chunk] @ part[lo:lo + chunk], p)
             out = np.mod(out + np.mod(prod * scale, p), p)
     return out
+
+
+def fp_convolve(a, b, p):
+    """Exact product of two coefficient arrays over F_p for every prime p
+    below 2^31.
+
+    One int64 convolution suffices while k (p-1)^2 < 2^63, with k the
+    shorter length. Otherwise both arrays are split into 16-bit limbs, as
+    in fp_matmul, so each convolution of two limbs sums k terms below 2^32.
+    """
+    p = int(p)
+    a, b = fp_asarray(a, p), fp_asarray(b, p)
+    if not (a.size and b.size):
+        return np.zeros(0, dtype=np.int64)
+    if min(a.size, b.size) * (p - 1) ** 2 < INT64_LIMIT:
+        return np.mod(np.convolve(a, b), p)
+    limb = (1 << LIMB_BITS) - 1
+    out = np.zeros(a.size + b.size - 1, dtype=np.int64)
+    for i in range(0, p.bit_length(), LIMB_BITS):
+        for j in range(0, p.bit_length(), LIMB_BITS):
+            prod = np.mod(np.convolve((a >> i) & limb, (b >> j) & limb), p)
+            out = np.mod(out + prod * pow(2, i + j, p), p)
+    return out
+
+
+def fp_poly_divmod(A, b, p):
+    """Quotients and remainders over F_p of the coefficient rows of A (low
+    degree first, 1-D for one polynomial) by b, whose last entry is nonzero.
+
+    Long division with one vectorized row operation per quotient term; the
+    remainders have len(b) - 1 columns.
+    """
+    p = int(p)
+    R, b = fp_asarray(A, p), fp_asarray(b, p)
+    d = b.size - 1
+    inv = pow(int(b[-1]), -1, p)
+    if d == 0:                                  # division by a constant
+        return R * inv % p, R[..., :0]
+    Q = np.zeros(R.shape[:-1] + (max(R.shape[-1] - d, 0),), dtype=np.int64)
+    Rt, Qt = R.T, Q.T                           # Rt[k]: coefficient k of every row
+    for k in range(R.shape[-1] - 1, d - 1, -1):
+        f = Rt[k] * inv % p
+        if R.ndim == 1 and f == 0:              # one polynomial: skip a zero term
+            continue
+        Qt[k - d] = f
+        top = Rt[k - d:k + 1]
+        top -= np.multiply.outer(b, f)
+        top %= p
+    return Q, R[..., :d]
 
 
 def fp_rref(A, p):

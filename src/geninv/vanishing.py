@@ -8,13 +8,14 @@ vanishing polynomial, and Cayley-Hamilton matrix inversion.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .core_ops import OperatorPolynomial, checked_table, table_power
 from .endofunction import functional_graph
-from .numerics import fp_check, fp_solve_kernel, fp_char_poly, fp_matmul
+from .numerics import (INT64_LIMIT, fp_check, fp_solve_kernel, fp_char_poly, fp_matmul,
+                       fp_poly_divmod)
 
 SPACE_CAP = 100_000
 
@@ -49,6 +50,11 @@ class FpVectorOperator:
 
     def space(self):
         return _space(self.p, self.n)
+
+    @cached_property
+    def graph(self):
+        """The functional graph of the table, analysed once per operator."""
+        return functional_graph(self.table)
 
     def __eq__(self, other):
         return (isinstance(other, FpVectorOperator) and self.p == other.p
@@ -89,19 +95,31 @@ class FpVectorOperator:
         return FpVectorOperator.from_callable(p, n, lambda V: (V @ A.T + off) % p)
 
 
-def fp_apply_polynomial(poly, T):
-    """q(T) evaluated on every vector: returns a (p^n, n) digit array."""
+def fp_apply_polynomial(poly, T, nodes=None):
+    """q(T) evaluated on the vectors with indices `nodes` (every vector by
+    default): returns a (len(nodes), n) digit array.
+
+    Sums run unreduced in int64 and are reduced mod p only as often as
+    the bound (p-1)^2 per term requires.
+    """
     if poly.prime != T.p:
         raise ValueError("polynomial and operator fields differ")
-    vecs = T.space()
-    acc = np.zeros_like(vecs)
-    cur = np.arange(T.size, dtype=np.int64)
+    p = T.p
+    digits = np.ascontiguousarray(T.space().T)          # (n, p^n)
+    cur = np.arange(T.size, dtype=np.int64) if nodes is None else np.asarray(nodes)
+    acc = np.zeros((T.n, len(cur)), dtype=np.int64)
+    room = (INT64_LIMIT - 1) // (p - 1) ** 2 - 1           # terms addable after a reduction
+    terms = 0
     for j, a in enumerate(poly.coeffs):
         if j > 0:
             cur = T.table[cur]
         if a:
-            acc = (acc + a * vecs[cur]) % T.p
-    return acc
+            acc += a * digits.take(cur, axis=1)
+            terms += 1
+            if terms == room:
+                acc %= p
+                terms = 0
+    return (acc % p).T
 
 
 def poly_vanishes(poly, T):
@@ -114,56 +132,8 @@ def poly_vanishes(poly, T):
 def stabilization_profile(T):
     """(l, m): least l with |T^l(V)| = |T^(l+1)(V)|, and that common size m,
     the number of cyclic vectors."""
-    fg = functional_graph(T.table)
+    fg = T.graph
     return fg.k, int(np.count_nonzero(fg.on_cycle))
-
-
-class _FpReducer:
-    """Incremental row reduction over F_p with coefficient tracking.
-
-    Feeding vectors one at a time, `offer` returns None while the stream
-    stays independent, and the dependence coefficients (low index first,
-    last one equal to 1) at the first linear dependence.
-    """
-
-    def __init__(self, p):
-        self.p = p
-        self.rows = []        # normalized reduced rows
-        self.leads = []       # leading column per row
-        self.reps = []        # expression of each row in the original stream
-        self.count = 0
-
-    def offer(self, vec):
-        p = self.p
-        r = np.asarray(vec, dtype=np.int64) % p
-        rep = np.zeros(self.count + 1, dtype=np.int64)
-        rep[self.count] = 1
-        self.count += 1
-        for row, lead, rrep in zip(self.rows, self.leads, self.reps):
-            c = r[lead]
-            if c:
-                r = (r - c * row) % p
-                rep[:len(rrep)] = (rep[:len(rrep)] - c * rrep) % p
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return rep
-        lead = int(nz[0])
-        inv = pow(int(r[lead]), -1, p)
-        self.rows.append(r * inv % p)
-        self.leads.append(lead)
-        self.reps.append(rep * inv % p)
-        return None
-
-
-def _poly_lcm(polys, p):
-    """Monic least common multiple over F_p: lcm(a, f) = a (f / gcd(a, f))."""
-    out = OperatorPolynomial([1], p)
-    for f in polys:
-        a, b = out, f
-        while not b.is_zero:                      # Euclid; a ends as a gcd
-            a, b = b, a.divmod(b)[1]
-        out = out.mul(f.divmod(a.monic())[0])
-    return out
 
 
 def find_vanishing_poly(T, l=None):
@@ -176,40 +146,75 @@ def find_vanishing_poly(T, l=None):
     of that permutation's incidence matrix. The result is verified
     exhaustively before returning.
     """
-    fg = functional_graph(T.table)
+    fg = T.graph
     if l is None:
         l = fg.k
     elif l < fg.k:
         raise ValueError("image sizes still shrinking after %d iterations" % l)
     m = int(np.count_nonzero(fg.on_cycle))
-    lcm = _poly_lcm([OperatorPolynomial([-1] + [0] * (c - 1) + [1], T.p)   # x^c - 1
-                     for c in np.unique(fg.cycle_length[fg.on_cycle])], T.p)
+    lcm = OperatorPolynomial([1], T.p)
+    for c in np.unique(fg.cycle_length[fg.on_cycle]):
+        lcm = lcm.lcm(OperatorPolynomial([-1] + [0] * (c - 1) + [1], T.p))   # x^c - 1
     poly = lcm.shift(l)
-    assert poly.degree <= m * m + l
-    assert poly_vanishes(poly, T), "constructed polynomial fails to vanish"
+    if poly.degree > m * m + l:
+        raise AssertionError("vanishing polynomial exceeds the degree bound m^2 + l")
+    if not poly_vanishes(poly, T):
+        raise AssertionError("constructed polynomial fails to vanish")
     return poly
 
 
-def minimal_poly(T):
-    """The unique monic vanishing polynomial of least degree.
+def _cycles_annihilator(rows, c, p):
+    """(x^c - 1) / gcd(x^c - 1, every row of `rows`, an (r, c) array of
+    coefficient rows): the least annihilator of c-periodic sequences whose
+    reversed periods are the rows (Lidl & Niederreiter, Finite Fields, ch. 8).
 
-    Treats the iterates T^0, T^1, ... as vectors of stacked digit arrays
-    and returns the first linear dependence, which is monic by
-    construction. Independence of all earlier iterates certifies that no
-    monic polynomial of smaller degree vanishes.
+    The gcd is reduced one row at a time; all remaining rows are reduced
+    modulo it at once, and every step lowers its degree.
     """
+    period = OperatorPolynomial([-1] + [0] * (c - 1) + [1], p)
+    g = period
+    while g.degree > 0:
+        rows = fp_poly_divmod(rows, g.arr, p)[1]
+        live = np.flatnonzero(rows.any(axis=1))
+        if not live.size:
+            break
+        g = g.gcd(OperatorPolynomial(rows[live[0]], p))
+        rows = rows[live[1:]]
+    return OperatorPolynomial(fp_poly_divmod(period.arr, g.arr, p)[0], p)
+
+
+def minimal_poly(T):
+    """The unique monic vanishing polynomial of least degree, x^A L.
+
+    q(T) = 0 exactly when q annihilates the digit sequence (T^j v)_j of
+    every vector v. On a cycle C of length c these sequences are shifts of
+    one c-periodic sequence, whose least annihilator g_C comes from its
+    period in reverse order; L = lcm_C g_C. A tail vector u has
+    L(T)(u) = 0 once it has been iterated onto its cycle, so the least
+    shift A is 1 + the longest path into a tail vector where L(T) does not
+    vanish, or 0 when there is none. The result is verified exhaustively
+    before returning.
+    """
+    fg = T.graph
     vecs = T.space()
-    reducer = _FpReducer(T.p)
-    cur = np.arange(T.size, dtype=np.int64)
-    for i in range(T.size * T.n + 2):
-        col = vecs[cur].ravel()
-        dependence = reducer.offer(col)
-        if dependence is not None:
-            poly = OperatorPolynomial(dependence, T.p)
-            assert poly.coeffs[-1] == 1 and poly_vanishes(poly, T)
-            return poly
-        cur = T.table[cur]
-    raise AssertionError("no vanishing polynomial found; finite space guarantee broken")
+    nodes = np.arange(T.size)
+    roots = nodes[fg.on_cycle & (fg.cycle_root == nodes)]           # one per cycle
+    L = OperatorPolynomial([1], T.p)
+    for c in np.unique(fg.cycle_length[roots]):
+        cur = roots[fg.cycle_length[roots] == c]
+        orbits = np.empty((len(cur), c), dtype=np.int64)              # reversed
+        for i in range(c - 1, -1, -1):
+            orbits[:, i] = cur
+            cur = T.table[cur]
+        rows = vecs[orbits].transpose(0, 2, 1).reshape(-1, c)       # per cycle and digit
+        L = L.lcm(_cycles_annihilator(rows, c, T.p))
+    tail = nodes[~fg.on_cycle]
+    missed = tail[fp_apply_polynomial(L, T, tail).any(axis=1)] if tail.size else tail
+    A = 1 + int(fg.exit_level[missed].max()) if missed.size else 0
+    poly = L.shift(A)
+    if poly.coeffs[-1] != 1 or not poly_vanishes(poly, T):
+        raise AssertionError("minimal polynomial fails its certificate")
+    return poly
 
 
 def _tail_operator(poly, k, T):
@@ -233,11 +238,10 @@ def poly_left_inverse(poly, T):
     if poly.coeff(0) == 0:
         return None
     S = _tail_operator(poly, 0, T)
-    assert S.compose(T) == FpVectorOperator.identity(T.p, T.n), \
-        "left-inverse identity failed; vanishing certificate inconsistent"
-    if T.is_surjective():
-        assert T.compose(S) == FpVectorOperator.identity(T.p, T.n), \
-            "surjective operator must make the left inverse two-sided"
+    if S.compose(T) != FpVectorOperator.identity(T.p, T.n):
+        raise AssertionError("left-inverse identity failed; vanishing certificate inconsistent")
+    if T.is_surjective() and T.compose(S) != FpVectorOperator.identity(T.p, T.n):
+        raise AssertionError("surjective operator must make the left inverse two-sided")
     return S
 
 
@@ -253,8 +257,8 @@ def left_drazin_from_poly(poly, T):
     k = next(i for i, a in enumerate(poly.coeffs) if a)
     G = _tail_operator(poly, k, T)
     m = max(k, 1)
-    lhs = G.compose(T.power(m + 1))
-    assert lhs == T.power(m), "left-Drazin identity failed"
+    if G.compose(T.power(m + 1)) != T.power(m):
+        raise AssertionError("left-Drazin identity failed")
     return G, m
 
 
@@ -285,13 +289,15 @@ def power_vanishing_poly(poly, k, l):
         for i, c in enumerate(r.coeffs):
             rem[j, i] = c
     alphas = fp_solve_kernel(rem.T, p)
-    assert alphas, "remainders must be dependent: m+1 vectors in dimension m"
+    if not alphas:
+        raise AssertionError("remainders must be dependent: m+1 vectors in dimension m")
     alpha = alphas[0]
     out = np.zeros(m * l + 1, dtype=np.int64)
     for j, aj in enumerate(alpha):
         out[j * l] = (out[j * l] + aj) % p
     result = OperatorPolynomial(out, p)
-    assert not result.is_zero and result.degree <= m * l
+    if result.is_zero or result.degree > m * l:
+        raise AssertionError("power vanishing polynomial is zero or exceeds degree m l")
     return result
 
 
@@ -456,7 +462,8 @@ def cayley_hamilton_inverse(A, p):
     """Matrix inverse over F_p through the characteristic polynomial:
     A^-1 = -a0^-1 (a1 I + a2 A + ... + an A^(n-1)). None when singular."""
     A = np.asarray(A, dtype=np.int64) % p
-    coeffs = fp_char_poly(A, p)
+    coeffs = fp_char_poly(A, p)                   # checks p
+    p = int(p)
     a0 = coeffs[0]
     if a0 == 0:
         return None

@@ -66,9 +66,10 @@ def image_chain_steps(t):
 
 
 def walk_graph(t):
-    """Per node by walking: (on_cycle, cycle_length, depth) as lists."""
+    """Per node by walking: (on_cycle, cycle_length, depth, cycle_root) as
+    lists, cycle_root being the least node of the cycle the walk enters."""
     t = [int(x) for x in t]
-    on_cycle, cycle_length, depth = [], [], []
+    on_cycle, cycle_length, depth, cycle_root = [], [], [], []
     for v in range(len(t)):
         seen = {}
         u, j = v, 0
@@ -78,7 +79,8 @@ def walk_graph(t):
         on_cycle.append(u == v)                   # the walk from v closed at v
         cycle_length.append(j - seen[u])
         depth.append(seen[u])
-    return on_cycle, cycle_length, depth
+        cycle_root.append(min(w for w, i in seen.items() if i >= seen[u]))
+    return on_cycle, cycle_length, depth, cycle_root
 
 
 def drazin_steps(t):
@@ -131,21 +133,72 @@ def stabilization_profile_steps(t):
         l += 1
 
 
+class FpReducer:
+    """Incremental row reduction over F_p with coefficient tracking.
+
+    Feeding vectors one at a time, `offer` returns None while the stream
+    stays independent, and the dependence coefficients (low index first,
+    last one equal to 1) at the first linear dependence.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = []        # normalized reduced rows
+        self.leads = []       # leading column per row
+        self.reps = []        # expression of each row in the original stream
+        self.count = 0
+
+    def offer(self, vec):
+        p = self.p
+        r = np.asarray(vec, dtype=np.int64) % p
+        rep = np.zeros(self.count + 1, dtype=np.int64)
+        rep[self.count] = 1
+        self.count += 1
+        for row, lead, rrep in zip(self.rows, self.leads, self.reps):
+            c = r[lead]
+            if c:
+                r = (r - c * row) % p
+                rep[:len(rrep)] = (rep[:len(rrep)] - c * rrep) % p
+        nz = np.nonzero(r)[0]
+        if nz.size == 0:
+            return rep
+        lead = int(nz[0])
+        inv = pow(int(r[lead]), -1, p)
+        self.rows.append(r * inv % p)
+        self.leads.append(lead)
+        self.reps.append(rep * inv % p)
+        return None
+
+
+def minimal_poly_reducer(T):
+    """Coefficient list of the minimal polynomial: the first linear
+    dependence among the iterates T^0, T^1, ... as stacked digit arrays,
+    monic by construction; independence of the earlier iterates makes it
+    least."""
+    vecs = T.space()
+    reducer = FpReducer(T.p)
+    cur = np.arange(T.size, dtype=np.int64)
+    for _ in range(T.size * T.n + 2):
+        dependence = reducer.offer(vecs[cur].ravel())
+        if dependence is not None:
+            return [int(c) for c in dependence]
+        cur = T.table[cur]
+    raise AssertionError("no vanishing polynomial found; finite space guarantee broken")
+
+
 def vanishing_poly_reducer(T):
     """x^l times the first linear dependence among the iterate-incidence
     rows of the stabilized image, by incremental row reduction over F_p.
 
     Returns the coefficient list, low degree first.
     """
-    from geninv.vanishing import _FpReducer
-
     l, m = stabilization_profile_steps(T.table)
     stable = np.arange(T.size, dtype=np.int64)
     for _ in range(l):
         stable = np.unique(T.table[stable])
     pos = -np.ones(T.size, dtype=np.int64)
     pos[T.table[stable]] = np.arange(m)
-    reducer = _FpReducer(T.p)
+    reducer = FpReducer(T.p)
     cur = stable.copy()
     for _ in range(m * m + 1):
         row = np.zeros(m * m, dtype=np.int64)
@@ -155,6 +208,74 @@ def vanishing_poly_reducer(T):
             return [0] * l + [int(c) for c in dependence]
         cur = T.table[cur]
     raise AssertionError("no dependence within m^2+1 rows")
+
+
+# ---------------------------------------------------------------------------
+# list polynomial arithmetic over F_p (coefficients low degree first)
+# ---------------------------------------------------------------------------
+
+def poly_trim(c, p):
+    c = [int(x) % p for x in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def poly_mul_list(a, b, p):
+    """Schoolbook product."""
+    if not a or not b:
+        return []
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    return poly_trim(c, p)
+
+
+def poly_divmod_list(a, b, p):
+    """Long division on Python lists, one coefficient at a time."""
+    if not poly_trim(b, p):
+        raise ZeroDivisionError("division by the zero polynomial")
+    b = poly_trim(b, p)
+    rem = poly_trim(a, p)
+    q = [0] * max(len(rem) - len(b) + 1, 1)
+    dlead_inv = pow(int(b[-1]), -1, p)
+    dd = len(b) - 1
+    while len(rem) - 1 >= dd and any(rem):
+        k = len(rem) - 1
+        if rem[k] == 0:
+            rem.pop()
+            continue
+        factor = rem[k] * dlead_inv % p
+        q[k - dd] = factor
+        for i, y in enumerate(b):
+            rem[k - dd + i] = (rem[k - dd + i] - factor * y) % p
+        rem.pop()
+    return poly_trim(q, p), poly_trim(rem, p)
+
+
+def poly_monic_list(a, p):
+    inv = pow(int(a[-1]), -1, p)
+    return [x * inv % p for x in a]
+
+
+def poly_gcd_list(a, b, p):
+    """Monic gcd by Euclid with poly_divmod_list; [] when both are zero."""
+    a, b = poly_trim(a, p), poly_trim(b, p)
+    while b:
+        a, b = b, poly_divmod_list(a, b, p)[1]
+    return poly_monic_list(a, p) if a else []
+
+
+def poly_lcm_list(polys, p):
+    """Monic least common multiple: lcm(a, f) = a (f / gcd(a, f))."""
+    out = [1]
+    for f in polys:
+        f = poly_trim(f, p)
+        if not f:
+            return []
+        out = poly_mul_list(out, poly_divmod_list(f, poly_gcd_list(out, f, p), p)[0], p)
+    return poly_monic_list(out, p)
 
 
 def closed_form_pinv_scalar(op, w):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from geninv import cli
 
@@ -86,6 +87,24 @@ def test_layer_pinv_relu(tmp_path, capsys):
                            "--act", "relu", "--w", str(target)])
     assert rc == 0
     assert np.allclose(out["v"], [1.0, 1.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("weights", [
+    {"rows": 1, "cols": 2, "data": [True, 1.0]},
+    {"rows": 1, "cols": 2, "data": [1.0, "1.5"]},
+    {"rows": 1.5, "cols": 2, "data": [1.0, 1.0]},
+    {"rows": 1, "cols": "2", "data": [1.0, 1.0]},
+    {"rows": 2, "cols": 2, "data": [1.0, 1.0]},
+    {"rows": 1, "cols": 3, "data": [1.0, 1.0]},
+])
+def test_layer_pinv_rejects_bad_weights(tmp_path, capsys, weights):
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(weights))
+    target = tmp_path / "w.csv"
+    target.write_text("2.0\n")
+    rc, out = run(capsys, ["layer-pinv", "--weights", str(path),
+                           "--act", "relu", "--w", str(target)])
+    assert rc == cli.EXIT_INPUT_ERROR and out is None
 
 
 def test_layer_pinv_tanh_undefined(tmp_path, capsys):

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geninv import (FiniteOperator, VectorOperator, OperatorPolynomial,
                     compose, power, image, apply_polynomial, DimensionMismatch)
+from geninv.numerics import fp_poly_divmod
 from geninv.vanishing import FpVectorOperator, fp_apply_polynomial
+
+from helpers import (poly_trim, poly_mul_list, poly_divmod_list, poly_gcd_list,
+                     poly_lcm_list)
 
 
 def test_compose_identity_cases():
@@ -182,3 +187,98 @@ def test_vector_operator_affine_wrapper():
     S = VectorOperator.affine_of(T, 2.0, 3.0, np.array([1.0]))
     v = np.array([0.5])
     assert np.allclose(S.apply(v), 2.0 * np.maximum(3.0 * v, 0) + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# array F_p polynomial arithmetic against the list oracles
+# ---------------------------------------------------------------------------
+
+POLY_PRIMES = [2, 3, 65521, 2 ** 31 - 1]
+
+
+def coeff_lists(p, max_size=12):
+    return st.lists(st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1])),
+                    max_size=max_size)
+
+
+@st.composite
+def poly_pairs(draw):
+    """(p, a, b): coefficient lists, with zero, degree-0, equal-degree and
+    common-factor operands drawn on purpose."""
+    p = draw(st.sampled_from(POLY_PRIMES))
+    a, b = draw(coeff_lists(p)), draw(coeff_lists(p))
+    shape = draw(st.sampled_from(["any", "zero", "constant", "equal", "common"]))
+    if shape == "zero":
+        a, b = draw(st.permutations([a, []]))
+    elif shape == "constant":
+        b = [draw(st.integers(1, p - 1))]
+    elif shape == "equal":
+        size = draw(st.integers(0, 9))
+        a, b = [draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+                + [draw(st.integers(1, p - 1))] for _ in range(2)]
+    elif shape == "common":
+        f = draw(coeff_lists(p, 6))
+        a, b = poly_mul_list(a, f, p), poly_mul_list(b, f, p)
+    return p, a, b
+
+
+@settings(max_examples=300)
+@given(poly_pairs())
+def test_poly_mul_matches_list(pab):
+    p, a, b = pab
+    prod = OperatorPolynomial(a, p).mul(OperatorPolynomial(b, p))
+    assert list(prod.coeffs) == poly_mul_list(poly_trim(a, p), poly_trim(b, p), p)
+
+
+@settings(max_examples=300)
+@given(poly_pairs())
+def test_poly_divmod_matches_list(pab):
+    p, a, b = pab
+    A, B = OperatorPolynomial(a, p), OperatorPolynomial(b, p)
+    if B.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            A.divmod(B)
+        return
+    q, r = A.divmod(B)
+    assert [list(q.coeffs), list(r.coeffs)] == list(poly_divmod_list(a, b, p))
+
+
+@settings(max_examples=300)
+@given(poly_pairs())
+def test_poly_gcd_and_lcm_match_list(pab):
+    p, a, b = pab
+    A, B = OperatorPolynomial(a, p), OperatorPolynomial(b, p)
+    assert list(A.gcd(B).coeffs) == poly_gcd_list(a, b, p)
+    assert list(A.lcm(B).coeffs) == poly_lcm_list([a, b], p)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(POLY_PRIMES), st.integers(1, 6), st.data())
+def test_poly_divmod_rows_match_list(p, rows, data):
+    b = data.draw(coeff_lists(p, 6)) + [data.draw(st.integers(1, p - 1))]
+    width = data.draw(st.integers(0, 14))
+    A = np.array([data.draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
+                  for _ in range(rows)], dtype=np.int64).reshape(rows, width)
+    Q, R = fp_poly_divmod(A, b, p)
+    for row, q, r in zip(A.tolist(), Q.tolist(), R.tolist()):
+        assert (poly_trim(q, p), poly_trim(r, p)) == poly_divmod_list(row, b, p)
+
+
+def test_poly_mul_of_long_operands_at_large_primes():
+    # the limb path of fp_convolve against Python ints, at lengths where
+    # one int64 convolution would overflow
+    rng = np.random.default_rng(11)
+    for p in (65521, 2 ** 31 - 1):
+        a = rng.integers(0, p, 300).tolist()
+        b = rng.integers(0, p, 200).tolist()
+        b[-1] = a[-1] = p - 1
+        got = OperatorPolynomial(a, p).mul(OperatorPolynomial(b, p))
+        assert list(got.coeffs) == poly_mul_list(a, b, p)
+
+
+def test_poly_field_mismatch_rejected():
+    with pytest.raises(ValueError):
+        OperatorPolynomial([1, 1], 5).mul(OperatorPolynomial([1, 1], 7))
+    with pytest.raises(ValueError):
+        OperatorPolynomial([1, 1], 5).gcd(OperatorPolynomial([1.0, 1.0]))
+    assert OperatorPolynomial([2 ** 70, 3], 7) == OperatorPolynomial([2 ** 70 % 7, 3], 7)

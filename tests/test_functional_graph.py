@@ -44,10 +44,11 @@ def permutation_with_cycles(lengths, labels):
 @given(maps)
 def test_kernel_matches_walks(t):
     fg = functional_graph(t)
-    on_cycle, cycle_length, depth = walk_graph(t)
+    on_cycle, cycle_length, depth, cycle_root = walk_graph(t)
     assert fg.on_cycle.tolist() == on_cycle
     assert fg.cycle_length.tolist() == cycle_length
     assert fg.depth.tolist() == depth
+    assert fg.cycle_root.tolist() == cycle_root
     assert fg.k == max(depth)
 
 

@@ -170,6 +170,32 @@ def test_matrix_json_roundtrip():
     assert np.array_equal(matrix_from_json(matrix_to_json(A)), A)
 
 
+def test_matrix_json_accepts_int_and_float_entries():
+    A = matrix_from_json('{"rows": 2, "cols": 2, "data": [1, 2.5, -3, 0]}')
+    assert A.dtype == float
+    assert np.array_equal(A, [[1.0, 2.5], [-3.0, 0.0]])
+    assert matrix_from_json({"rows": 0, "cols": 3, "data": []}).shape == (0, 3)
+
+
+@pytest.mark.parametrize("obj", [
+    {"rows": 1, "cols": 2, "data": [True, 1.5]},          # a boolean entry
+    {"rows": 1, "cols": 2, "data": [1.0, "1.5"]},         # a string entry
+    {"rows": 1, "cols": 2, "data": [[1.0, 2.0]]},         # nested rows
+    {"rows": 1, "cols": 2, "data": "12"},
+    {"rows": 1, "cols": 2, "data": 1.0},
+    {"rows": 1.7, "cols": 2, "data": [1.0, 2.0]},         # truncated to 1 before
+    {"rows": 1.0, "cols": 2, "data": [1.0, 2.0]},
+    {"rows": True, "cols": 2, "data": [1.0, 2.0]},
+    {"rows": "1", "cols": 2, "data": [1.0, 2.0]},
+    {"rows": 2, "cols": 2, "data": [1.0, 2.0]},           # too few entries
+    {"rows": 1, "cols": 1, "data": [1.0, 2.0]},           # too many entries
+    {"rows": -1, "cols": -2, "data": [1.0, 2.0]},
+])
+def test_matrix_json_rejects_coercions(obj):
+    with pytest.raises(ValueError):
+        matrix_from_json(obj)
+
+
 def test_fp_matrix_json_roundtrip():
     from geninv.numerics import fp_matrix_from_json, fp_matrix_to_json
     A = np.array([[1, 4], [0, 2]])

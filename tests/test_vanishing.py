@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geninv import (OperatorPolynomial, FiniteOperator, power, image_chain,
                     FpVectorOperator, poly_vanishes,
@@ -415,3 +416,131 @@ def test_eigen_root_one_homogeneity_matches_per_scalar_loop(p):
         assert rep.one_homogeneous == one_homogeneous_loop(T)
         seen.add(rep.one_homogeneous)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the minimal polynomial read off the functional graph, against the reducer
+# ---------------------------------------------------------------------------
+
+SPACES = [(p, n) for p, top in ((2, 9), (3, 6), (5, 4)) for n in range(1, top + 1)]
+
+
+def relabeled(t, rng):
+    perm = rng.permutation(len(t))
+    out = np.empty(len(t), dtype=np.int64)
+    out[perm] = perm[np.asarray(t)]
+    return out
+
+
+@st.composite
+def random_maps(draw):
+    p, n = draw(st.sampled_from(SPACES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return FpVectorOperator(p, n, rng.integers(0, p ** n, size=p ** n))
+
+
+@st.composite
+def sparse_image_maps(draw):
+    """Every vector maps into a few chains, so tails are deep: the image
+    holds at most 24 vectors, among them a path of `height` steps into a
+    short cycle."""
+    p, n = draw(st.sampled_from(SPACES))
+    size = p ** n
+    height = draw(st.integers(0, min(size, 24) - 1))
+    cycle = draw(st.integers(1, min(size, 24) - height))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = height + cycle
+    t = rng.integers(0, k, size)                          # the rest hang on these k
+    t[:height] = np.arange(1, height + 1)                 # a path of `height` steps
+    t[height:k] = height + np.arange(1, cycle + 1) % cycle    # into a cycle
+    return FpVectorOperator(p, n, relabeled(t, rng))
+
+
+@st.composite
+def cycle_type_permutations(draw):
+    """Permutations with a drawn cycle type: a few distinct lengths, each
+    repeated, the rest fixed points; labels drawn at random."""
+    p, n = draw(st.sampled_from(SPACES))
+    size = p ** n
+    lengths = []
+    for c in draw(st.lists(st.integers(2, 24), max_size=4, unique=True)):
+        lengths += [c] * draw(st.integers(1, 3))
+    while sum(lengths) > size:
+        lengths.pop()
+    lengths += [1] * (size - sum(lengths))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = rng.permutation(size)
+    t = np.empty(size, dtype=np.int64)
+    start = 0
+    for c in lengths:
+        cycle = labels[start:start + c]
+        t[cycle] = np.roll(cycle, -1)
+        start += c
+    return FpVectorOperator(p, n, t)
+
+
+@st.composite
+def affine_maps(draw):
+    """v -> A v + b: periodic digit sequences with structure (geometric
+    ones, for a start), which random maps seldom give."""
+    p, n = draw(st.sampled_from(SPACES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = rng.integers(0, p, n) if draw(st.booleans()) else None
+    return FpVectorOperator.from_matrix(rng.integers(0, p, (n, n)), p, b)
+
+
+@settings(max_examples=160)
+@given(st.one_of(random_maps(), sparse_image_maps(), cycle_type_permutations(),
+                 affine_maps()))
+def test_minimal_poly_matches_reducer(T):
+    from helpers import minimal_poly_reducer
+    assert list(minimal_poly(T).coeffs) == minimal_poly_reducer(T)
+
+
+@example(24)             # the seed at which the forward digit order fails at F_5^2
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_minimal_poly_matches_reducer_f5_squared(seed):
+    from helpers import minimal_poly_reducer
+    rng = np.random.default_rng(seed)
+    T = FpVectorOperator(5, 2, rng.integers(0, 25, size=25))
+    assert list(minimal_poly(T).coeffs) == minimal_poly_reducer(T)
+
+
+def test_minimal_poly_random_permutation_f2_12():
+    # correctness only; the reducer would take hours at this size
+    rng = np.random.default_rng(12)
+    T = FpVectorOperator(2, 12, rng.permutation(2 ** 12))
+    pm = minimal_poly(T)
+    q = find_vanishing_poly(T)
+    assert pm.coeffs[-1] == 1 and pm.divides(q)
+    assert poly_vanishes(pm, T) and poly_vanishes(q, T)
+
+
+def test_cayley_hamilton_inverse_numpy_integer_prime():
+    A = np.array([[1, 2], [3, 4]])
+    for p in (np.int64(5), np.int32(7), np.uint16(65521)):
+        assert np.array_equal(cayley_hamilton_inverse(A, p), fp_invert(A, int(p)))
+    assert cayley_hamilton_inverse(np.array([[1, 2], [2, 4]]), np.int64(5)) is None
+
+
+def test_certificates_survive_optimize_flag():
+    # a failing certificate raises AssertionError under python -O too
+    import os
+    import subprocess
+    import sys
+    code = (
+        "import geninv.vanishing as v\n"
+        "T = v.FpVectorOperator(2, 1, [1, 0])\n"
+        "v.poly_vanishes = lambda q, T: False\n"
+        "for f in (v.find_vanishing_poly, v.minimal_poly):\n"
+        "    try:\n"
+        "        f(T)\n"
+        "    except AssertionError:\n"
+        "        print('raised')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised", "raised"]
