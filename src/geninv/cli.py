@@ -7,6 +7,7 @@ with the same flags and seed); diagnostics go to stderr. Exit codes:
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -44,8 +45,9 @@ def _read_json_file(path):
 def _read_csv_signal(path):
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        return np.array([float(x) for x in lines])
+            lines = [ln for ln in map(str.strip, fh) if ln]
+        # numpy converts each str with Python's float(): same inputs accepted
+        return np.array(lines, dtype=float)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e))
     except ValueError as e:
@@ -55,8 +57,8 @@ def _read_csv_signal(path):
 def _write_csv_signal(path, values):
     try:
         with open(path, "w") as fh:
-            for x in values:
-                fh.write(repr(float(x)) + "\n")
+            fh.write("".join(repr(v) + "\n"
+                             for v in np.asarray(values, dtype=float).tolist()))
     except OSError as e:
         raise InputError("cannot write %s: %s" % (path, e))
 
@@ -426,9 +428,14 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as e:

@@ -108,19 +108,38 @@ class Halfspace(ConvexSet):
                 "offset": self.offset}
 
 
+def _part_sum(c):
+    """Sum of a rows x parts x dim stack over its parts, first part first,
+    so that every row gets the same rounding whatever the batch around it."""
+    total = c[:, 0]
+    for i in range(1, c.shape[1]):
+        total = total + c[:, i]
+    return total
+
+
 class Intersection(ConvexSet):
-    """Intersection of listed sets, projected by Dykstra's algorithm.
+    """Intersection of listed sets, projected by Dykstra's algorithm with a
+    safeguarded Anderson extrapolation of depth one.
 
     Nonemptiness is certified by a feasible point supplied at construction.
-    A point settles when no part's correction moves by more than
-    DYKSTRA_TOL in a sweep; the iterate alone can stand still for several
+    A point's state is its corrections c, one per part, with x = y - sum(c).
+    One plain Dykstra sweep G(c) sets x = y - sum(c) and, part by part,
+    projects z = x + c_i to x and sets c_i = z - x. A point settles when the
+    plain sweep from its c moves no correction by more than DYKSTRA_TOL and
+    returns that sweep's x; the iterate alone can stand still for several
     sweeps while the corrections still change (Birgin & Raydan, "Robust
-    stopping criteria for Dykstra's algorithm", 2005). Since y - x is the
-    sum of the corrections, this also bounds how far x moves. Only points
-    that have not settled are swept again, so each row of a batch gets the
-    bits of its own single-point projection. A point that has not settled
-    after DYKSTRA_CAP sweeps raises ArithmeticError instead of returning
-    its last iterate.
+    stopping criteria for Dykstra's algorithm", 2005). Otherwise the next
+    state is G(c) - gamma (G(c) - G_prev), where gamma minimises the norm of
+    f - gamma (f - f_prev) for the residuals f = G(c) - c of this sweep and
+    the last (Walker & Ni, "Anderson acceleration for fixed-point
+    iterations", 2011); gamma is 0 with no history or when f - f_prev is
+    at rounding level next to f. A point whose residual grew after an
+    extrapolated step drops that step, restarts from its last plain result
+    G_prev and forgets its history. All arithmetic is per point, with sums
+    in a fixed order, and only points that have not settled are swept
+    again, so each row of a batch gets the bits of its own single-point
+    projection. A point that has not settled after DYKSTRA_CAP sweeps
+    raises ArithmeticError instead of returning its last iterate.
     """
 
     kind = "intersection"
@@ -144,19 +163,40 @@ class Intersection(ConvexSet):
         X = np.asarray(X, dtype=float)
         out = X.copy()
         rows = np.arange(len(X))                # the points still sweeping
-        x = X
-        corrections = np.zeros((len(self.parts),) + X.shape)
+        y = X
+        c = np.zeros((len(X), len(self.parts), self.dim))   # rows x parts x dim
+        g_prev = f_prev = c
+        res_prev = np.full(len(X), np.inf)      # inf: no history to extrapolate from
+        gamma = np.zeros(len(X))                # of the step that made c; 0 if plain
         for _ in range(DYKSTRA_CAP):
-            before = corrections.copy()
+            x = y - _part_sum(c)
+            g = np.empty_like(c)
             for i, p in enumerate(self.parts):
-                z = x + corrections[i]
+                z = x + c[:, i]
                 x = p.project_batch(z)
-                corrections[i] = z - x
-            settled = np.abs(corrections - before).max(axis=(0, 2)) <= DYKSTRA_TOL
+                g[:, i] = z - x
+            f = g - c
+            res = np.abs(f).max(axis=(1, 2))
+            settled = res <= DYKSTRA_TOL
+            back = (gamma != 0) & (res > res_prev)
+            df = f - f_prev
+            den = (df * df).sum(axis=(1, 2))
+            gamma = np.zeros(len(rows))
+            # gamma stays 0 where df is at rounding level next to f: noise
+            # there gives a wild gamma that can throw c far from its fixed point
+            np.divide((df * f).sum(axis=(1, 2)), den, out=gamma,
+                      where=np.isfinite(res_prev) & (den > (1e-8 * res) ** 2))
+            c = g - gamma[:, None, None] * (g - g_prev)
+            if back.any():                      # drop the step, restart from G_prev
+                c[back] = g_prev[back]
+                gamma[back] = 0.0
+                res[back] = np.inf
+            g_prev, f_prev, res_prev = g, f, res
             if settled.any():
                 out[rows[settled]] = x[settled]
                 keep = ~settled
-                rows, x, corrections = rows[keep], x[keep], corrections[:, keep]
+                rows, y, c, g_prev, f_prev, res_prev, gamma = (
+                    a[keep] for a in (rows, y, c, g_prev, f_prev, res_prev, gamma))
             if not len(rows):
                 return out
         raise ArithmeticError("Dykstra projection: %d of %d points did not settle to %g "

@@ -608,6 +608,24 @@ def dykstra_fixed_sweeps(parts, y, sweeps):
     return x[0]
 
 
+def dykstra_until_settled(parts, Y, tol, cap):
+    """Plain Dykstra (no extrapolation) on every row of Y, swept until no
+    row's corrections move by more than `tol` in a sweep, or `cap` sweeps.
+    Returns the iterates and, per row, whether it settled."""
+    x = np.asarray(Y, dtype=float)
+    corrections = [np.zeros_like(x) for _ in parts]
+    for _ in range(cap):
+        move = np.zeros(len(x))
+        for i, p in enumerate(parts):
+            z = x + corrections[i]
+            x = p.project_batch(z)
+            move = np.maximum(move, np.abs(z - x - corrections[i]).max(axis=1))
+            corrections[i] = z - x
+        if np.all(move <= tol):
+            break
+    return x, move <= tol
+
+
 def one_homogeneous_loop(T):
     """T(0) = 0 and T(a v) = a T(v) for every scalar a = 2..p-1, one pass
     over all p^n vectors per scalar."""
@@ -620,3 +638,18 @@ def one_homogeneous_loop(T):
         if not np.array_equal(T.table[scaled], scaled[T.table]):
             return False
     return True
+
+
+def read_csv_signal_loop(path):
+    """The signal reader before it parsed in one call: one float() per
+    stripped, non-blank line. Raises ValueError on a bad line."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    return np.array([float(x) for x in lines])
+
+
+def write_csv_signal_loop(path, values):
+    """The signal writer before it wrote in one call: repr(float(x)) per line."""
+    with open(path, "w") as fh:
+        for x in values:
+            fh.write(repr(float(x)) + "\n")

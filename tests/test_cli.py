@@ -5,7 +5,7 @@ import pytest
 
 from geninv import cli
 
-from helpers import image_chain_steps
+from helpers import image_chain_steps, read_csv_signal_loop, write_csv_signal_loop
 
 
 def run(capsys, argv):
@@ -231,3 +231,107 @@ def test_operator_json_missing_fields(tmp_path, capsys):
     rc, _ = run(capsys, ["layer-pinv", "--weights", str(weights),
                          "--act", "tanh", "--w", str(target)])
     assert rc == cli.EXIT_INPUT_ERROR
+
+
+# ---------------------------------------------------------------------------
+# the parser built once per process; the signal CSV read and written in one call
+# ---------------------------------------------------------------------------
+
+def cli_session(tmp_path):
+    """argv lists covering all seven subcommands, with rejected ones between."""
+    (tmp_path / "relu.json").write_text(json.dumps({"kind": "relu"}))
+    (tmp_path / "A.json").write_text(json.dumps({"rows": 1, "cols": 2, "data": [1.0, 1.0]}))
+    (tmp_path / "w.csv").write_text("2.0\n")
+    (tmp_path / "x.csv").write_text("".join("%r\n" % x for x in
+                                            [3.0, 1.0, -0.2, 0.5, 2.0, -1.0, 0.1, 0.0]))
+    (tmp_path / "T.json").write_text(json.dumps({"domain": 4, "codomain": 4,
+                                                 "table": [1, 1, 3, 0]}))
+    d = str(tmp_path) + "/"
+    return [
+        ["pinv1d", "--kind", "soft", "--a", "1", "--w", "2.5"],
+        ["pinv1d", "--kind", "relu"],                             # rejected: no --w
+        ["oracle", "--op", d + "relu.json", "--w", "-3", "--box", "-4", "4",
+         "--step", "0.05"],
+        ["layer-pinv", "--weights", d + "A.json", "--act", "relu", "--w", d + "w.csv"],
+        ["layer-pinv", "--weights", d + "A.json", "--act", "sigmoid", "--w", d + "w.csv"],
+        ["denoise", "--n", "8", "--kind", "soft", "--a", "0.5", "--signal", d + "x.csv",
+         "--out", d + "out.csv"],
+        ["nope"],                                                 # rejected: no such command
+        ["drazin", "--op", d + "T.json"],
+        ["vanish", "--op", d + "T.json", "--prime", "2"],
+        ["vanish", "--op", d + "T.json", "--prime", "two"],       # rejected: not an int
+        ["verify-suite", "--seed", "3"],
+        ["pinv1d", "--kind", "soft", "--a", "1", "--w", "2.5"],
+    ]
+
+
+def run_session(capsys, session):
+    outputs = []
+    for argv in session:
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:
+            rc = ("exit", e.code)
+        outputs.append((rc, capsys.readouterr().out))
+    return outputs
+
+
+def test_cached_parser_prints_what_fresh_parsers_print(tmp_path, capsys, monkeypatch):
+    session = cli_session(tmp_path)
+    cached = run_session(capsys, session)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_session(capsys, session)
+    assert cached == fresh
+    assert [rc for rc, _ in cached].count(("exit", 2)) == 4
+    assert all(out for rc, out in cached if rc == 0)
+
+
+CSV_TEXTS = [
+    "1.0\n2.0\n",
+    "\n\n1.0\n\n   \n2.5\n\n",                # blank lines
+    "  1.0  \n\t-2.0\t\n\u00a03.0\r\n4.0\r5.0",  # surrounding whitespace, CR and CRLF
+    "nan\ninf\n-inf\nNaN\nInfinity\n",
+    "-0.0\n0.0\n5e-324\n1e308\n1e309\n-1e-400\n",
+    "1_0\n1e5_0\n+.5\n",                       # underscores as Python's float() takes them
+    "",
+    "\n   \n",
+    "1.0 2.0\n",                                # two numbers on one line: rejected
+    "1.0\n2.0 3.0\n",
+    "1,0\n",
+    "0x10\n",
+    "1__0\n",
+    "_1\n",
+    "nan(1)\n",
+    "1.0\x0c2.0\n",
+    "abc\n",
+]
+
+
+@pytest.mark.parametrize("text", CSV_TEXTS)
+def test_csv_reader_accepts_and_rejects_what_the_line_loop_did(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = read_csv_signal_loop(path)
+    except ValueError as e:
+        with pytest.raises(cli.InputError, match="bad float") as info:
+            cli._read_csv_signal(path)
+        assert str(info.value).endswith(str(e))
+        return
+    got = cli._read_csv_signal(path)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [0.0, -0.0, 1.0, -1.5, 0.1, 1e16, 1e-5, 1e-4, 9999999999999998.0, 123456789.123],
+    [float("nan"), float("inf"), float("-inf"), 5e-324, 1.7976931348623157e308],
+    np.random.default_rng(0).normal(size=500) * 10.0 ** np.random.default_rng(1).integers(-30, 30, 500),
+    np.arange(5, dtype=np.int64),
+    np.linspace(-1, 1, 7, dtype=np.float32),
+])
+def test_csv_writer_bytes_equal_the_line_loop(tmp_path, values):
+    write_csv_signal_loop(tmp_path / "loop.csv", values)
+    cli._write_csv_signal(tmp_path / "one.csv", values)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()

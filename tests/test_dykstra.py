@@ -1,9 +1,11 @@
 """Dykstra's projection onto an intersection: the stopping rule and batches.
 
-`Intersection.project_batch` settles a point when no correction moves by
-more than DYKSTRA_TOL in a sweep and sweeps only the points still moving.
-Checked against plain Dykstra run for a fixed, long number of sweeps
-(helpers.py) and against the variational inequality of the projection.
+`Intersection.project_batch` extrapolates Dykstra's sweeps (Anderson, depth
+one), settles a point when the plain sweep from its state moves no
+correction by more than DYKSTRA_TOL, and sweeps only the points still
+moving. Checked against plain Dykstra run for a fixed, long number of
+sweeps (helpers.py) and against the variational inequality of the
+projection, on fixed sets and on random intersections.
 """
 
 import numpy as np
@@ -12,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from geninv import Box, L2Ball, Halfspace, Intersection
 from geninv import structured_inverse
+from geninv.structured_inverse import DYKSTRA_TOL, convex_set_from_json
 
-from helpers import dykstra_fixed_sweeps
+from helpers import dykstra_fixed_sweeps, dykstra_until_settled
 
 DIM = 3
 # the benchmark's intersection, on which a point can stand still for
@@ -87,3 +90,93 @@ def test_cap_raises_only_for_points_still_moving(monkeypatch):
     assert np.array_equal(BOX_BALL_HALF.project_batch(near)[0], near[0])
     with pytest.raises(ArithmeticError, match="1 of 3 points"):
         BOX_BALL_HALF.project_batch(np.vstack([near, FAR_POINT]))
+
+
+
+def test_a_point_settles_on_the_first_plain_sweep_that_moves_nothing():
+    # With a first part that never clips, that part's correction stays 0,
+    # so a sweep's residual G(c) - c is the iterate's move at each later
+    # part and can be read off the calls: the projection must return the
+    # output of the first sweep whose moves are all within DYKSTRA_TOL.
+    C = Intersection([Box(np.full(DIM, -1e6), np.full(DIM, 1e6)),
+                      *(convex_set_from_json(p.to_json()) for p in BOX_BALL_HALF.parts)],
+                     np.zeros(DIM))
+    calls = []
+    for part in C.parts:
+        def recorded(Z, project=part.project_batch):
+            X = project(Z)
+            calls.append(X[0].copy())
+            return X
+        part.project_batch = recorded
+    rng = np.random.default_rng(11)
+    for y in [FAR_POINT, *rng.normal(scale=3.0, size=(40, DIM))]:
+        calls.clear()
+        x = C.project(y)
+        sweeps = np.array(calls).reshape(-1, len(C.parts), DIM)
+        moves = np.abs(np.diff(sweeps, axis=1)).max(axis=(1, 2))
+        assert moves[-1] <= DYKSTRA_TOL + 1e-14
+        assert np.all(moves[:-1] > DYKSTRA_TOL - 1e-14)
+        assert np.array_equal(x, sweeps[-1, -1])
+
+# ---------------------------------------------------------------------------
+# random intersections against plain Dykstra
+# ---------------------------------------------------------------------------
+
+SLACK = 0.2     # every part holds the ball of this radius around the shared point
+reals = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def part_containing(draw, q):
+    """A Box, L2Ball or Halfspace that holds the ball of radius SLACK around q."""
+    dim = len(q)
+    kind = draw(st.sampled_from(["box", "ball", "halfspace"]))
+    if kind == "box":
+        below = np.array(draw(st.lists(st.floats(SLACK, 3.0), min_size=dim, max_size=dim)))
+        above = np.array(draw(st.lists(st.floats(SLACK, 3.0), min_size=dim, max_size=dim)))
+        return Box(q - below, q + above)
+    direction = np.array(draw(st.lists(reals, min_size=dim, max_size=dim)))
+    if np.linalg.norm(direction) < 0.1:
+        direction = np.eye(dim)[0]
+    direction = direction / np.linalg.norm(direction)
+    if kind == "ball":
+        radius = draw(st.floats(0.5, 3.0))
+        return L2Ball(q + direction * (radius - SLACK) * draw(st.floats(0.0, 1.0)), radius)
+    return Halfspace(direction, direction @ q + SLACK + draw(st.floats(0.0, 2.0)))
+
+
+@st.composite
+def intersections(draw):
+    dim = draw(st.integers(1, 4))
+    q = np.array(draw(st.lists(reals, min_size=dim, max_size=dim)))
+    parts = draw(st.lists(part_containing(q), min_size=2, max_size=4))
+    return Intersection(parts, q)
+
+
+@given(intersections(), st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_random_intersections_match_plain_dykstra(C, seed, n):
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(scale=3.0, size=(n, C.dim))
+    Y[0] *= 5.0                                   # one far point per batch
+    # plain Dykstra swept until its corrections stand still; a fixed 3000
+    # sweeps can stop short of 1e-9 where two boundaries meet at a corner
+    plain, plain_settled = dykstra_until_settled(C.parts, Y, 1e-12, 3000)
+    singles = []
+    for y, x_plain, settled in zip(Y, plain, plain_settled):
+        try:
+            x = C.project(y)
+        except ArithmeticError:
+            # the cap may stop a point only where plain Dykstra stalls too
+            assert not settled
+            singles.append(None)
+            continue
+        if settled:
+            assert np.abs(x - x_plain).max() <= 1e-9
+        assert all(p.contains(x, tol=1e-9) for p in C.parts)
+        singles.append(x)
+    if any(x is None for x in singles):
+        with pytest.raises(ArithmeticError):
+            C.project_batch(Y)
+    else:
+        assert np.array_equal(C.project_batch(Y), np.array(singles))
