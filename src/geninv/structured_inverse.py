@@ -133,9 +133,12 @@ class Intersection(ConvexSet):
     f - gamma (f - f_prev) for the residuals f = G(c) - c of this sweep and
     the last (Walker & Ni, "Anderson acceleration for fixed-point
     iterations", 2011); gamma is 0 with no history or when f - f_prev is
-    at rounding level next to f. A point whose residual grew after an
-    extrapolated step drops that step, restarts from its last plain result
-    G_prev and forgets its history. All arithmetic is per point, with sums
+    small next to f. An extrapolated step is kept only if its
+    residual max|f| is at most 0.9 times the least residual the point has
+    had; otherwise the point drops the step, restarts from its last plain
+    result G_prev and forgets its history. A point thus takes finitely many
+    extrapolated steps and between them follows plain Dykstra, which
+    converges from any corrections. All arithmetic is per point, with sums
     in a fixed order, and only points that have not settled are swept
     again, so each row of a batch gets the bits of its own single-point
     projection. A point that has not settled after DYKSTRA_CAP sweeps
@@ -166,8 +169,9 @@ class Intersection(ConvexSet):
         y = X
         c = np.zeros((len(X), len(self.parts), self.dim))   # rows x parts x dim
         g_prev = f_prev = c
-        res_prev = np.full(len(X), np.inf)      # inf: no history to extrapolate from
+        fresh = np.ones(len(X), dtype=bool)     # no earlier sweep to extrapolate from
         gamma = np.zeros(len(X))                # of the step that made c; 0 if plain
+        res_best = np.full(len(X), np.inf)      # least residual seen for the point
         for _ in range(DYKSTRA_CAP):
             x = y - _part_sum(c)
             g = np.empty_like(c)
@@ -178,25 +182,28 @@ class Intersection(ConvexSet):
             f = g - c
             res = np.abs(f).max(axis=(1, 2))
             settled = res <= DYKSTRA_TOL
-            back = (gamma != 0) & (res > res_prev)
+            # an extrapolated step must cut the least residual seen by 10 %;
+            # so a point takes finitely many, and follows plain Dykstra between
+            back = (gamma != 0) & (res > 0.9 * res_best)
+            res_best = np.minimum(res_best, res)
             df = f - f_prev
             den = (df * df).sum(axis=(1, 2))
             gamma = np.zeros(len(rows))
-            # gamma stays 0 where df is at rounding level next to f: noise
-            # there gives a wild gamma that can throw c far from its fixed point
+            # gamma stays 0 where |df| <= 1e-3 max|f|: so flat a secant is
+            # rounding noise or a drift, and its |gamma| >~ 1e3 throws c far
+            # off; a linear rate that slow could not settle within the cap
             np.divide((df * f).sum(axis=(1, 2)), den, out=gamma,
-                      where=np.isfinite(res_prev) & (den > (1e-8 * res) ** 2))
+                      where=~fresh & (den > (1e-3 * res) ** 2))
             c = g - gamma[:, None, None] * (g - g_prev)
             if back.any():                      # drop the step, restart from G_prev
                 c[back] = g_prev[back]
                 gamma[back] = 0.0
-                res[back] = np.inf
-            g_prev, f_prev, res_prev = g, f, res
+            g_prev, f_prev, fresh = g, f, back
             if settled.any():
                 out[rows[settled]] = x[settled]
                 keep = ~settled
-                rows, y, c, g_prev, f_prev, res_prev, gamma = (
-                    a[keep] for a in (rows, y, c, g_prev, f_prev, res_prev, gamma))
+                rows, y, c, g_prev, f_prev, fresh, gamma, res_best = (
+                    a[keep] for a in (rows, y, c, g_prev, f_prev, fresh, gamma, res_best))
             if not len(rows):
                 return out
         raise ArithmeticError("Dykstra projection: %d of %d points did not settle to %g "

@@ -92,7 +92,6 @@ def test_cap_raises_only_for_points_still_moving(monkeypatch):
         BOX_BALL_HALF.project_batch(np.vstack([near, FAR_POINT]))
 
 
-
 def test_a_point_settles_on_the_first_plain_sweep_that_moves_nothing():
     # With a first part that never clips, that part's correction stays 0,
     # so a sweep's residual G(c) - c is the iterate's move at each later
@@ -117,6 +116,7 @@ def test_a_point_settles_on_the_first_plain_sweep_that_moves_nothing():
         assert moves[-1] <= DYKSTRA_TOL + 1e-14
         assert np.all(moves[:-1] > DYKSTRA_TOL - 1e-14)
         assert np.array_equal(x, sweeps[-1, -1])
+
 
 # ---------------------------------------------------------------------------
 # random intersections against plain Dykstra
@@ -180,3 +180,65 @@ def test_random_intersections_match_plain_dykstra(C, seed, n):
             C.project_batch(Y)
     else:
         assert np.array_equal(C.project_batch(Y), np.array(singles))
+
+
+# Random intersections that tripped earlier extrapolation rules while plain
+# Dykstra settles: on the first three, steps that barely lowered the
+# residual walked the corrections back and forth for good; on the last, two
+# nearly equal balls, the corrections drift by 7e-5 a sweep for about 8200
+# sweeps and a secant fitted to that drift leapt far off each time.
+TRIPPED = [
+    ({"kind": "intersection", "parts": [
+        {"kind": "box", "lo": [-3.2764327327732508, 0.058181349611964306, -3.927827356325793,
+                               -2.076380614054186],
+         "hi": [-0.1188009461676024, 1.7, -0.5000264115235031, -0.10492446525807231]},
+        {"kind": "l2_ball", "center": [0.11380021126051776, 0.2674519499812993,
+                                       -0.6957645093857103, -0.7193339233775906],
+         "radius": 2.8325027709555806},
+        {"kind": "box", "lo": [-2.364369183144958, -2.1464201383286836, -1.5, -1.8445826217229049],
+         "hi": [-0.04089864617887973, 0.8667845741769996, 0.05544770662951004,
+                0.6059618895714298]}],
+      "feasible_point": [-0.4018315013686621, 0.5, -1.0, -0.9392020202777194]},
+     [-23.491151069475738, 10.148790944463343, 1.0701180933985759, -6.409872071156677]),
+    ({"kind": "intersection", "parts": [
+        {"kind": "box", "lo": [-1.188332148195588, 0.560262412974721, -2.1862162943072434],
+         "hi": [2.6768865745694495, 2.1442491559694874, 0.27034061141423676]},
+        {"kind": "l2_ball", "center": [0.2864472025202875, 0.9350187646158368, -0.5731900753188898],
+         "radius": 1.4536184964665742},
+        {"kind": "l2_ball", "center": [2.8116130860533816e-14, 0.7602508488965323, 0.506620412870034],
+         "radius": 2.247103261420351},
+        {"kind": "box", "lo": [-1.249738859116977, 0.42692907964138777, -0.9453343449509513],
+         "hi": [3.000000000000028, 2.9449285255725703, 1.8961686509790716]}],
+      "feasible_point": [2.8116130860533816e-14, 0.7602624129747211, -0.10384134902092845]},
+     [4.496382862078183, 1.4633574713891062, -1.8430024319727099]),
+    ({"kind": "intersection", "parts": [
+        {"kind": "box", "lo": [-1.800043476042685, -2.617661677796526, -2.122306067188031],
+         "hi": [1.0959313857967474, -0.11921492347692475, 1.1141532940785792]},
+        {"kind": "halfspace", "normal": [4.800779632634454e-290, 0.7589659219989495,
+                                         -0.651130347353189],
+         "offset": -0.3338862031556606},
+        {"kind": "box", "lo": [-0.7018122866930039, -1.3741808518122722, -2.50761607228631],
+         "hi": [1.0024003847679124, -0.18877563457848773, 1.4614652300631596]},
+        {"kind": "box", "lo": [-1.8001155702179574, -0.7239557153166322, -0.7850672873522573],
+         "hi": [2.3807544589298475, 0.577891032088179, 1.224311705335491]}],
+      "feasible_point": [0.1999565239573149, -0.522108967911821, 0.21136058164079885]},
+     [-1.3763433545151385, -5.996346979303477, -1.6419374835736813]),
+    ({"kind": "intersection", "parts": [
+        {"kind": "l2_ball", "center": [-0.20470956573806975, 0.00430001784608394,
+                                       0.007068947284469613, -0.23848661730698548],
+         "radius": 2.0632489279179427},
+        {"kind": "l2_ball", "center": [-0.20453882991707642, 0.004299102652760225,
+                                       0.007067442766676429, -0.23848665365324098],
+         "radius": 2.0632489279179427}],
+      "feasible_point": [-0.20470956573806975, 0.0, 0.0, -0.23865738947423432]},
+     [-1.9688550327870935, -2.0160440419759675, 1.1405672767469752, -0.33017608583415475]),
+]
+
+
+@pytest.mark.parametrize("C, y", TRIPPED)
+def test_points_that_tripped_extrapolation_settle_like_plain_dykstra(C, y):
+    C = convex_set_from_json(C)
+    plain, settled = dykstra_until_settled(C.parts, np.array([y]), 1e-12,
+                                           structured_inverse.DYKSTRA_CAP)
+    assert settled[0]
+    assert np.abs(C.project(y) - plain[0]).max() <= 1e-9
