@@ -3,11 +3,18 @@
 The layer T(v) = sigma(A v) with full-rank wide A is inverted per
 activation: arctanh plus the matrix pseudo-inverse for tanh, a mixed
 equality/inequality least-norm program for ReLU and for tanh clipped to
-[-1+1/k, 1-1/k]^m. The QP solver is a small working-set method for
-strictly convex min ||v||^2 problems. Wavelet thresholding runs the O(n)
-Haar transform and the scalar closed-form table of `pseudo_inverse`.
+[-1+1/k, 1-1/k]^m. The QP solver is a dual active-set method for
+strictly convex min ||v||^2 problems (Goldfarb & Idnani): it keeps its
+working rows as a thin QR factorization N^T = Q R, updated in place as
+rows enter (Gram-Schmidt run twice) and leave (Givens rotations), and
+tests dependence relative to a row's own norm (DEPENDENCE_TOL). It
+reports "optimal" with KKT residuals, "infeasible" only with a verified
+Farkas certificate, "numerical" when that certificate fails its check,
+or "iteration_limit". Wavelet thresholding runs the O(n) Haar transform
+and the scalar closed-form table of `pseudo_inverse`.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,6 +25,7 @@ from .numerics import mp_inverse
 from .pseudo_inverse import Scalar1DOperator, pinv_table
 
 QP_CAP = 500
+DEPENDENCE_TOL = 1e-10     # n_p depends on the working rows: ||z|| <= this * ||n_p||
 
 
 @dataclass
@@ -55,25 +63,112 @@ class LeastNormQP:
 @dataclass
 class QPResult:
     v: np.ndarray
-    status: str                 # optimal | infeasible | iteration_limit
+    status: str                 # optimal | infeasible | numerical | iteration_limit
     lam: np.ndarray             # equality multipliers
     mu: np.ndarray              # inequality multipliers (0 off the active set)
     active: list
     iterations: int
     kkt: dict = field(default_factory=dict)
+    farkas: np.ndarray = None   # y over the rows [a_eq; c_ineq] (infeasible | numerical)
+    farkas_residuals: dict = field(default_factory=dict)
 
 
-def _least_norm_rows(M, rhs, tol):
-    """Least-norm v with M v = rhs, or None when inconsistent; also the
-    row multipliers alpha with v = M^T alpha."""
-    if M.shape[0] == 0:
-        return np.zeros(M.shape[1]), np.zeros(0)
-    gram = M @ M.T
-    alpha, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    v = M.T @ alpha
-    if np.linalg.norm(M @ v - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
-        return None, None
-    return v, alpha
+class _WorkingRows:
+    """Thin QR factorization N^T = Q R of the working constraint normals.
+
+    Q^T is the first k rows of a preallocated (kmax, n) array and R the
+    leading k x k block of a preallocated upper-triangular array, so a
+    step copies nothing it does not change. `cols` names the row behind
+    each column: i for equality row i, neq + j for inequality row j.
+    """
+
+    def __init__(self, n, kmax):
+        self.qt = np.empty((kmax, n))
+        self.r = np.zeros((kmax, kmax))
+        self.cols = np.zeros(kmax, dtype=np.int64)
+        self.k = 0
+
+    def project(self, x):
+        """u = Q^T x and z = x - Q u, by classical Gram-Schmidt run twice."""
+        q = self.qt[:self.k]
+        u = q @ x
+        z = x - u @ q
+        du = q @ z
+        return u + du, z - du @ q
+
+    def solve(self, u):
+        """R^-1 u: the coefficients of Q u in the working rows."""
+        k = self.k
+        return np.linalg.solve(self.r[:k, :k], u) if k else u
+
+    def least_norm(self, rhs):
+        """Least-norm v with N v = rhs, and alpha with v = N^T alpha:
+        v = Q R^-T rhs, alpha = R^-1 R^-T rhs."""
+        k = self.k
+        if not k:       # np.linalg.solve costs microseconds even on 0 x 0
+            return np.zeros(self.qt.shape[1]), rhs
+        w = np.linalg.solve(self.r[:k, :k].T, rhs)
+        return w @ self.qt[:k], np.linalg.solve(self.r[:k, :k], w)
+
+    def append(self, u, z, norm_z, col):
+        """Add a row with Q^T x = u and residual z: Q gains z / ||z||, R the
+        column (u, ||z||)."""
+        k = self.k
+        self.qt[k] = z / norm_z
+        self.r[:k, k] = u
+        self.r[k, k] = norm_z
+        self.cols[k] = col
+        self.k = k + 1
+
+    def drop(self, j):
+        """Delete column j of R; Givens rotations on rows (i, i + 1), i >= j,
+        restore triangular form, and Q's columns take the same rotations."""
+        k, r, qt = self.k, self.r, self.qt
+        r[:k, j:k - 1] = r[:k, j + 1:k]
+        self.cols[j:k - 1] = self.cols[j + 1:k]
+        for i in range(j, k - 1):
+            a, b = r[i, i], r[i + 1, i]
+            h = math.hypot(a, b)
+            g = np.array([[a / h, b / h], [-b / h, a / h]])
+            r[i:i + 2, i:k - 1] = g @ r[i:i + 2, i:k - 1]
+            r[i + 1, i] = 0.0
+            qt[i:i + 2] = g @ qt[i:i + 2]
+        r[:k, k - 1] = 0.0
+        self.k = k - 1
+
+
+def _farkas_vector(neq, nin, cols, r, row):
+    """y with y_row = 1 and y = -r on the working rows, inequality entries
+    clipped at 0: sum_i y_i a_i is the part of row `row` outside the span
+    of the working rows."""
+    y = np.zeros(neq + nin)
+    y[cols] = -r
+    y[row] = 1.0
+    y[neq:] = np.maximum(y[neq:], 0.0)
+    return y
+
+
+def _certified_exit(qp, y, active, iterations):
+    """Status "infeasible" when y is a Farkas certificate, else "numerical".
+
+    y certifies {a_eq v = b_eq, c_ineq v <= d_ineq} infeasible when y >= 0
+    on the inequality rows, ||sum_i y_i a_i|| <= DEPENDENCE_TOL *
+    sum_i |y_i| ||a_i|| and y^T [b; d] < -DEPENDENCE_TOL *
+    sum_i |y_i| |[b; d]_i|: any feasible v would then need
+    ||v|| >= |y^T [b; d]| / ||sum_i y_i a_i||.
+    """
+    neq = qp.a_eq.shape[0]
+    rows = np.concatenate([qp.a_eq, qp.c_ineq])
+    rhs = np.concatenate([qp.b_eq, qp.d_ineq])
+    comb = float(np.linalg.norm(y @ rows))
+    gap = float(y @ rhs)
+    ay = np.abs(y)
+    ok = (bool(np.all(y[neq:] >= 0.0))
+          and comb <= DEPENDENCE_TOL * float(ay @ np.linalg.norm(rows, axis=1))
+          and gap < -DEPENDENCE_TOL * float(ay @ np.abs(rhs)))
+    return QPResult(None, "infeasible" if ok else "numerical", None, None, active,
+                    iterations, farkas=y,
+                    farkas_residuals={"combination": comb, "rhs": gap})
 
 
 def solve_least_norm_qp(qp, tol=1e-9, cap=QP_CAP):
@@ -81,96 +176,144 @@ def solve_least_norm_qp(qp, tol=1e-9, cap=QP_CAP):
 
     Starts from the equality-only least-norm point, which is optimal for
     the empty working set, then repeatedly enforces the most violated
-    inequality: a step in the null space of the working rows activates it,
-    and the dual ratio test drops any working constraint whose multiplier
-    would turn negative first. A violated constraint linearly dependent on
-    the working rows with no droppable blocker certifies infeasibility;
-    contradictory equality rows are infeasible outright. The working-set
-    solution is re-solved exactly before returning.
+    inequality (lowest index on ties): a step in the null space of the
+    working rows activates it, and the dual ratio test drops the working
+    constraint whose multiplier would turn negative first (first minimum
+    on ties). Each pass over the candidates and each step counts as an
+    iteration; `cap` bounds them. When no inequality is violated by more
+    than `tol`, the working-set solution is re-solved exactly (if the
+    working set changed since it was last solved); a negative multiplier
+    there drops its constraint, and a violated non-working row resumes
+    the loop.
+
+    The working rows N (equality rows first, then the working
+    inequalities in the order they entered) are held as a thin QR
+    factorization N^T = Q R (Goldfarb & Idnani 1983), built once per
+    solve, row by row from the equality rows, and updated at every step;
+    nothing is solved from scratch. A step computes u = Q^T n_p and
+    z = n_p - Q u by classical Gram-Schmidt run twice, and r = R^-1 u.
+    Adding a row gives Q the column z / ||z|| and R the column
+    (u, ||z||); dropping one deletes its column of R and restores the
+    triangle with Givens rotations, which Q's columns take too. The
+    working-set solution is v = Q R^-T rhs with multipliers
+    -R^-1 R^-T rhs.
+
+    A row n_p counts as dependent on the working rows when
+    ||z|| <= DEPENDENCE_TOL * ||n_p|| (DEPENDENCE_TOL = 1e-10), a test
+    relative to the row's own scale, so rows that are independent but
+    nearly singular together (a 3 x 3 layer with singular values 2.9,
+    1.7 and 2.9e-5) stay independent. A dependent equality row is left
+    out of Q and R when its right-hand side agrees with the rows it
+    depends on, and makes the program infeasible when it does not. A
+    dependent violated inequality with no working inequality to drop
+    (no r_j > tol) makes it infeasible too. Either way the vector y with
+    1 on that row and -r on the working rows must pass as a Farkas
+    certificate (`_certified_exit`).
+
+    Statuses:
+      "optimal"          v, lam, mu, the active set and the KKT residuals;
+      "infeasible"       a verified Farkas vector in `farkas`, with its
+                         two residuals in `farkas_residuals`;
+      "numerical"        the Farkas vector failed its check, so neither
+                         feasibility nor infeasibility is certified;
+      "iteration_limit"  `cap` iterations without an answer.
+    Every exit reports `iterations` and the working inequalities in
+    `active`.
     """
-    neq = qp.a_eq.shape[0]
-    nin = qp.c_ineq.shape[0]
-    working = []
+    A, b, C, d = qp.a_eq, qp.b_eq, qp.c_ineq, qp.d_ineq
+    neq, nin = len(b), len(d)
+    rhs = np.concatenate([b, d])
+    kmax = min(qp.dim, neq + nin)
+    wr = _WorkingRows(qp.dim, kmax)
+    working = np.zeros(nin, dtype=bool)
 
-    def rows(active):
-        return np.concatenate([qp.a_eq, qp.c_ineq[active]], axis=0)
+    def active():
+        return np.flatnonzero(working).tolist()
 
-    def polish(active):
-        M = rows(active)
-        rhs = np.concatenate([qp.b_eq, qp.d_ineq[active]])
-        v, alpha = _least_norm_rows(M, rhs, tol)
-        if v is None:
-            return None
-        lam = -alpha[:neq]
-        mu = np.zeros(nin)
-        for i, j in enumerate(active):
-            mu[j] = -alpha[neq + i]
-        return v, lam, mu
+    for i in range(neq):
+        a_i = A[i]
+        u, z = wr.project(a_i)
+        norm_z = math.sqrt(z @ z)
+        if norm_z > DEPENDENCE_TOL * math.sqrt(a_i @ a_i):
+            wr.append(u, z, norm_z, i)
+            continue
+        y = _farkas_vector(neq, nin, wr.cols[:wr.k], wr.solve(u), i)
+        y = -y if y @ rhs > 0 else y            # free sign on equality rows
+        if -(y @ rhs) > DEPENDENCE_TOL * (np.abs(y) @ np.abs(rhs)):
+            return _certified_exit(qp, y, [], 0)
+    ke = wr.k                                   # equality columns, never dropped
+    mult = np.zeros(kmax)                       # [lam; mu_working] by column
+    v, alpha = wr.least_norm(rhs[wr.cols[:ke]])
+    mult[:ke] = -alpha
 
-    v, alpha = _least_norm_rows(qp.a_eq, qp.b_eq, tol)
-    if v is None:
-        return QPResult(None, "infeasible", None, None, [], 0)
-    mult = -alpha if neq else np.zeros(0)        # [lam; mu_working]
+    def drop(j):
+        k = wr.k
+        working[wr.cols[j] - neq] = False
+        mult[j:k - 1] = mult[j + 1:k]
+        wr.drop(j)
 
+    solved = True                               # v, mult solve the working rows
     budget = 0
     while budget < cap:
         budget += 1
-        slack = qp.c_ineq @ v - qp.d_ineq if nin else np.zeros(0)
-        cand = [j for j in range(nin) if j not in working and slack[j] > tol]
-        if not cand:
-            done = polish(working)
-            if done is None:
-                return QPResult(None, "infeasible", None, None, sorted(working), budget)
-            v, lam, mu = done
-            bad = [i for i, j in enumerate(working) if mu[j] < -tol]
-            if bad:
-                mult = np.delete(np.concatenate([lam, mu[working]]), neq + bad[0])
-                working.pop(bad[0])
+        viol = np.where(working, -np.inf, C @ v - d)
+        p = int(np.argmax(viol)) if nin else 0
+        if not nin or viol[p] <= tol:
+            k = wr.k
+            if not solved:
+                v, alpha = wr.least_norm(rhs[wr.cols[:k]])
+                mult[:k] = -alpha
+                solved = True
+            bad = mult[ke:k] < -tol
+            if bad.any():
+                drop(ke + int(np.argmax(bad)))
+                solved = False
                 continue
-            if nin and np.any(qp.c_ineq @ v - qp.d_ineq > tol):
-                mult = np.concatenate([lam, mu[working]])
+            # working rows hold to rounding only, which on a solution of
+            # norm 1e9 exceeds tol; looping on them would spin to the cap
+            if nin and np.any(np.where(working, -np.inf, C @ v - d) > tol):
                 continue
-            mu = np.maximum(mu, 0.0)
+            lam = np.zeros(neq)
+            lam[wr.cols[:ke]] = mult[:ke]
+            mu = np.zeros(nin)
+            mu[wr.cols[ke:k] - neq] = np.maximum(mult[ke:k], 0.0)
             kkt = _kkt_residuals(qp, v, lam, mu)
-            return QPResult(v, "optimal", lam, mu, sorted(working), budget, kkt)
+            return QPResult(v, "optimal", lam, mu, active(), budget, kkt)
 
-        p = int(max(cand, key=lambda j: slack[j]))
-        n_p = qp.c_ineq[p]
+        n_p = C[p]
+        norm_p = math.sqrt(n_p @ n_p)
         u_p = 0.0
+        solved = False
         while budget < cap:
             budget += 1
-            M = rows(working)
-            if M.shape[0]:
-                r, *_ = np.linalg.lstsq(M.T, n_p, rcond=None)
-                z = n_p - M.T @ r
-            else:
-                r = np.zeros(0)
-                z = n_p.copy()
-            zz = float(z @ z)
-            step_ok = zz > tol * (1.0 + float(n_p @ n_p))
-            t2 = float(n_p @ v - qp.d_ineq[p]) / zz if step_ok else np.inf
-            t1 = np.inf
-            k_block = None
-            for i in range(len(working)):
-                if r[neq + i] > tol:
-                    ratio = mult[neq + i] / r[neq + i]
-                    if ratio < t1:
-                        t1 = ratio
-                        k_block = i
+            k = wr.k
+            u, z = wr.project(n_p)
+            r = wr.solve(u)
+            norm_z = math.sqrt(z @ z)
+            step_ok = norm_z > DEPENDENCE_TOL * norm_p
+            t2 = float(n_p @ v - d[p]) / (norm_z * norm_z) if step_ok else np.inf
+            t1, kb = np.inf, 0
+            if k > ke:                          # dual ratio test, first minimum
+                rw = r[ke:]
+                ratios = np.divide(mult[ke:k], rw, out=np.full(k - ke, np.inf),
+                                   where=rw > tol)
+                kb = int(np.argmin(ratios))
+                t1 = float(ratios[kb])
             t = min(t1, t2)
             if not np.isfinite(t):
-                return QPResult(None, "infeasible", None, None, sorted(working), budget)
-            mult = mult - t * r
+                y = _farkas_vector(neq, nin, wr.cols[:k], r, neq + p)
+                return _certified_exit(qp, y, active(), budget)
+            mult[:k] -= t * r
             u_p += t
             if step_ok:
                 v = v - t * z
             if t2 <= t1:
-                working.append(p)
-                mult = np.concatenate([mult, [u_p]])
+                wr.append(u, z, norm_z, neq + p)
+                mult[k] = u_p
+                working[p] = True
                 break
-            working.pop(k_block)
-            mult = np.delete(mult, neq + k_block)
-    return QPResult(None, "iteration_limit", None, None, sorted(working), cap)
+            drop(ke + kb)
+    return QPResult(None, "iteration_limit", None, None, active(), cap)
 
 
 def _kkt_residuals(qp, v, lam, mu):
@@ -256,22 +399,11 @@ def clipped_tanh_layer_pinv(layer, w, tol=1e-9):
     hi = 1.0 - 1.0 / k
     wc = np.clip(w, -hi, hi)
     A = layer.weights
-    bound = np.arctanh(hi)
-    eq_rows, eq_rhs, in_rows, in_rhs = [], [], [], []
-    for i, wi in enumerate(wc):
-        if wi >= hi:
-            in_rows.append(-A[i])          # (Av)_i >= arctanh(hi)
-            in_rhs.append(-bound)
-        elif wi <= -hi:
-            in_rows.append(A[i])           # (Av)_i <= -arctanh(hi)
-            in_rhs.append(-bound)
-        else:
-            eq_rows.append(A[i])
-            eq_rhs.append(np.arctanh(wi))
-    qp = LeastNormQP(np.array(eq_rows).reshape(len(eq_rows), A.shape[1]),
-                     np.array(eq_rhs),
-                     np.array(in_rows).reshape(len(in_rows), A.shape[1]),
-                     np.array(in_rhs))
+    clamped = np.abs(wc) >= hi
+    # -sign(w_i) (Av)_i <= -arctanh(hi): (Av)_i >= arctanh(hi) at w_i = hi
+    sign = -np.sign(wc[clamped])
+    qp = LeastNormQP(A[~clamped], np.arctanh(wc[~clamped]), sign[:, None] * A[clamped],
+                     np.full(len(sign), -np.arctanh(hi)))
     out = solve_least_norm_qp(qp, tol=tol)
     if out.status != "optimal":
         raise ArithmeticError("clipped-tanh program did not solve: %s "

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from geninv.applied import QP_CAP, LeastNormQP, QPResult, _kkt_residuals
 from geninv.pseudo_inverse import Pinv1D, UNDEFINED
 
 
@@ -39,6 +40,191 @@ def qp_oracle_enumerate(qp, tol=1e-9):
                 best = (v, active)
     return best
 
+
+def qp_oracle_enumerate_svd(qp, tol=1e-9, rounding=1e-12):
+    """`qp_oracle_enumerate` with each subset solved by SVD on the rows.
+
+    Every row is first scaled to unit norm with its right-hand side, which
+    leaves the program unchanged. Then v = lstsq(M, rhs) is the least-norm
+    solution of M v = rhs and alpha = lstsq(M^T, v) its row multipliers, so
+    nearly dependent rows cost a factor kappa(M) of accuracy where the Gram
+    matrix M M^T costs kappa(M)^2. A subset is consistent when
+    |M v - rhs| <= rounding (|M| |v| + |rhs|); a candidate is feasible when
+    each inequality's slack c_j v - d_j is at most `tol`, the slack the
+    solver accepts, plus rounding (|c_j| |v| + |d_j|); it is dual feasible
+    when the unit rows' multipliers are >= -rounding (1 + ||v||). Returns
+    (v, active_set) or None, as the Gram oracle does.
+    """
+    def unit(rows, rhs):
+        s = np.linalg.norm(rows, axis=1)
+        s[s == 0] = 1.0
+        return rows / s[:, None], rhs / s
+
+    A, b = unit(qp.a_eq, qp.b_eq)
+    C, d = unit(qp.c_ineq, qp.d_ineq)
+    best = None
+    for r in range(len(d) + 1):
+        for subset in itertools.combinations(range(len(d)), r):
+            M = np.concatenate([A, C[list(subset)]], axis=0)
+            rhs = np.concatenate([b, d[list(subset)]])
+            if M.shape[0]:
+                v, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+                if np.any(np.abs(M @ v - rhs) > rounding * (np.abs(M) @ np.abs(v) + np.abs(rhs))):
+                    continue
+                alpha, *_ = np.linalg.lstsq(M.T, v, rcond=None)
+                mu = -alpha[len(b):]
+            else:
+                v = np.zeros(qp.dim)
+                mu = np.zeros(0)
+            slack = qp.c_ineq @ v - qp.d_ineq
+            if np.any(slack > tol + rounding * (np.abs(qp.c_ineq) @ np.abs(v) + np.abs(qp.d_ineq))):
+                continue
+            if np.any(mu < -rounding * (1 + np.linalg.norm(v))):
+                continue
+            if best is None or np.linalg.norm(v) < np.linalg.norm(best[0]) * (1 - rounding):
+                active = {j for i, j in enumerate(subset) if mu[i] > 1e-7}
+                best = (v, active)
+    return best
+
+
+# The production QP solver before it kept its working rows as an updated QR
+# factorization: one SVD-based lstsq on all working rows per step and a Gram
+# matrix for the final re-solve. Kept verbatim as the differential oracle.
+def _least_norm_rows(M, rhs, tol):
+    """Least-norm v with M v = rhs, or None when inconsistent; also the
+    row multipliers alpha with v = M^T alpha."""
+    if M.shape[0] == 0:
+        return np.zeros(M.shape[1]), np.zeros(0)
+    gram = M @ M.T
+    alpha, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    v = M.T @ alpha
+    if np.linalg.norm(M @ v - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
+        return None, None
+    return v, alpha
+
+
+def solve_least_norm_qp_lstsq(qp, tol=1e-9, cap=QP_CAP):
+    """Dual active-set solver for the strictly convex least-norm program.
+
+    Starts from the equality-only least-norm point, which is optimal for
+    the empty working set, then repeatedly enforces the most violated
+    inequality: a step in the null space of the working rows activates it,
+    and the dual ratio test drops any working constraint whose multiplier
+    would turn negative first. A violated constraint linearly dependent on
+    the working rows with no droppable blocker certifies infeasibility;
+    contradictory equality rows are infeasible outright. The working-set
+    solution is re-solved exactly before returning.
+    """
+    neq = qp.a_eq.shape[0]
+    nin = qp.c_ineq.shape[0]
+    working = []
+
+    def rows(active):
+        return np.concatenate([qp.a_eq, qp.c_ineq[active]], axis=0)
+
+    def polish(active):
+        M = rows(active)
+        rhs = np.concatenate([qp.b_eq, qp.d_ineq[active]])
+        v, alpha = _least_norm_rows(M, rhs, tol)
+        if v is None:
+            return None
+        lam = -alpha[:neq]
+        mu = np.zeros(nin)
+        for i, j in enumerate(active):
+            mu[j] = -alpha[neq + i]
+        return v, lam, mu
+
+    v, alpha = _least_norm_rows(qp.a_eq, qp.b_eq, tol)
+    if v is None:
+        return QPResult(None, "infeasible", None, None, [], 0)
+    mult = -alpha if neq else np.zeros(0)        # [lam; mu_working]
+
+    budget = 0
+    while budget < cap:
+        budget += 1
+        slack = qp.c_ineq @ v - qp.d_ineq if nin else np.zeros(0)
+        cand = [j for j in range(nin) if j not in working and slack[j] > tol]
+        if not cand:
+            done = polish(working)
+            if done is None:
+                return QPResult(None, "infeasible", None, None, sorted(working), budget)
+            v, lam, mu = done
+            bad = [i for i, j in enumerate(working) if mu[j] < -tol]
+            if bad:
+                mult = np.delete(np.concatenate([lam, mu[working]]), neq + bad[0])
+                working.pop(bad[0])
+                continue
+            if nin and np.any(qp.c_ineq @ v - qp.d_ineq > tol):
+                mult = np.concatenate([lam, mu[working]])
+                continue
+            mu = np.maximum(mu, 0.0)
+            kkt = _kkt_residuals(qp, v, lam, mu)
+            return QPResult(v, "optimal", lam, mu, sorted(working), budget, kkt)
+
+        p = int(max(cand, key=lambda j: slack[j]))
+        n_p = qp.c_ineq[p]
+        u_p = 0.0
+        while budget < cap:
+            budget += 1
+            M = rows(working)
+            if M.shape[0]:
+                r, *_ = np.linalg.lstsq(M.T, n_p, rcond=None)
+                z = n_p - M.T @ r
+            else:
+                r = np.zeros(0)
+                z = n_p.copy()
+            zz = float(z @ z)
+            step_ok = zz > tol * (1.0 + float(n_p @ n_p))
+            t2 = float(n_p @ v - qp.d_ineq[p]) / zz if step_ok else np.inf
+            t1 = np.inf
+            k_block = None
+            for i in range(len(working)):
+                if r[neq + i] > tol:
+                    ratio = mult[neq + i] / r[neq + i]
+                    if ratio < t1:
+                        t1 = ratio
+                        k_block = i
+            t = min(t1, t2)
+            if not np.isfinite(t):
+                return QPResult(None, "infeasible", None, None, sorted(working), budget)
+            mult = mult - t * r
+            u_p += t
+            if step_ok:
+                v = v - t * z
+            if t2 <= t1:
+                working.append(p)
+                mult = np.concatenate([mult, [u_p]])
+                break
+            working.pop(k_block)
+            mult = np.delete(mult, neq + k_block)
+    return QPResult(None, "iteration_limit", None, None, sorted(working), cap)
+
+
+
+def clipped_tanh_qp_loop(layer, w):
+    """The clipped-tanh layer's program built one row at a time, as
+    `clipped_tanh_layer_pinv` did before it split rows by mask."""
+    k = layer.clip
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    hi = 1.0 - 1.0 / k
+    wc = np.clip(w, -hi, hi)
+    A = layer.weights
+    bound = np.arctanh(hi)
+    eq_rows, eq_rhs, in_rows, in_rhs = [], [], [], []
+    for i, wi in enumerate(wc):
+        if wi >= hi:
+            in_rows.append(-A[i])          # (Av)_i >= arctanh(hi)
+            in_rhs.append(-bound)
+        elif wi <= -hi:
+            in_rows.append(A[i])           # (Av)_i <= -arctanh(hi)
+            in_rhs.append(-bound)
+        else:
+            eq_rows.append(A[i])
+            eq_rhs.append(np.arctanh(wi))
+    return LeastNormQP(np.array(eq_rows).reshape(len(eq_rows), A.shape[1]),
+                       np.array(eq_rhs),
+                       np.array(in_rows).reshape(len(in_rows), A.shape[1]),
+                       np.array(in_rhs))
 
 # ---------------------------------------------------------------------------
 # step-by-step image-chain oracles for the functional-graph kernel
