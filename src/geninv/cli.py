@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -32,14 +33,22 @@ def _emit(obj):
 
 
 def _read_json_file(path):
+    """The JSON object in file `path`; InputError naming the file otherwise."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise InputError("malformed JSON in %s at line %d column %d"
                          % (path, e.lineno, e.colno))
+    return _json_object(obj, path)
+
+
+def _json_object(obj, what):
+    if not isinstance(obj, dict):
+        raise InputError("%s must be a JSON object" % what)
+    return obj
 
 
 def _read_csv_signal(path):
@@ -63,46 +72,27 @@ def _write_csv_signal(path, values):
         raise InputError("cannot write %s: %s" % (path, e))
 
 
-def _parse_inline_vector(text):
-    try:
-        return np.array([float(x) for x in text.split(",")])
-    except ValueError:
-        raise InputError("expected comma-separated floats, got %r" % text)
-
-
-def _scalar_op_from_args(args):
-    try:
-        return pseudo_inverse.Scalar1DOperator(args.kind, a=args.a,
-                                               eps=args.eps, c=args.c)
-    except ValueError as e:
-        raise InputError(str(e))
-
-
 def load_vector_operator(obj):
     """Operator JSON -> VectorOperator. Kinds: scalar table entries,
     "matrix", "layer", and "componentwise" products of scalar kinds."""
-    kind = obj.get("kind")
-    if kind is None:
-        raise InputError("operator JSON needs a \"kind\" field")
-    try:
-        if kind == "matrix":
-            A = numerics.matrix_from_json(obj)
-            return core_ops.VectorOperator.from_matrix(A)
-        if kind == "layer":
-            A = numerics.matrix_from_json(obj["weights"])
-            layer = applied.NeuralLayer(A, obj["activation"], obj.get("clip"))
-            return layer.operator()
-        if kind == "componentwise":
-            parts = [load_vector_operator(p) for p in obj["parts"]]
-            return structured_inverse.product_operator(parts)
-        op = pseudo_inverse.Scalar1DOperator(kind, a=obj.get("a", 0.0),
-                                             eps=obj.get("eps", 1.0),
-                                             c=obj.get("c", 1.0))
-    except KeyError as e:
-        raise InputError("operator JSON is missing the %s field" % e)
-    except ValueError as e:
-        raise InputError(str(e))
-    return op.as_vector_operator()
+    kind = _json_object(obj, "operator")["kind"]
+    if not isinstance(kind, str):
+        raise InputError("operator \"kind\" must be a string")
+    if kind == "matrix":
+        return core_ops.VectorOperator.from_matrix(numerics.matrix_from_json(obj))
+    if kind == "layer":
+        A = numerics.matrix_from_json(_json_object(obj["weights"], "\"weights\""))
+        if obj.get("clip") is not None:
+            numerics.integer_entries([obj["clip"]])
+        return applied.NeuralLayer(A, obj["activation"], obj.get("clip")).operator()
+    if kind == "componentwise":
+        if not isinstance(obj["parts"], list):
+            raise InputError("\"parts\" must be a JSON list")
+        return structured_inverse.product_operator(
+            [load_vector_operator(p) for p in obj["parts"]])
+    a, eps, c = obj.get("a", 0.0), obj.get("eps", 1.0), obj.get("c", 1.0)
+    numerics.real_entries([a, eps, c])
+    return pseudo_inverse.Scalar1DOperator(kind, a=a, eps=eps, c=c).as_vector_operator()
 
 
 # ---------------------------------------------------------------------------
@@ -110,131 +100,78 @@ def load_vector_operator(obj):
 # ---------------------------------------------------------------------------
 
 def cmd_pinv1d(args):
-    op = _scalar_op_from_args(args)
+    op = pseudo_inverse.Scalar1DOperator(args.kind, a=args.a, eps=args.eps, c=args.c)
     res = pseudo_inverse.closed_form_pinv(op, args.w)
-    out = {"kind": op.kind, "w": args.w, "defined": res.defined,
-           "values": list(res.values),
-           "value": (res.values[0] if res.defined and len(res.values) == 1 else None)}
-    _emit(out)
+    _emit({"kind": op.kind, "w": args.w, "defined": res.defined, "values": list(res.values),
+           "value": (res.values[0] if res.defined and len(res.values) == 1 else None)})
     return EXIT_OK
 
 
 def cmd_oracle(args):
     T = load_vector_operator(_read_json_file(args.op))
-    w = _parse_inline_vector(args.w)
+    w = np.array([float(x) for x in args.w.split(",")])
+    # GridOracle tests the target only after building its grids
     if len(w) != T.dim_out:
         raise InputError("target has dim %d but operator maps to dim %d"
                          % (len(w), T.dim_out))
-    box = [(args.box[0], args.box[1])] * T.dim_in
-    try:
-        best = pseudo_inverse.grid_bas_oracle(T, w, box, args.step)
-    except ValueError as e:           # a bad box or step, or a grid past the cap
-        raise InputError(str(e))
-    _emit({"v": [float(x) for x in best.v], "residual": best.residual,
-           "norm": best.norm})
+    best = pseudo_inverse.grid_bas_oracle(T, w, [tuple(args.box)] * T.dim_in, args.step)
+    _emit({"v": [float(x) for x in best.v], "residual": best.residual, "norm": best.norm})
     return EXIT_OK
 
 
 def cmd_layer_pinv(args):
-    try:
-        A = numerics.matrix_from_json(_read_json_file(args.weights))
-    except KeyError as e:
-        raise InputError("weights JSON is missing the %s field" % e)
-    except ValueError as e:
-        raise InputError("bad weights matrix: %s" % e)
-    try:
-        layer = applied.NeuralLayer(A, args.act, args.clip)
-    except ValueError as e:
-        raise InputError(str(e))
+    A = numerics.matrix_from_json(_read_json_file(args.weights))
+    layer = applied.NeuralLayer(A, args.act, args.clip)
     w = _read_csv_signal(args.w)
     if len(w) != A.shape[0]:
         raise InputError("target length %d does not match %d weight rows"
                          % (len(w), A.shape[0]))
-    try:
-        if args.act == "relu":
-            v = applied.relu_layer_pinv(layer, w)
-        elif args.clip is not None:
-            v = applied.clipped_tanh_layer_pinv(layer, w)
-        else:
-            v = applied.tanh_layer_pinv(layer, w)
-    except ArithmeticError as e:
-        sys.stderr.write("non-convergence: %s\n" % e)
-        return EXIT_NO_CONVERGENCE
-    if v is None:
-        _emit({"v": None, "defined": False})
-        return EXIT_OK
-    _emit({"v": [float(x) for x in v], "defined": True})
+    if args.act == "relu":
+        v = applied.relu_layer_pinv(layer, w)
+    elif args.clip is not None:
+        v = applied.clipped_tanh_layer_pinv(layer, w)
+    else:
+        v = applied.tanh_layer_pinv(layer, w)
+    _emit({"v": None if v is None else [float(x) for x in v], "defined": v is not None})
     return EXIT_OK
 
 
 def cmd_denoise(args):
-    if args.basis != "haar":
-        raise InputError("only the haar basis is available")
-    try:
-        basis = applied.haar_basis(args.n)
-    except ValueError as e:
-        raise InputError(str(e))
-    x = _read_csv_signal(args.signal)
-    if len(x) != args.n:
-        raise InputError("signal length %d does not match --n %d" % (len(x), args.n))
-    try:
-        rt = applied.wavelet_threshold_roundtrip(basis, args.kind, args.a, x)
-    except ValueError as e:
-        raise InputError(str(e))
+    basis = applied.haar_basis(args.n)
+    rt = applied.wavelet_threshold_roundtrip(basis, args.kind, args.a,
+                                             _read_csv_signal(args.signal))
     _write_csv_signal(args.out, rt.denoised)
     again = applied.wavelet_threshold_roundtrip(basis, args.kind, args.a, rt.roundtrip)
-    out = {"out": args.out,
-           "difference_norm": rt.difference_norm,
+    _emit({"out": args.out, "difference_norm": rt.difference_norm,
            "idempotent_residual": float(np.linalg.norm(again.roundtrip - rt.roundtrip)),
-           "witness_difference_norm": rt.witness_difference_norm}
-    _emit(out)
+           "witness_difference_norm": rt.witness_difference_norm})
     return EXIT_OK
 
 
 def cmd_drazin(args):
-    obj = _read_json_file(args.op)
-    try:
-        T = core_ops.FiniteOperator.from_json(obj)
-    except (KeyError, ValueError) as e:
-        raise InputError("bad operator table: %s" % e)
-    if not T.is_endofunction:
-        raise InputError("drazin needs an endofunction (domain = codomain)")
-    res = endofunction.drazin_inverse(T)
+    res = endofunction.drazin_inverse(
+        core_ops.FiniteOperator.from_json(_read_json_file(args.op)))
     # T^j(V) = {v : exit_level[v] >= j} for j = 0..k, in O(n) output
-    out = {"exists": res.exists,
-           "index": res.index,
+    _emit({"exists": res.exists, "index": res.index,
            "inverse_table": list(res.inverse.table),
-           "exit_level": res.graph.exit_level.tolist()}
-    _emit(out)
+           "exit_level": res.graph.exit_level.tolist()})
     return EXIT_OK
 
 
 def cmd_vanish(args):
-    obj = _read_json_file(args.op)
-    try:
-        T_table = core_ops.FiniteOperator.from_json(obj)
-    except (KeyError, ValueError) as e:
-        raise InputError("bad operator table: %s" % e)
+    T_table = core_ops.FiniteOperator.from_json(_read_json_file(args.op))
     if not T_table.is_endofunction:
         raise InputError("vanishing polynomials need an endofunction")
-    p = args.prime
-    try:
-        numerics.fp_check(p)
-    except ValueError as e:
-        raise InputError(str(e))
-    size = T_table.domain_size
+    p, size = args.prime, T_table.domain_size
+    numerics.fp_check(p)           # before the loop below, which a p < 2 never ends
     n = 0
     while p ** n < size:
         n += 1
     if p ** n != size:
         raise InputError("domain size %d is not a power of prime %d" % (size, p))
-    try:
-        T = vanishing.FpVectorOperator(p, n, T_table.arr)
-    except ValueError as e:
-        raise InputError(str(e))
+    T = vanishing.FpVectorOperator(p, n, T_table.arr)
     l, m = vanishing.stabilization_profile(T)
-    van = vanishing.find_vanishing_poly(T)
-    mini = vanishing.minimal_poly(T)
+    van, mini = vanishing.find_vanishing_poly(T), vanishing.minimal_poly(T)
     _emit({"vanishing": [int(c) for c in van.coeffs],
            "minimal": [int(c) for c in mini.coeffs],
            "degree_bound": m * m + l})
@@ -245,14 +182,7 @@ def cmd_vanish(args):
 # verify-suite
 # ---------------------------------------------------------------------------
 
-def _suite_checks(seed):
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    def record(name, ok, detail):
-        checks.append({"name": name, "pass": bool(ok), "detail": detail})
-
-    # one-dimensional closed forms against the grid oracle
+def _pinv1d_closed_forms_vs_oracle(rng):
     step = 1e-2
     worst = 0.0
     for kind, param in [("relu", {}), ("soft_threshold", {"a": 1.0}),
@@ -263,20 +193,21 @@ def _suite_checks(seed):
             cf = pseudo_inverse.closed_form_pinv(op, w)
             best = oracle.query(np.array([w]))
             worst = max(worst, min(abs(v - best.v[0]) for v in cf.values))
-    record("pinv1d_closed_forms_vs_oracle", worst <= 2 * step, {"max_arg_gap": worst})
+    return worst <= 2 * step, {"max_arg_gap": worst}
 
-    # matrix Moore-Penrose residuals
+
+def _mp_inverse_residuals(rng):
     E = np.array([[0.0, 0.0], [1.0, 1.0]])
-    err_e = float(np.abs(numerics.mp_inverse(E) - np.array([[0, 0.5], [0, 0.5]])).max())
-    worst = err_e
+    worst = float(np.abs(numerics.mp_inverse(E) - np.array([[0, 0.5], [0, 0.5]])).max())
     for _ in range(10):
         A = rng.normal(size=(rng.integers(1, 7), rng.integers(1, 7)))
-        G = numerics.mp_inverse(A)
-        r = numerics.mp_residuals(A, G)
+        r = numerics.mp_residuals(A, numerics.mp_inverse(A))
         worst = max(worst, max(r.values()) / (1 + np.linalg.norm(A)))
-    record("mp_inverse_residuals", worst <= 1e-9, {"worst": worst})
+    return worst <= 1e-9, {"worst": worst}
 
-    # {1,2}-inverse construction and enumeration counts
+
+def _one_two_inverse_suite(rng):
+    """{1,2}-inverse construction and enumeration counts."""
     ok = True
     for _ in range(20):
         nv, nw = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -286,9 +217,11 @@ def _suite_checks(seed):
         ok &= set_inverse.double_inverse(T, G) == T
         found = set_inverse.enumerate_one_two_inverses(T)
         ok &= len(found) == set_inverse.one_two_inverse_count(T)
-    record("one_two_inverse_suite", ok, {})
+    return ok, {}
 
-    # projections are 1-Lipschitz; the cascade inverts to its innermost projection
+
+def _projection_layer(rng):
+    """Projections are 1-Lipschitz; the cascade inverts to its innermost projection."""
     sets = [structured_inverse.Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0])),
             structured_inverse.L2Ball(np.zeros(2), 1.5),
             structured_inverse.Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))]
@@ -303,61 +236,73 @@ def _suite_checks(seed):
     reports = pseudo_inverse.check_pseudo_inverse(
         cas.cascade, cas.pseudo_inverse, rng.normal(scale=2, size=(4, 2)),
         [(-2.5, 2.5)] * 2, 0.05)
-    cas_ok = all(r.bas_ok and r.mp2_ok for r in reports)
-    record("projection_layer", worst <= 1e-9 and cas_ok,
-           {"lipschitz_excess": worst})
+    return (worst <= 1e-9 and all(r.bas_ok and r.mp2_ok for r in reports),
+            {"lipschitz_excess": worst})
 
-    # relu layer inversion satisfies KKT and MP axioms
+
+def _relu_layer_qp(rng):
+    """Relu layer inversion satisfies KKT and MP axioms."""
     ok = True
     for _ in range(10):
-        m, n = int(rng.integers(1, 4)), int(rng.integers(2, 6))
-        if m > n:
-            m, n = n, m
+        m, n = sorted((int(rng.integers(1, 4)), int(rng.integers(2, 6))))
         layer = applied.NeuralLayer(rng.normal(size=(m, n)), "relu")
         w = np.maximum(rng.normal(size=m), 0.0)
         v = applied.relu_layer_pinv(layer, w)
         Tv = np.maximum(layer.weights @ v, 0.0)
         ok &= bool(np.linalg.norm(Tv - np.maximum(w, 0.0)) <= 1e-8)
-    record("relu_layer_qp", ok, {})
+    return ok, {}
 
-    # wavelet thresholding identities
+
+def _wavelet_identities(rng):
     basis = applied.haar_basis(8)
     x = rng.normal(size=8)
     hard = applied.wavelet_threshold_roundtrip(basis, "hard", 0.5, x)
     soft = applied.wavelet_threshold_roundtrip(basis, "soft", 0.5, x)
-    record("wavelet_identities",
-           hard.difference_norm <= 1e-10 and soft.witness_difference_norm >= 0.45,
-           {"hard_diff": hard.difference_norm,
-            "soft_witness": soft.witness_difference_norm})
+    return (hard.difference_norm <= 1e-10 and soft.witness_difference_norm >= 0.45,
+            {"hard_diff": hard.difference_norm, "soft_witness": soft.witness_difference_norm})
 
-    # Drazin constructions agree with exhaustive search
+
+def _drazin_vs_exhaustive(rng):
     ok = True
     for _ in range(30):
         T = core_ops.FiniteOperator(4, 4, tuple(rng.integers(0, 4, size=4)))
         res = endofunction.drazin_inverse(T)
         found = endofunction.exhaustive_drazin_search(T)
         ok &= res.exists and len(found) == 1 and found[0] == res.inverse
-    record("drazin_vs_exhaustive", ok, {})
+    return ok, {}
 
-    # vanishing polynomials and Cayley-Hamilton inversion
+
+def _vanishing_and_cayley_hamilton(rng):
     ok = True
     for _ in range(10):
-        p = int(rng.choice([2, 3]))
-        n = int(rng.integers(1, 4))
+        p, n = int(rng.choice([2, 3])), int(rng.integers(1, 4))
         T = vanishing.FpVectorOperator(p, n, rng.integers(0, p ** n, size=p ** n))
         q = vanishing.find_vanishing_poly(T)
         mini = vanishing.minimal_poly(T)
         ok &= vanishing.poly_vanishes(q, T) and mini.divides(q)
     for _ in range(10):
-        p = int(rng.choice([2, 3, 5, 7]))
-        n = int(rng.integers(1, 5))
+        p, n = int(rng.choice([2, 3, 5, 7])), int(rng.integers(1, 5))
         A = rng.integers(0, p, size=(n, n))
         inv = numerics.fp_invert(A, p)
-        if inv is None:
-            continue
-        ok &= np.array_equal(vanishing.cayley_hamilton_inverse(A, p), inv)
-    record("vanishing_and_cayley_hamilton", ok, {})
+        if inv is not None:
+            ok &= np.array_equal(vanishing.cayley_hamilton_inverse(A, p), inv)
+    return ok, {}
 
+
+def _suite_checks(seed):
+    """The checks' records (named after their functions), run in turn on one
+    generator. A check that raises fails with the error as its detail."""
+    rng = np.random.default_rng(seed)
+    checks = []
+    for check in (_pinv1d_closed_forms_vs_oracle, _mp_inverse_residuals,
+                  _one_two_inverse_suite, _projection_layer, _relu_layer_qp,
+                  _wavelet_identities, _drazin_vs_exhaustive, _vanishing_and_cayley_hamilton):
+        try:
+            ok, detail = check(rng)
+        except Exception as e:
+            traceback.print_exc()
+            ok, detail = False, {"error": "%s: %s" % (type(e).__name__, e)}
+        checks.append({"name": check.__name__[1:], "pass": bool(ok), "detail": detail})
     return checks
 
 
@@ -365,8 +310,7 @@ def cmd_verify_suite(args):
     t0 = time.time()
     checks = _suite_checks(args.seed)
     all_pass = all(c["pass"] for c in checks)
-    sys.stderr.write("verify-suite: %d checks in %.2fs\n"
-                     % (len(checks), time.time() - t0))
+    sys.stderr.write("verify-suite: %d checks in %.2fs\n" % (len(checks), time.time() - t0))
     _emit({"command": "verify-suite", "seed": args.seed,
            "checks": checks, "all_pass": all_pass})
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
@@ -404,7 +348,7 @@ def build_parser():
     p.set_defaults(fn=cmd_layer_pinv)
 
     p = sub.add_parser("denoise", help="wavelet threshold a signal")
-    p.add_argument("--basis", default="haar")
+    p.add_argument("--basis", choices=["haar"], default="haar")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=["hard", "soft"], required=True)
     p.add_argument("--a", type=float, required=True)
@@ -435,15 +379,20 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one subcommand; the one place that decides what is bad input (exit 2):
+    InputError, OSError, KeyError (a missing JSON field) and ValueError, which
+    is how the library rejects input. ArithmeticError exits 3."""
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
+    except KeyError as e:
+        sys.stderr.write("input error: JSON is missing the %s field\n" % e)
+    except (InputError, OSError, ValueError) as e:
         sys.stderr.write("input error: %s\n" % e)
-        return EXIT_INPUT_ERROR
     except ArithmeticError as e:
         sys.stderr.write("non-convergence: %s\n" % e)
         return EXIT_NO_CONVERGENCE
+    return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -40,6 +40,8 @@ def _checked_table(table, domain_size, codomain_size):
         arr = np.array(table, dtype=np.int64)
     except OverflowError:
         raise ValueError("table entries must lie inside the codomain")
+    except TypeError:                           # a dict: integer_entries saw its keys
+        raise ValueError("table must be a list of integers")
     if arr.ndim != 1 or len(arr) != domain_size:
         raise ValueError("table length must equal domain_size")
     if codomain_size <= 0 and domain_size > 0:
@@ -76,9 +78,12 @@ class FiniteOperator:
 
     @staticmethod
     def from_json(text):
+        """The sizes must pass integer_entries and the table checked_table."""
         obj = json.loads(text) if isinstance(text, str) else text
-        return FiniteOperator(int(obj["domain"]), int(obj["codomain"]),
-                              tuple(obj["table"]))
+        integer_entries([obj["domain"], obj["codomain"]])
+        table = obj["table"]            # a tuple of ints is kept, not rebuilt from arr
+        return FiniteOperator(obj["domain"], obj["codomain"],
+                              tuple(table) if isinstance(table, list) else table)
 
     def to_json(self):
         return {"domain": self.domain_size, "codomain": self.codomain_size,
@@ -179,10 +184,13 @@ class VectorOperator:
             raise DimensionMismatch("power requires an endofunction")
         if k < 0:
             raise ValueError("power exponent must be non-negative")
-        out = VectorOperator.identity(self.dim_in)
-        for _ in range(k):
-            out = self.compose(out)
-        return out
+        fn = self.fn
+
+        def f(b):
+            for _ in range(k):
+                b = fn(b)
+            return b
+        return VectorOperator(self.dim_in, self.dim_out, f, name="%s^%d" % (self.name, k))
 
     def scale(self, a):
         return VectorOperator(self.dim_in, self.dim_out,

@@ -335,3 +335,147 @@ def test_csv_writer_bytes_equal_the_line_loop(tmp_path, values):
     write_csv_signal_loop(tmp_path / "loop.csv", values)
     cli._write_csv_signal(tmp_path / "one.csv", values)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one input-error boundary in main: malformed files exit 2 with one line
+# ---------------------------------------------------------------------------
+
+GOOD_WEIGHTS = {"rows": 1, "cols": 2, "data": [1.0, 1.0]}
+
+
+def oracle_case(name, op):
+    return pytest.param(["oracle", "--op", "@op", "--w", "1", "--box", "-1", "1",
+                         "--step", "0.5"], {"op": op}, id="oracle-" + name)
+
+
+def drazin_case(name, op):
+    return pytest.param(["drazin", "--op", "@op"], {"op": op}, id="drazin-" + name)
+
+
+def vanish_case(name, op):
+    return pytest.param(["vanish", "--op", "@op", "--prime", "2"], {"op": op},
+                        id="vanish-" + name)
+
+
+def layer_case(name, weights, w="2.0\n"):
+    return pytest.param(["layer-pinv", "--weights", "@A", "--act", "tanh", "--w", "@w"],
+                        {"A": weights, "w": w}, id="layer-pinv-" + name)
+
+
+def denoise_case(name, signal, out="out.csv"):
+    return pytest.param(["denoise", "--n", "4", "--kind", "hard", "--a", "0.5",
+                         "--signal", "@signal", "--out", "@" + out],
+                        {"signal": signal}, id="denoise-" + name)
+
+
+# file contents: a str is written as it is, None leaves the file missing,
+# anything else is written as JSON
+MALFORMED = [
+    drazin_case("top-level-list", [1, 0]),
+    drazin_case("top-level-null", "null"),
+    drazin_case("table-int", {"domain": 2, "codomain": 2, "table": 5}),
+    drazin_case("table-object", {"domain": 2, "codomain": 2, "table": {}}),
+    drazin_case("float-and-string-sizes", {"domain": 2.9, "codomain": "2", "table": [1, 0]}),
+    drazin_case("boolean-sizes", {"domain": True, "codomain": True, "table": [0]}),
+    drazin_case("float-entries", {"domain": 2, "codomain": 2, "table": [1.0, 0.0]}),
+    drazin_case("missing-table", {"domain": 2, "codomain": 2}),
+    drazin_case("not-an-endofunction", {"domain": 2, "codomain": 3, "table": [0, 1]}),
+    drazin_case("malformed-json", "{not json"),
+    drazin_case("missing-file", None),
+    vanish_case("top-level-list", [1, 0]),
+    vanish_case("table-int", {"domain": 2, "codomain": 2, "table": 5}),
+    vanish_case("float-and-string-sizes", {"domain": 2.9, "codomain": "2", "table": [1, 0]}),
+    vanish_case("boolean-sizes", {"domain": True, "codomain": True, "table": [0]}),
+    vanish_case("not-a-power-of-p", {"domain": 3, "codomain": 3, "table": [0, 1, 2]}),
+    oracle_case("top-level-list", [{"kind": "relu"}]),
+    oracle_case("missing-kind", {"a": 1.0}),
+    oracle_case("kind-list", {"kind": ["relu"]}),
+    oracle_case("unknown-kind", {"kind": "cube"}),
+    oracle_case("parts-int", {"kind": "componentwise", "parts": 3}),
+    oracle_case("part-list", {"kind": "componentwise", "parts": [["relu"]]}),
+    oracle_case("a-null", {"kind": "soft", "a": None}),
+    oracle_case("a-string", {"kind": "relu", "a": "x"}),
+    oracle_case("eps-boolean", {"kind": "sign_eps", "eps": True}),
+    oracle_case("weights-list", {"kind": "layer", "weights": [1.0], "activation": "relu"}),
+    oracle_case("weights-string", {"kind": "layer", "activation": "relu",
+                                   "weights": json.dumps(GOOD_WEIGHTS)}),
+    oracle_case("clip-string", {"kind": "layer", "weights": GOOD_WEIGHTS,
+                                "activation": "tanh", "clip": "4"}),
+    oracle_case("clip-float", {"kind": "layer", "weights": GOOD_WEIGHTS,
+                               "activation": "tanh", "clip": 4.5}),
+    oracle_case("target-dim", {"kind": "matrix", "rows": 2, "cols": 1, "data": [1.0, 2.0]}),
+    layer_case("top-level-list", [1.0, 1.0]),
+    layer_case("top-level-string", json.dumps(json.dumps(GOOD_WEIGHTS))),
+    layer_case("missing-data", {"rows": 1, "cols": 2}),
+    layer_case("rank-deficient", {"rows": 1, "cols": 2, "data": [0.0, 0.0]}),
+    layer_case("target-length", GOOD_WEIGHTS, w="0.5\n0.5\n"),
+    layer_case("target-bad-float", GOOD_WEIGHTS, w="half\n"),
+    layer_case("target-missing", GOOD_WEIGHTS, w=None),
+    denoise_case("signal-length", "1.0\n2.0\n"),
+    denoise_case("signal-bad-float", "1.0\n2.0\nthree\n4.0\n"),
+    denoise_case("signal-missing", None),
+    denoise_case("out-unwritable", "1.0\n2.0\n3.0\n4.0\n", out="no-such-dir/out.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, files", MALFORMED)
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
+    for name, content in files.items():
+        if content is not None:
+            (tmp_path / name).write_text(content if isinstance(content, str)
+                                         else json.dumps(content))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    rc = cli.main(argv)                 # an uncaught exception fails the test
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_INPUT_ERROR and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+def test_file_errors_name_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    for argv in (["drazin", "--op", str(bad)], ["drazin", "--op", str(tmp_path / "none.json")]):
+        assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+        assert argv[-1] in capsys.readouterr().err
+
+
+def test_non_haar_basis_is_rejected_by_the_parser(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["denoise", "--basis", "db4", "--n", "4", "--kind", "hard", "--a", "0.5",
+                  "--signal", str(tmp_path / "in.csv"), "--out", str(tmp_path / "out.csv")])
+    assert info.value.code == cli.EXIT_INPUT_ERROR
+
+
+# ---------------------------------------------------------------------------
+# verify-suite: a raising check fails on its own, the battery still reports
+# ---------------------------------------------------------------------------
+
+SUITE_NAMES = ["pinv1d_closed_forms_vs_oracle", "mp_inverse_residuals",
+               "one_two_inverse_suite", "projection_layer", "relu_layer_qp",
+               "wavelet_identities", "drazin_vs_exhaustive", "vanishing_and_cayley_hamilton"]
+
+
+@pytest.mark.parametrize("error", [ArithmeticError("relu program did not solve: numerical"),
+                                   ValueError("bad layer")])
+def test_verify_suite_reports_a_raising_check_as_failed(capsys, monkeypatch, error):
+    rc, clean = run(capsys, ["verify-suite", "--seed", "42"])
+    assert rc == 0
+
+    def broken(layer, w, tol=1e-9):
+        raise error
+    monkeypatch.setattr(cli.applied, "relu_layer_pinv", broken)
+    rc = cli.main(["verify-suite", "--seed", "42"])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert rc == cli.EXIT_CHECK_FAILED and not out["all_pass"]
+    assert "Traceback" in captured.err and "in broken" in captured.err
+    assert [c["name"] for c in out["checks"]] == SUITE_NAMES
+    by_name = {c["name"]: c for c in out["checks"]}
+    relu = by_name["relu_layer_qp"]
+    assert not relu["pass"]
+    assert relu["detail"] == {"error": "%s: %s" % (type(error).__name__, error)}
+    # the checks before it drew the same numbers and record the same results
+    assert out["checks"][:4] == clean["checks"][:4]
+    assert all(c["pass"] for c in out["checks"] if c["name"] != "relu_layer_qp")

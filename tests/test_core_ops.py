@@ -173,6 +173,21 @@ def test_finite_operator_from_json_rejects_non_integer_entries(table):
         FiniteOperator.from_json({"domain": 2, "codomain": 2, "table": table})
 
 
+@pytest.mark.parametrize("obj", [
+    {"domain": 2.9, "codomain": "2", "table": [1, 0]},
+    {"domain": 2.0, "codomain": 2, "table": [1, 0]},
+    {"domain": True, "codomain": True, "table": [0]},
+    {"domain": 2, "codomain": None, "table": [1, 0]},
+    {"domain": 2, "codomain": 2, "table": 5},
+    {"domain": 2, "codomain": 2, "table": {}},
+    {"domain": 0, "codomain": 0, "table": {}},
+    {"domain": 2, "codomain": 2, "table": "10"},
+])
+def test_finite_operator_from_json_rejects_non_integer_sizes_and_tables(obj):
+    with pytest.raises(ValueError):
+        FiniteOperator.from_json(obj)
+
+
 def test_finite_operator_accepts_integer_kinds():
     expect = FiniteOperator(3, 3, (2, 0, 1))
     assert FiniteOperator(3, 3, [2, 0, 1]) == expect
@@ -282,3 +297,14 @@ def test_poly_field_mismatch_rejected():
     with pytest.raises(ValueError):
         OperatorPolynomial([1, 1], 5).gcd(OperatorPolynomial([1.0, 1.0]))
     assert OperatorPolynomial([2 ** 70, 3], 7) == OperatorPolynomial([2 ** 70 % 7, 3], 7)
+
+
+def test_vector_power_applies_fn_k_times_in_one_closure():
+    T = VectorOperator.pointwise(lambda b: 1.5 * np.cos(b) + 0.1, 1, name="f")
+    P = T.power(5000)
+    v = np.array([1.0])
+    for _ in range(5000):
+        v = T.apply(v)
+    assert P.apply([1.0]).tobytes() == v.tobytes()
+    assert P.name == "f^5000"
+    assert T.power(0).apply([0.25]).tobytes() == np.array([0.25]).tobytes()
