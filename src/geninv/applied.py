@@ -332,6 +332,7 @@ def _kkt_residuals(qp, v, lam, mu):
 # ---------------------------------------------------------------------------
 
 RANK_TOL = 1e-10
+_TANH, _RELU = Scalar1DOperator("tanh"), Scalar1DOperator("relu")
 
 
 @dataclass
@@ -357,10 +358,7 @@ class NeuralLayer:
 
     def operator(self):
         A = self.weights
-        if self.activation == "tanh":
-            f = np.tanh
-        else:
-            f = lambda u: np.maximum(u, 0.0)
+        f = Scalar1DOperator(self.activation).forward
         op = VectorOperator(A.shape[1], A.shape[0], lambda b: f(b @ A.T),
                             name=self.activation + "_layer")
         if self.clip is not None:
@@ -375,13 +373,14 @@ class NeuralLayer:
 def tanh_layer_pinv(layer, w):
     """Unique pseudo-inverse of a tanh layer: A^+ arctanh(w).
 
-    Returns None ("undefined at w") when any |w_i| >= 1; those targets
-    have no nearest point in the open image (-1,1)^m.
+    Returns None ("undefined at w") where tanh's closed form is undefined
+    at some w_i (|w_i| >= 1); those targets have no nearest point in the
+    open image (-1,1)^m.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(np.abs(w) >= 1.0):
+    u, defined = pinv_table(_TANH, np.atleast_1d(w))
+    if not defined.all():
         return None
-    return mp_inverse(layer.weights) @ np.arctanh(w)
+    return mp_inverse(layer.weights) @ u
 
 
 def clipped_tanh_layer_pinv(layer, w, tol=1e-9):
@@ -402,8 +401,8 @@ def clipped_tanh_layer_pinv(layer, w, tol=1e-9):
     clamped = np.abs(wc) >= hi
     # -sign(w_i) (Av)_i <= -arctanh(hi): (Av)_i >= arctanh(hi) at w_i = hi
     sign = -np.sign(wc[clamped])
-    qp = LeastNormQP(A[~clamped], np.arctanh(wc[~clamped]), sign[:, None] * A[clamped],
-                     np.full(len(sign), -np.arctanh(hi)))
+    qp = LeastNormQP(A[~clamped], pinv_table(_TANH, wc[~clamped])[0],
+                     sign[:, None] * A[clamped], np.full(len(sign), -np.arctanh(hi)))
     out = solve_least_norm_qp(qp, tol=tol)
     if out.status != "optimal":
         raise ArithmeticError("clipped-tanh program did not solve: %s "
@@ -414,8 +413,7 @@ def clipped_tanh_layer_pinv(layer, w, tol=1e-9):
 def relu_layer_pinv(layer, w, tol=1e-9):
     """Pseudo-inverse of relu(A .): negative targets clamp to 0 first, then
     least-norm v with (Av)_i = w_i where w_i > 0 and (Av)_i <= 0 where w_i = 0."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    wc = np.maximum(w, 0.0)
+    wc = pinv_table(_RELU, np.atleast_1d(w))[0]
     A = layer.weights
     pos = wc > 0
     qp = LeastNormQP(A[pos], wc[pos], A[~pos], np.zeros(int(np.sum(~pos))))

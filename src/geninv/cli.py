@@ -29,7 +29,9 @@ class InputError(Exception):
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    """Strict JSON: a NaN or infinite number raises ValueError, an input error."""
+    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                                allow_nan=False) + "\n")
 
 
 def _read_json_file(path):
@@ -83,16 +85,17 @@ def load_vector_operator(obj):
     if kind == "layer":
         A = numerics.matrix_from_json(_json_object(obj["weights"], "\"weights\""))
         if obj.get("clip") is not None:
-            numerics.integer_entries([obj["clip"]])
+            numerics.integer_entries([obj["clip"]], '"clip"')
         return applied.NeuralLayer(A, obj["activation"], obj.get("clip")).operator()
     if kind == "componentwise":
         if not isinstance(obj["parts"], list):
             raise InputError("\"parts\" must be a JSON list")
         return structured_inverse.product_operator(
             [load_vector_operator(p) for p in obj["parts"]])
-    a, eps, c = obj.get("a", 0.0), obj.get("eps", 1.0), obj.get("c", 1.0)
-    numerics.real_entries([a, eps, c])
-    return pseudo_inverse.Scalar1DOperator(kind, a=a, eps=eps, c=c).as_vector_operator()
+    params = {"a": obj.get("a", 0.0), "eps": obj.get("eps", 1.0), "c": obj.get("c", 1.0)}
+    for name, x in params.items():
+        numerics.real_entries([x], '"%s"' % name)
+    return pseudo_inverse.Scalar1DOperator(kind, **params).as_vector_operator()
 
 
 # ---------------------------------------------------------------------------

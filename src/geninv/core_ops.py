@@ -35,7 +35,7 @@ def checked_table(table, domain_size, codomain_size):
 def _checked_table(table, domain_size, codomain_size):
     """checked_table, plus the set of entry types (None for an array), so
     FiniteOperator can keep a tuple of Python ints without a second scan."""
-    kinds = integer_entries(table)
+    kinds = integer_entries(table, "table entries")
     try:
         arr = np.array(table, dtype=np.int64)
     except OverflowError:
@@ -80,7 +80,8 @@ class FiniteOperator:
     def from_json(text):
         """The sizes must pass integer_entries and the table checked_table."""
         obj = json.loads(text) if isinstance(text, str) else text
-        integer_entries([obj["domain"], obj["codomain"]])
+        integer_entries([obj["domain"]], '"domain"')
+        integer_entries([obj["codomain"]], '"codomain"')
         table = obj["table"]            # a tuple of ints is kept, not rebuilt from arr
         return FiniteOperator(obj["domain"], obj["codomain"],
                               tuple(table) if isinstance(table, list) else table)
@@ -380,7 +381,7 @@ class OperatorPolynomial:
         if field == "real":
             return OperatorPolynomial(obj["coeffs"])
         fp_check(field["prime"])
-        integer_entries(obj["coeffs"])
+        integer_entries(obj["coeffs"], '"coeffs"')
         return OperatorPolynomial(obj["coeffs"], int(field["prime"]))
 
     def to_json(self):

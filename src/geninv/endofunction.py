@@ -135,9 +135,12 @@ def drazin_inverse(T):
 
     kk = max(k, 1)
     tkk = tk if k else t
-    assert np.array_equal(tkk[g[t]], tkk), "MP1^k failed; construction bug"
-    assert np.array_equal(g[t[g]], g), "MP2 failed; construction bug"
-    assert np.array_equal(t[g], g[t]), "D5 failed; construction bug"
+    if not np.array_equal(tkk[g[t]], tkk):
+        raise AssertionError("MP1^k failed; construction bug")
+    if not np.array_equal(g[t[g]], g):
+        raise AssertionError("MP2 failed; construction bug")
+    if not np.array_equal(t[g], g[t]):
+        raise AssertionError("D5 failed; construction bug")
     return DrazinResult(True, G, kk, k, fg)
 
 
@@ -179,7 +182,8 @@ def left_drazin_inverse(T, fill=None):
     k = fg.k
     m = max(k, 1)
     lhs = compose(G, power(T, m + 1))
-    assert lhs == power(T, m), "left-Drazin identity failed; construction bug"
+    if lhs != power(T, m):
+        raise AssertionError("left-Drazin identity failed; construction bug")
     return LeftDrazinResult(G, m, k)
 
 

@@ -77,8 +77,9 @@ def matrix_from_json(text):
     fill the shape exactly."""
     obj = json.loads(text) if isinstance(text, str) else text
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    integer_entries([rows, cols])
-    real_entries(data)
+    integer_entries([rows], '"rows"')
+    integer_entries([cols], '"cols"')
+    real_entries(data, '"data"')
     A = np.asarray(data, dtype=float)
     if A.ndim != 1 or min(rows, cols) < 0 or A.size != rows * cols:
         raise ValueError("matrix data must hold rows * cols = %d x %d numbers" % (rows, cols))
@@ -96,8 +97,9 @@ def fp_matrix_from_json(text):
     obj = json.loads(text) if isinstance(text, str) else text
     p = obj["prime"]
     fp_check(p)
-    integer_entries(obj["data"])
-    integer_entries([obj["rows"], obj["cols"]])
+    integer_entries(obj["data"], '"data"')
+    integer_entries([obj["rows"]], '"rows"')
+    integer_entries([obj["cols"]], '"cols"')
     A = np.asarray(obj["data"], dtype=np.int64).reshape(obj["rows"], obj["cols"])
     return np.mod(A, p), int(p)
 
@@ -112,7 +114,8 @@ def fp_matrix_to_json(A, p):
 # exact prime-field linear algebra
 # ---------------------------------------------------------------------------
 
-def _entries(values, dtype_kinds, types, message):
+def _entries(values, dtype_kinds, types, what, allowed):
+    message = "%s must be %s" % (what, allowed)
     kinds = None
     if isinstance(values, np.ndarray):
         ok = values.dtype.kind in dtype_kinds or not values.size
@@ -127,18 +130,20 @@ def _entries(values, dtype_kinds, types, message):
     return kinds
 
 
-def integer_entries(values):
-    """The set of entry types of `values` (None for an array). ValueError unless
-    each entry is an integer, not a boolean; floats are rejected, never truncated."""
-    return _entries(values, "iu", (int, np.integer),
-                    "entries must be integers, not floats or booleans")
+def integer_entries(values, what="entries"):
+    """The set of entry types of `values` (None for an array). ValueError, naming
+    `what`, unless each entry is an integer, not a boolean; floats are rejected,
+    never truncated."""
+    return _entries(values, "iu", (int, np.integer), what,
+                    "integers, not floats or booleans")
 
 
-def real_entries(values):
-    """ValueError unless each entry of `values` is an integer or a float, not a
-    boolean, a string or a list; the set of entry types (None for an array)."""
-    return _entries(values, "iuf", (int, float, np.integer, np.floating),
-                    "entries must be numbers, not booleans, strings or lists")
+def real_entries(values, what="entries"):
+    """ValueError, naming `what`, unless each entry of `values` is an integer or
+    a float, not a boolean, a string or a list; the set of entry types (None
+    for an array)."""
+    return _entries(values, "iuf", (int, float, np.integer, np.floating), what,
+                    "numbers, not booleans, strings or lists")
 
 
 def is_prime(p):

@@ -2,8 +2,9 @@
 
 A pseudo-inverse G of T must satisfy BAS -- G(w) minimizes ||T(v) - w||
 and, among minimizers, has minimal ||v|| -- together with MP2. This module
-holds the closed forms for the named one-dimensional operators, evaluated
-on whole arrays by one table (`pinv_table`), a grid search oracle
+describes each named one-dimensional operator kind once (`_KINDS`: its
+map, its closed form on whole arrays, the interval where that is defined
+and whether it is unique), read by `pinv_table`; a grid search oracle
 realizing BAS directly, report-producing verifiers, and the
 expanding-domain limit construction.
 
@@ -29,11 +30,54 @@ KIND_ALIASES = {
     "shifted": "shifted_square",
 }
 
-KINDS = ("square", "shifted_square", "relu", "hard_threshold", "soft_threshold",
-         "tanh", "sign", "sign_eps", "exp", "sine", "linear", "custom")
+
+def _nonneg(w):
+    """max(w, 0) per entry; like Python's max it keeps -0.0 and NaN."""
+    return np.where(w < 0.0, 0.0, w)
+
+
+def _hard_threshold_pinv(op, w):
+    aw = np.abs(w)
+    return np.sign(w) * (aw > op.a / 2.0) * np.where(aw > op.a, aw, op.a)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One scalar kind. `forward(op, v)` is the map and `pinv(op, w)` its
+    closed-form pseudo-inverse on an array of targets (None: no closed
+    form); both read op's parameters. The closed form is defined on the
+    interval `domain` = (lo, hi, closed), where an infinite end excludes
+    nothing. `unique`: the pseudo-inverse is single-valued where defined."""
+
+    forward: object
+    pinv: object = None
+    domain: tuple = (-np.inf, np.inf, True)
+    unique: bool = True
+
+
+_KINDS = {
+    "square": _Kind(lambda op, v: v * v, lambda op, w: np.sqrt(_nonneg(w)), unique=False),
+    "shifted_square": _Kind(lambda op, v: (v - op.a) ** 2,
+                            lambda op, w: op.a - np.sign(op.a) * np.sqrt(_nonneg(w))),
+    "relu": _Kind(lambda op, v: np.maximum(v, 0.0), lambda op, w: _nonneg(w)),
+    "hard_threshold": _Kind(lambda op, v: v * (np.abs(v) >= op.a), _hard_threshold_pinv),
+    "soft_threshold": _Kind(lambda op, v: np.sign(v) * np.maximum(np.abs(v) - op.a, 0.0),
+                            lambda op, w: np.sign(w) * (np.abs(w) + op.a)),
+    "tanh": _Kind(lambda op, v: np.tanh(v), lambda op, w: np.arctanh(w), (-1.0, 1.0, False)),
+    "sign": _Kind(lambda op, v: np.sign(v), lambda op, w: np.zeros_like(w), (-0.5, 0.5, True)),
+    "sign_eps": _Kind(lambda op, v: np.clip(v / op.eps, -1.0, 1.0),
+                      lambda op, w: op.eps * np.clip(w, -1.0, 1.0)),
+    "exp": _Kind(lambda op, v: np.exp(v), lambda op, w: np.log(w), (0.0, np.inf, False)),
+    "sine": _Kind(lambda op, v: np.sin(v), lambda op, w: np.arcsin(np.clip(w, -1.0, 1.0))),
+    "linear": _Kind(lambda op, v: op.c * v,
+                    lambda op, w: np.zeros_like(w) if op.c == 0.0 else w / op.c),
+    "custom": _Kind(lambda op, v: np.asarray(op.fn(v), dtype=float), unique=False),
+}
+
+KINDS = tuple(_KINDS)
 
 # kinds whose pseudo-inverse is unique wherever defined
-UNIQUE_KINDS = frozenset(KINDS) - {"square", "custom"}
+UNIQUE_KINDS = frozenset(k for k, rec in _KINDS.items() if rec.unique)
 
 
 @dataclass(frozen=True)
@@ -61,31 +105,7 @@ class Scalar1DOperator:
             raise ValueError("custom kind needs a callable")
 
     def forward(self, v):
-        v = np.asarray(v, dtype=float)
-        k, a = self.kind, self.a
-        if k == "square":
-            return v * v
-        if k == "shifted_square":
-            return (v - a) ** 2
-        if k == "relu":
-            return np.maximum(v, 0.0)
-        if k == "hard_threshold":
-            return v * (np.abs(v) >= a)
-        if k == "soft_threshold":
-            return np.sign(v) * np.maximum(np.abs(v) - a, 0.0)
-        if k == "tanh":
-            return np.tanh(v)
-        if k == "sign":
-            return np.sign(v)
-        if k == "sign_eps":
-            return np.clip(v / self.eps, -1.0, 1.0)
-        if k == "exp":
-            return np.exp(v)
-        if k == "sine":
-            return np.sin(v)
-        if k == "linear":
-            return self.c * v
-        return np.asarray(self.fn(v), dtype=float)
+        return _KINDS[self.kind].forward(self, np.asarray(v, dtype=float))
 
     def __call__(self, v):
         return self.forward(v)
@@ -94,22 +114,17 @@ class Scalar1DOperator:
         return VectorOperator.from_scalar(self.forward, name=self.kind)
 
     def pinv_domain(self):
-        """Interval (lo, hi, closed) on which the closed form is defined."""
-        if self.kind == "tanh":
-            return (-1.0, 1.0, False)
-        if self.kind == "sign":
-            return (-0.5, 0.5, True)
-        if self.kind == "exp":
-            return (0.0, np.inf, False)
-        return (-np.inf, np.inf, True)
+        """Interval (lo, hi, closed) on which the closed form is defined; an
+        infinite end excludes nothing."""
+        return _KINDS[self.kind].domain
 
 
 @dataclass(frozen=True)
 class Pinv1D:
     """Closed-form pseudo-inverse value(s) at one target.
 
-    defined=False means "undefined at w". `values` carries both signs for
-    the square kind (its pseudo-inverse is not unique); otherwise a single
+    defined=False means "undefined at w". `values` carries both roots for
+    a kind whose pseudo-inverse is not unique (square); otherwise a single
     entry.
     """
 
@@ -130,67 +145,44 @@ class Pinv1D:
 UNDEFINED = Pinv1D(False, ())
 
 
-def _nonneg(w):
-    """max(w, 0) per entry; like Python's max it keeps -0.0 and NaN."""
-    return np.where(w < 0.0, 0.0, w)
-
-
 def pinv_table(op, w):
     """Closed-form pseudo-inverse of `op` at every target in the array w.
 
-    Returns (values, defined), both shaped like w. Where the nearest-point
-    problem has no solution, defined is False and the value is NaN. For
-    the square kind, values holds the nonnegative root; the other root is
-    its negation.
+    Returns (values, defined), both shaped like w. defined is membership
+    in `op.pinv_domain()`; outside it the nearest-point problem has no
+    solution and the value is NaN. No end excludes a NaN target: it is
+    defined, with value NaN. For a kind that is not unique (square),
+    values holds the nonnegative root; the other root is its negation.
     """
     w = np.asarray(w, dtype=float)
-    k, a = op.kind, op.a
-    undefined = None
+    rec = _KINDS[op.kind]
+    if rec.pinv is None:
+        raise ValueError("no closed form for kind %r" % (op.kind,))
     # log(0) and arctanh(+-1) at undefined targets are masked below, and
     # overflow to +-inf is the value the float formula gives: no warnings
     with np.errstate(all="ignore"):
-        if k == "square":
-            v = np.sqrt(_nonneg(w))
-        elif k == "shifted_square":
-            v = a - np.sign(a) * np.sqrt(_nonneg(w))
-        elif k == "relu":
-            v = _nonneg(w)
-        elif k == "hard_threshold":
-            aw = np.abs(w)
-            v = np.sign(w) * (aw > a / 2.0) * np.where(aw > a, aw, a)
-        elif k == "soft_threshold":
-            v = np.sign(w) * (np.abs(w) + a)
-        elif k == "tanh":
-            undefined = np.abs(w) >= 1.0
-            v = np.arctanh(w)
-        elif k == "sign":
-            undefined = np.abs(w) > 0.5
-            v = np.zeros_like(w)
-        elif k == "sign_eps":
-            v = op.eps * np.clip(w, -1.0, 1.0)
-        elif k == "exp":
-            undefined = w <= 0.0
-            v = np.log(w)
-        elif k == "sine":
-            v = np.arcsin(np.clip(w, -1.0, 1.0))
-        elif k == "linear":
-            v = np.zeros_like(w) if op.c == 0.0 else w / op.c
-        else:
-            raise ValueError("no closed form for kind %r" % (k,))
-    if undefined is None:
-        return np.asarray(v, dtype=float), np.ones(w.shape, dtype=bool)
+        v = np.asarray(rec.pinv(op, w), dtype=float)
+    lo, hi, closed = rec.domain
+    if lo == -np.inf and hi == np.inf:
+        return v, np.ones(w.shape, dtype=bool)
+    undefined = np.zeros(w.shape, dtype=bool)
+    if lo > -np.inf:
+        undefined |= w < lo if closed else w <= lo
+    if hi < np.inf:
+        undefined |= w > hi if closed else w >= hi
     return np.where(undefined, np.nan, v), ~undefined
 
 
 def closed_form_pinv(op, w):
-    """Table closed form for one scalar target w."""
+    """Table closed form for one scalar target w; both roots where the
+    kind is not unique."""
     values, defined = pinv_table(op, np.array([float(w)]))
     if not defined[0]:
         return UNDEFINED
     v = float(values[0])
-    if op.kind == "square":
-        return Pinv1D(True, (0.0,) if v == 0.0 else (-v, v))
-    return Pinv1D(True, (v,))
+    if op.kind in UNIQUE_KINDS:
+        return Pinv1D(True, (v,))
+    return Pinv1D(True, (0.0,) if v == 0.0 else (-v, v))
 
 
 def pinv1d_operator(op):

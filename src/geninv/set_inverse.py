@@ -106,7 +106,8 @@ def build_one_two_inverse(T, spec=None):
     G = FiniteOperator(T.codomain_size, T.domain_size,
                        _invert_on(T.arr, v0, p0, T.codomain_size))
     mp1, mp2 = check_mp_axioms(T, G)
-    assert mp1 and mp2, "construction violated MP1-2; spec validation is broken"
+    if not (mp1 and mp2):
+        raise AssertionError("construction violated MP1-2; spec validation is broken")
     return G
 
 

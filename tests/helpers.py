@@ -1,11 +1,24 @@
 """Shared independent oracles for the test suite."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 
 from geninv.applied import QP_CAP, LeastNormQP, QPResult, _kkt_residuals
 from geninv.pseudo_inverse import Pinv1D, UNDEFINED
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_optimized(code):
+    """Run `code` in a fresh `python -O` (assert statements stripped) with
+    the package's sources on its path; the CompletedProcess, text output."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
 
 
 def qp_oracle_enumerate(qp, tol=1e-9):

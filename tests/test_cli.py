@@ -416,6 +416,11 @@ MALFORMED = [
     denoise_case("signal-bad-float", "1.0\n2.0\nthree\n4.0\n"),
     denoise_case("signal-missing", None),
     denoise_case("out-unwritable", "1.0\n2.0\n3.0\n4.0\n", out="no-such-dir/out.csv"),
+    # a NaN or infinite result is not JSON: stdout stays empty
+    pytest.param(["pinv1d", "--kind", "soft", "--a", "nan", "--w", "1"], {},
+                 id="pinv1d-a-nan"),
+    layer_case("target-nan", GOOD_WEIGHTS, w="nan\n"),
+    pytest.param(["pinv1d", "--kind", "exp", "--w", "inf"], {}, id="pinv1d-exp-w-inf"),
 ]
 
 
@@ -431,6 +436,19 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
     assert rc == cli.EXIT_INPUT_ERROR and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv, op, field", [
+    pytest.param(["oracle", "--w", "1", "--box", "-1", "1", "--step", "0.5"],
+                 {"kind": "soft", "a": None}, '"a"', id="oracle-a-null"),
+    pytest.param(["drazin"], {"domain": 2.9, "codomain": 2, "table": [1, 0]}, '"domain"',
+                 id="drazin-float-domain"),
+])
+def test_validation_errors_name_the_field(tmp_path, capsys, argv, op, field):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op))
+    assert cli.main(argv + ["--op", str(path)]) == cli.EXIT_INPUT_ERROR
+    assert field in capsys.readouterr().err
 
 
 def test_file_errors_name_the_file(tmp_path, capsys):

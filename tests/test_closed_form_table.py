@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from geninv import (Scalar1DOperator, closed_form_pinv, pinv1d_operator, haar_basis,
                     wavelet_threshold_roundtrip, fp_matmul, applied, cli)
 from geninv.numerics import INT64_LIMIT, LIMB_BITS
-from geninv.pseudo_inverse import KINDS, pinv_table
+from geninv.pseudo_inverse import KINDS, UNIQUE_KINDS, pinv_table
 
 from helpers import closed_form_pinv_scalar, wavelet_roundtrip_dense, fp_matmul_object
 
@@ -112,6 +112,38 @@ def test_pinv1d_operator_rejects_undefined_inside_batch(kind, seed, pos, which):
     w[pos] = bad[which % len(bad)]
     with pytest.raises(ValueError):
         G.apply_batch(w[:, None])
+
+
+def in_pinv_domain(op, x):
+    """x lies in op.pinv_domain(): no finite end excludes it. An infinite end
+    excludes nothing, and NaN lies beyond no end."""
+    lo, hi, closed = op.pinv_domain()
+    below = lo > -np.inf and (x < lo or (not closed and x == lo))
+    above = hi < np.inf and (x > hi or (not closed and x == hi))
+    return not (below or above)
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_pinv_domain_and_table_agree(kind):
+    op = Scalar1DOperator(kind, a=1.0)
+    w = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    for end in op.pinv_domain()[:2]:
+        if np.isfinite(end):
+            w += [end, np.nextafter(end, -np.inf), np.nextafter(end, np.inf)]
+    _, defined = pinv_table(op, np.array(w))
+    assert defined.tolist() == [in_pinv_domain(op, x) for x in w]
+    assert [closed_form_pinv(op, x).defined for x in w] == defined.tolist()
+
+
+def test_pinv1d_operator_accepts_exactly_the_unique_kinds():
+    assert set(KINDS) - UNIQUE_KINDS == {"square", "custom"}
+    for kind in KINDS:
+        op = Scalar1DOperator(kind, a=1.0, fn=np.cbrt)
+        if kind in UNIQUE_KINDS:
+            assert pinv1d_operator(op).name == kind + "_pinv"
+        else:
+            with pytest.raises(ValueError):
+                pinv1d_operator(op)
 
 
 @pytest.mark.parametrize("k", range(11))

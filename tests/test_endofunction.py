@@ -6,6 +6,8 @@ from geninv import (FiniteOperator, compose, power, image_chain,
                     exhaustive_drazin_search, Scalar1DOperator, GridOracle)
 from geninv.numerics import fp_matmul
 
+from helpers import run_optimized
+
 
 def random_endo(rng, n):
     return FiniteOperator(n, n, rng.integers(0, n, size=n))
@@ -241,3 +243,38 @@ def test_loop_formula_agrees_with_chain_construction():
         got = drazin_loop_formula(T, pair[0], pair[1])
         assert got == drazin_inverse(T).inverse
         found += 1
+
+
+def test_construction_checks_survive_optimize_flag():
+    # each of the five construction checks raises AssertionError under
+    # python -O too; a patched helper makes exactly one of them fail
+    code = (
+        "import numpy\n"
+        "import geninv.endofunction as e\n"
+        "import geninv.set_inverse as s\n"
+        "from geninv.core_ops import FiniteOperator\n"
+        "class Np:\n"
+        "    def __getattr__(self, name):\n"
+        "        return getattr(numpy, name)\n"
+        "def check(f, T):\n"
+        "    try:\n"
+        "        f(T)\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+        "T = FiniteOperator(3, 3, [1, 2, 2])\n"
+        "for bad in range(3):\n"
+        "    calls = []\n"
+        "    e.np = Np()\n"
+        "    e.np.array_equal = lambda x, y, bad=bad: (calls.append(0) or len(calls) != bad + 1\n"
+        "                                              and numpy.array_equal(x, y))\n"
+        "    check(e.drazin_inverse, T)\n"
+        "e.compose = lambda G, T: T\n"
+        "check(e.left_drazin_inverse, FiniteOperator(2, 2, [1, 0]))\n"
+        "s.check_mp_axioms = lambda T, G: (True, False)\n"
+        "check(s.build_one_two_inverse, T)\n")
+    out = run_optimized(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "MP1^k failed; construction bug", "MP2 failed; construction bug",
+        "D5 failed; construction bug", "left-Drazin identity failed; construction bug",
+        "construction violated MP1-2; spec validation is broken"]

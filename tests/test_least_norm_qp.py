@@ -7,9 +7,6 @@ seeds whose layers are nearly singular, and the clipped-tanh row split.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -18,10 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from geninv import (LeastNormQP, NeuralLayer, clipped_tanh_layer_pinv,
                     relu_layer_pinv, solve_least_norm_qp)
 from geninv import applied, cli
-from helpers import (clipped_tanh_qp_loop, qp_oracle_enumerate_svd,
+from helpers import (clipped_tanh_qp_loop, qp_oracle_enumerate_svd, run_optimized,
                      solve_least_norm_qp_lstsq)
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # the 3x3 relu layers of verify-suite seeds 1249 and 1713 (smallest singular
 # values 2.9e-5 and 3.7e-5) with their targets; both have exact preimages
@@ -216,9 +211,7 @@ def test_corrupted_certificate_is_numerical_under_optimize_flag():
         "good = a._farkas_vector\n"
         "a._farkas_vector = lambda *args: good(*args) * np.array([1.0, 1.0, 0.5])\n"
         "print(a.solve_least_norm_qp(qp).status)\n")
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60)
+    out = run_optimized(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["infeasible", "numerical"]
 

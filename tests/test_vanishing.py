@@ -13,6 +13,8 @@ from geninv import (OperatorPolynomial, FiniteOperator, power, image_chain,
                     fp_invert, fp_matmul)
 from geninv.vanishing import encode
 
+from helpers import run_optimized
+
 
 def random_fp_operator(rng, p, n):
     return FpVectorOperator(p, n, rng.integers(0, p ** n, size=p ** n))
@@ -526,9 +528,6 @@ def test_cayley_hamilton_inverse_numpy_integer_prime():
 
 def test_certificates_survive_optimize_flag():
     # a failing certificate raises AssertionError under python -O too
-    import os
-    import subprocess
-    import sys
     code = (
         "import geninv.vanishing as v\n"
         "T = v.FpVectorOperator(2, 1, [1, 0])\n"
@@ -538,9 +537,6 @@ def test_certificates_survive_optimize_flag():
         "        f(T)\n"
         "    except AssertionError:\n"
         "        print('raised')\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60)
+    out = run_optimized(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["raised", "raised"]
