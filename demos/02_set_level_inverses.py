@@ -13,11 +13,11 @@ from geninv import (FiniteOperator, OneTwoInverseSpec, build_one_two_inverse,
                     enumerate_one_two_inverses, one_two_inverse_count, compose)
 
 T = FiniteOperator(3, 2, (1, 1, 0))
-print("T: {0,1,2} -> {0,1} with table", T.table)
+print("T: {0,1,2} -> {0,1} with table", T.table.tolist())
 
 spec = OneTwoInverseSpec(v0=(0, 2), p0=(0, 1))
 G = build_one_two_inverse(T, spec)
-print("sources {0,2} + identity retraction give the inverse table", G.table)
+print("sources {0,2} + identity retraction give the inverse table", G.table.tolist())
 print("MP1 (TGT=T) and MP2 (GTG=G):", check_mp_axioms(T, G))
 print("double inverse returns T exactly:", double_inverse(T, G) == T)
 
@@ -27,7 +27,7 @@ print("\nall {1,2}-inverses of T:", [tuple(int(x) for x in r) for r in found],
 
 E = FiniteOperator(4, 4, (0, 0, 2, 2))
 print("\nan idempotent operator is always one of its own {1,2}-inverses:")
-print("  E =", E.table, "E in E{1,2}:", check_mp_axioms(E, E))
+print("  E =", E.table.tolist(), "E in E{1,2}:", check_mp_axioms(E, E))
 print("  but with image size > 1 it is not the only one:",
       len(enumerate_one_two_inverses(E)), "inverses exist")
 

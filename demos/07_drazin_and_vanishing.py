@@ -17,9 +17,9 @@ from geninv import (FiniteOperator, compose, image_chain, drazin_inverse,
 
 T = FiniteOperator(6, 6, (1, 2, 1, 2, 0, 3))
 chain = image_chain(T)
-print("image chain of", T.table, ":", [[int(i) for i in s] for s in chain.sets])
+print("image chain of", T.table.tolist(), ":", [[int(i) for i in s] for s in chain.sets])
 res = drazin_inverse(T)
-print("Drazin inverse:", res.inverse.table, " index:", res.index)
+print("Drazin inverse:", res.inverse.table.tolist(), " index:", res.index)
 print("commutation T G = G T:",
       compose(T, res.inverse) == compose(res.inverse, T))
 
@@ -29,10 +29,10 @@ print("  Drazin inverse = T itself:", drazin_loop_formula(E, 2, 1) == E)
 
 shrink = FiniteOperator(4, 4, (0, 0, 1, 2))
 print("\na collapsing shift has Drazin inverse 0 (the nilpotent case):",
-      drazin_inverse(shrink).inverse.table)
+      drazin_inverse(shrink).inverse.table.tolist())
 ld = left_drazin_inverse(shrink)
 print("its left-Drazin inverse is freer: parameter m=%d, table %s"
-      % (ld.parameter, ld.inverse.table))
+      % (ld.parameter, ld.inverse.table.tolist()))
 
 print("\n-- vanishing polynomials over F_p --")
 rng = np.random.default_rng(5)

@@ -54,15 +54,22 @@ def _json_object(obj, what):
 
 
 def _read_csv_signal(path):
+    """One finite float per non-blank line of file `path`; InputError naming
+    the file and the first bad line otherwise."""
     try:
         with open(path) as fh:
             lines = [ln for ln in map(str.strip, fh) if ln]
         # numpy converts each str with Python's float(): same inputs accepted
-        return np.array(lines, dtype=float)
+        values = np.array(lines, dtype=float)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e))
     except ValueError as e:
         raise InputError("bad float in %s: %s" % (path, e))
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise InputError("bad float in %s: %r is not finite"
+                         % (path, lines[np.argmin(finite)]))
+    return values
 
 
 def _write_csv_signal(path, values):
@@ -156,7 +163,7 @@ def cmd_drazin(args):
         core_ops.FiniteOperator.from_json(_read_json_file(args.op)))
     # T^j(V) = {v : exit_level[v] >= j} for j = 0..k, in O(n) output
     _emit({"exists": res.exists, "index": res.index,
-           "inverse_table": list(res.inverse.table),
+           "inverse_table": res.inverse.table.tolist(),
            "exit_level": res.graph.exit_level.tolist()})
     return EXIT_OK
 
@@ -172,7 +179,7 @@ def cmd_vanish(args):
         n += 1
     if p ** n != size:
         raise InputError("domain size %d is not a power of prime %d" % (size, p))
-    T = vanishing.FpVectorOperator(p, n, T_table.arr)
+    T = vanishing.FpVectorOperator(p, n, T_table.table)
     l, m = vanishing.stabilization_profile(T)
     van, mini = vanishing.find_vanishing_poly(T), vanishing.minimal_poly(T)
     _emit({"vanishing": [int(c) for c in van.coeffs],

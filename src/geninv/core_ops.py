@@ -1,13 +1,15 @@
 """Operator abstractions: finite operator tables, vector operators, polynomials.
 
 Finite operators are total maps between id sets {0..n-1}, stored as dense
-tables. Vector operators wrap a deterministic rule on real vectors and are
-closed under composition, powers, pointwise linear combination, and the
+read-only int64 tables; an endofunction's functional graph is analysed once,
+on first use. Vector operators wrap a deterministic rule on real vectors and
+are closed under composition, powers, pointwise linear combination, and the
 named one-dimensional kinds. Operator polynomials act by iterating the
 operator and accumulating: p(T)(v) = sum_i a_i T^i(v).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import json
 
 import numpy as np
@@ -29,13 +31,7 @@ def checked_table(table, domain_size, codomain_size):
 
     Entries must pass numerics.integer_entries. Raises ValueError.
     """
-    return _checked_table(table, domain_size, codomain_size)[0]
-
-
-def _checked_table(table, domain_size, codomain_size):
-    """checked_table, plus the set of entry types (None for an array), so
-    FiniteOperator can keep a tuple of Python ints without a second scan."""
-    kinds = integer_entries(table, "table entries")
+    integer_entries(table, "table entries")
     try:
         arr = np.array(table, dtype=np.int64)
     except OverflowError:
@@ -48,33 +44,50 @@ def _checked_table(table, domain_size, codomain_size):
         raise ValueError("nonempty domain needs a nonempty codomain")
     if domain_size and (arr.min() < 0 or arr.max() >= codomain_size):
         raise ValueError("table entries must lie inside the codomain")
-    return arr, kinds
+    return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteOperator:
-    """A total map {0..domain_size-1} -> {0..codomain_size-1} as a table."""
+    """A total map {0..domain_size-1} -> {0..codomain_size-1} as a table:
+    the read-only int64 array checked_table returns. Equal sizes and
+    tables make equal operators; an array table makes them unhashable."""
 
     domain_size: int
     codomain_size: int
-    table: tuple
+    table: np.ndarray
 
     def __post_init__(self):
-        arr, kinds = _checked_table(self.table, self.domain_size, self.codomain_size)
-        if not (isinstance(self.table, tuple) and kinds <= {int}):
-            object.__setattr__(self, "table", tuple(arr.tolist()))
-        object.__setattr__(self, "arr", arr)      # the table as an int64 array
+        table = checked_table(self.table, self.domain_size, self.codomain_size)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other):                    # which also sets __hash__ to None
+        return (isinstance(other, FiniteOperator) and self.domain_size == other.domain_size
+                and self.codomain_size == other.codomain_size
+                and np.array_equal(self.table, other.table))
 
     def __call__(self, i):
-        return self.table[i]
+        return int(self.table[i])
 
     @property
     def is_endofunction(self):
         return self.domain_size == self.codomain_size
 
+    @cached_property
+    def graph(self):
+        """The functional graph of an endofunction, analysed once per operator;
+        its arrays are read-only, as every reader shares them."""
+        if not self.is_endofunction:
+            raise ValueError("operator must map a set to itself")
+        fg = functional_graph(self.table)
+        for a in (fg.on_cycle, fg.cycle_length, fg.depth, fg.exit_level, fg.cycle_root):
+            a.flags.writeable = False
+        return fg
+
     @staticmethod
     def identity(n):
-        return FiniteOperator(n, n, tuple(range(n)))
+        return FiniteOperator(n, n, np.arange(n))
 
     @staticmethod
     def from_json(text):
@@ -82,13 +95,11 @@ class FiniteOperator:
         obj = json.loads(text) if isinstance(text, str) else text
         integer_entries([obj["domain"]], '"domain"')
         integer_entries([obj["codomain"]], '"codomain"')
-        table = obj["table"]            # a tuple of ints is kept, not rebuilt from arr
-        return FiniteOperator(obj["domain"], obj["codomain"],
-                              tuple(table) if isinstance(table, list) else table)
+        return FiniteOperator(obj["domain"], obj["codomain"], obj["table"])
 
     def to_json(self):
         return {"domain": self.domain_size, "codomain": self.codomain_size,
-                "table": list(self.table)}
+                "table": self.table.tolist()}
 
 
 def compose(outer, inner):
@@ -96,7 +107,7 @@ def compose(outer, inner):
     if inner.codomain_size != outer.domain_size:
         raise DimensionMismatch("cannot compose: inner codomain %d != outer domain %d"
                                 % (inner.codomain_size, outer.domain_size))
-    table = outer.arr[inner.arr]
+    table = outer.table[inner.table]
     return FiniteOperator(inner.domain_size, outer.codomain_size, table)
 
 
@@ -104,7 +115,7 @@ def power(T, k):
     """k-fold self-composition of an endofunction; power(T, 0) is the identity."""
     if not T.is_endofunction:
         raise DimensionMismatch("power requires an endofunction")
-    return FiniteOperator(T.domain_size, T.domain_size, table_power(T.arr, k))
+    return FiniteOperator(T.domain_size, T.domain_size, table_power(T.table, k))
 
 
 def table_power(t, k):
@@ -121,11 +132,66 @@ def table_power(t, k):
     return out
 
 
+@dataclass
+class FunctionalGraph:
+    on_cycle: np.ndarray       # per node: lies on a cycle of the graph
+    cycle_length: np.ndarray   # per node: length of the cycle it runs into
+    depth: np.ndarray          # per node: steps until it reaches its cycle
+    exit_level: np.ndarray     # per node: last j with v in T^j(V); k on cycles
+    k: int                     # first k with T^k(V) = T^(k+1)(V)
+    cycle_root: np.ndarray     # per node: least node of the cycle it runs into
+
+
+def functional_graph(table):
+    """Cycles, cycle lengths, depths and exit levels of an endofunction table.
+
+    Pointer doubling, so every loop runs O(log n) times: T^(2^r) for
+    2^r >= n maps V onto the cyclic nodes; while it is squared, a
+    `maximum` scatter doubles the longest known path into each node, which
+    off the cycles is the exit level. Depths come from pointer jumping in
+    which the cycles absorb, cycle lengths from propagating the least
+    label around each cycle and counting labels; the least label names
+    each cycle's least node.
+    """
+    t = np.asarray(table, dtype=np.int64)
+    n = len(t)
+    rounds = max(n - 1, 0).bit_length()          # 2^rounds > n - 1 >= depth
+    longest = np.zeros(n, dtype=np.int64)        # longest path into v, < 2^r steps
+    jump = t                                     # T^(2^r)
+    for r in range(rounds):
+        np.maximum.at(longest, jump, longest + (1 << r))
+        jump = jump[jump]
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[jump] = True
+    tail = longest[~on_cycle]
+    k = int(tail.max()) + 1 if tail.size else 0
+    exit_level = np.where(on_cycle, k, longest)
+
+    depth = (~on_cycle).astype(np.int64)
+    nxt = np.where(on_cycle, np.arange(n), t)
+    for _ in range(k.bit_length()):
+        depth += depth[nxt]
+        nxt = nxt[nxt]
+
+    cyc = np.flatnonzero(on_cycle)
+    pos = np.empty(n, dtype=np.int64)
+    pos[cyc] = np.arange(len(cyc))
+    label = np.arange(len(cyc))                  # least position on each cycle
+    step = pos[t[cyc]]
+    for _ in range(max(len(cyc) - 1, 0).bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    length = np.bincount(label, minlength=len(cyc))[label]
+    cycle_length = length[pos[jump]]
+    cycle_root = cyc[label[pos[jump]]]
+    return FunctionalGraph(on_cycle, cycle_length, depth, exit_level, k, cycle_root)
+
+
 def image(T):
     """Sorted array of codomain ids hit by T."""
     if T.domain_size == 0:
         return np.empty(0, dtype=np.int64)
-    return np.unique(T.arr)
+    return np.unique(T.table)
 
 
 # ---------------------------------------------------------------------------

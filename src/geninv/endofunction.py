@@ -4,8 +4,9 @@ The image chain V = T^0(V) containing T^1(V) containing ... stabilizes at
 step k <= |V| on the cyclic part of the functional graph, where T is a
 permutation S. The Drazin inverse is S^-(k+1) T^k; the left-Drazin
 inverse only needs an injective restriction and is free off T^(k+1)(V).
-Every routine here reads the chain from one pointer-doubling analysis of
-the graph, `functional_graph`, in O(n log n) time and O(n) memory.
+Every routine here reads the chain from `T.graph`, the operator's one cached
+analysis of its graph by pointer doubling, `functional_graph` (defined in
+core_ops, imported here), in O(n log n) time and O(n) memory.
 """
 
 from dataclasses import dataclass
@@ -13,67 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_ops import FiniteOperator, compose, power, table_power
+from .core_ops import (FiniteOperator, FunctionalGraph, compose, functional_graph,
+                       power, table_power)
 
 
 def _require_endo(T):
     if not T.is_endofunction:
         raise ValueError("operator must map a set to itself")
-
-
-@dataclass
-class FunctionalGraph:
-    on_cycle: np.ndarray       # per node: lies on a cycle of the graph
-    cycle_length: np.ndarray   # per node: length of the cycle it runs into
-    depth: np.ndarray          # per node: steps until it reaches its cycle
-    exit_level: np.ndarray     # per node: last j with v in T^j(V); k on cycles
-    k: int                     # first k with T^k(V) = T^(k+1)(V)
-    cycle_root: np.ndarray     # per node: least node of the cycle it runs into
-
-
-def functional_graph(table):
-    """Cycles, cycle lengths, depths and exit levels of an endofunction table.
-
-    Pointer doubling, so every loop runs O(log n) times: T^(2^r) for
-    2^r >= n maps V onto the cyclic nodes; while it is squared, a
-    `maximum` scatter doubles the longest known path into each node, which
-    off the cycles is the exit level. Depths come from pointer jumping in
-    which the cycles absorb, cycle lengths from propagating the least
-    label around each cycle and counting labels; the least label names
-    each cycle's least node.
-    """
-    t = np.asarray(table, dtype=np.int64)
-    n = len(t)
-    rounds = max(n - 1, 0).bit_length()          # 2^rounds > n - 1 >= depth
-    longest = np.zeros(n, dtype=np.int64)        # longest path into v, < 2^r steps
-    jump = t                                     # T^(2^r)
-    for r in range(rounds):
-        np.maximum.at(longest, jump, longest + (1 << r))
-        jump = jump[jump]
-    on_cycle = np.zeros(n, dtype=bool)
-    on_cycle[jump] = True
-    tail = longest[~on_cycle]
-    k = int(tail.max()) + 1 if tail.size else 0
-    exit_level = np.where(on_cycle, k, longest)
-
-    depth = (~on_cycle).astype(np.int64)
-    nxt = np.where(on_cycle, np.arange(n), t)
-    for _ in range(k.bit_length()):
-        depth += depth[nxt]
-        nxt = nxt[nxt]
-
-    cyc = np.flatnonzero(on_cycle)
-    pos = np.empty(n, dtype=np.int64)
-    pos[cyc] = np.arange(len(cyc))
-    label = np.arange(len(cyc))                  # least position on each cycle
-    step = pos[t[cyc]]
-    for _ in range(max(len(cyc) - 1, 0).bit_length()):
-        label = np.minimum(label, label[step])
-        step = step[step]
-    length = np.bincount(label, minlength=len(cyc))[label]
-    cycle_length = length[pos[jump]]
-    cycle_root = cyc[label[pos[jump]]]
-    return FunctionalGraph(on_cycle, cycle_length, depth, exit_level, k, cycle_root)
 
 
 @dataclass
@@ -96,8 +43,7 @@ def image_chain(T):
     The restriction of T to T^j(V) is onto T^(j+1)(V), so it is injective
     exactly when the chain has stopped shrinking, and then bijective.
     """
-    _require_endo(T)
-    fg = functional_graph(T.arr)
+    fg = T.graph
     flags = [False] * fg.k + [True]
     return ImageChain(fg.exit_level, fg.k, flags, list(flags))
 
@@ -119,10 +65,9 @@ def drazin_inverse(T):
     least m >= 1 with T^(m+1) G = T^m, is max(k, 1): T^(m+1) G maps into
     the cyclic part, which T^m reaches only from step k on.
     """
-    _require_endo(T)
-    t = T.arr
+    t = T.table
     n = T.domain_size
-    fg = functional_graph(t)
+    fg = T.graph
     k = fg.k
     M = np.flatnonzero(fg.on_cycle)               # T^k(V)
     pos = np.empty(n, dtype=np.int64)
@@ -170,14 +115,13 @@ def left_drazin_inverse(T, fill=None):
     values off T^(k+1)(V) are genuinely free; `fill` (id -> id) defaults to
     the identity there. Returns the inverse and the parameter max(k, 1).
     """
-    _require_endo(T)
-    fg = functional_graph(T.arr)
+    fg = T.graph
     cyc = np.flatnonzero(fg.on_cycle)       # T^k(V) = T^(k+1)(V)
     table = np.arange(T.domain_size, dtype=np.int64)
     if fill is not None:
         table = np.array([fill(i) for i in range(T.domain_size)], dtype=np.int64)
     # constrained part: on T^(k+1)(V), G must invert the restriction
-    table[T.arr[cyc]] = cyc
+    table[T.table[cyc]] = cyc
     G = FiniteOperator(T.domain_size, T.domain_size, table)
     k = fg.k
     m = max(k, 1)
@@ -201,8 +145,8 @@ def exhaustive_drazin_search(T, cap=3125, chunk=100_000):
     total = n ** n
     if total > cap:
         raise ValueError("candidate space %d exceeds cap %d" % (total, cap))
-    t = T.arr
-    tK = power(T, max(n, 1)).arr
+    t = T.table
+    tK = power(T, max(n, 1)).table
     radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     hits = []
     for start in range(0, total, chunk):
@@ -219,4 +163,4 @@ def exhaustive_drazin_search(T, cap=3125, chunk=100_000):
     if not hits:
         return []
     tables = np.concatenate(hits, axis=0)
-    return [FiniteOperator(n, n, tuple(row)) for row in tables]
+    return [FiniteOperator(n, n, row) for row in tables]

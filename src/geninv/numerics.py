@@ -115,35 +115,28 @@ def fp_matrix_to_json(A, p):
 # ---------------------------------------------------------------------------
 
 def _entries(values, dtype_kinds, types, what, allowed):
-    message = "%s must be %s" % (what, allowed)
-    kinds = None
     if isinstance(values, np.ndarray):
         ok = values.dtype.kind in dtype_kinds or not values.size
     else:                                       # bool is an int subclass
         try:
-            kinds = set(map(type, values))
+            ok = all(issubclass(k, types) and k is not bool for k in set(map(type, values)))
         except TypeError:                       # not a sequence at all
-            raise ValueError(message)
-        ok = all(issubclass(k, types) and k is not bool for k in kinds)
+            ok = False
     if not ok:
-        raise ValueError(message)
-    return kinds
+        raise ValueError("%s must be %s" % (what, allowed))
 
 
 def integer_entries(values, what="entries"):
-    """The set of entry types of `values` (None for an array). ValueError, naming
-    `what`, unless each entry is an integer, not a boolean; floats are rejected,
-    never truncated."""
-    return _entries(values, "iu", (int, np.integer), what,
-                    "integers, not floats or booleans")
+    """ValueError, naming `what`, unless each entry of `values` is an integer,
+    not a boolean; floats are rejected, never truncated."""
+    _entries(values, "iu", (int, np.integer), what, "integers, not floats or booleans")
 
 
 def real_entries(values, what="entries"):
     """ValueError, naming `what`, unless each entry of `values` is an integer or
-    a float, not a boolean, a string or a list; the set of entry types (None
-    for an array)."""
-    return _entries(values, "iuf", (int, float, np.integer, np.floating), what,
-                    "numbers, not booleans, strings or lists")
+    a float, not a boolean, a string or a list."""
+    _entries(values, "iuf", (int, float, np.integer, np.floating), what,
+             "numbers, not booleans, strings or lists")
 
 
 def is_prime(p):

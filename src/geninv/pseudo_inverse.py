@@ -14,6 +14,7 @@ the nearest-point problem has no solution, e.g. exp at w <= 0.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
 
 import numpy as np
 
@@ -95,7 +96,10 @@ class Scalar1DOperator:
         object.__setattr__(self, "kind", kind)
         if kind not in KINDS:
             raise ValueError("unknown operator kind %r" % (self.kind,))
-        if kind in ("hard_threshold", "soft_threshold") and self.a < 0:
+        if not all(map(math.isfinite, (self.a, self.eps, self.c))):
+            raise ValueError("a, eps and c must be finite, got %r, %r and %r"
+                             % (self.a, self.eps, self.c))
+        if kind in ("hard_threshold", "soft_threshold") and not self.a >= 0:
             raise ValueError("threshold parameter must be >= 0")
         if kind == "shifted_square" and self.a == 0:
             raise ValueError("shifted_square needs a nonzero shift")
@@ -306,8 +310,8 @@ class GridOracle:
     """
 
     def __init__(self, T, box, step):
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not (np.isfinite(step) and step > 0):
+            raise ValueError("step must be positive and finite, got %r" % (step,))
         box = list(box)
         if len(box) == 2 and np.isscalar(box[0]):
             box = [tuple(box)]
@@ -344,6 +348,8 @@ class GridOracle:
         w = np.atleast_1d(np.asarray(w, dtype=float))
         if w.shape != (self.T.dim_out,):
             raise DimensionMismatch("target of dim %d expected" % self.T.dim_out)
+        if not np.isfinite(w).all():
+            raise ValueError("target must be finite, got %s" % w.tolist())
         return w
 
     def query(self, w, tie_tol=0.0):

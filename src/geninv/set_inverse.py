@@ -59,10 +59,10 @@ class OneTwoInverseSpec:
         """Check the spec against T, raising InvalidSpec; returns (v0, p0)
         as int64 arrays."""
         v0, p0 = self._checked(T.domain_size, T.codomain_size)
-        on_image = np.bincount(T.arr, minlength=T.codomain_size) > 0
+        on_image = np.bincount(T.table, minlength=T.codomain_size) > 0
         if len(v0) != np.count_nonzero(on_image):
             raise InvalidSpec("v0 must pick exactly one source per image element")
-        hits = np.bincount(T.arr[v0], minlength=T.codomain_size)
+        hits = np.bincount(T.table[v0], minlength=T.codomain_size)
         if hits.max(initial=0) > 1:     # else the hits are distinct and cover the image
             raise InvalidSpec("v0 contains two sources of %d" % np.argmax(hits))
         if not on_image[p0].all():
@@ -75,7 +75,7 @@ class OneTwoInverseSpec:
 
 def default_spec(T):
     """Smallest-id source per image element; nearest-id retraction."""
-    img, first = np.unique(T.arr, return_index=True)
+    img, first = np.unique(T.table, return_index=True)
     if not img.size and T.codomain_size:
         raise ValueError("no retraction of a nonempty codomain onto an empty image")
     w = np.arange(T.codomain_size, dtype=np.int64)
@@ -104,7 +104,7 @@ def build_one_two_inverse(T, spec=None):
         spec = default_spec(T)
     v0, p0 = spec.validate(T)
     G = FiniteOperator(T.codomain_size, T.domain_size,
-                       _invert_on(T.arr, v0, p0, T.codomain_size))
+                       _invert_on(T.table, v0, p0, T.codomain_size))
     mp1, mp2 = check_mp_axioms(T, G)
     if not (mp1 and mp2):
         raise AssertionError("construction violated MP1-2; spec validation is broken")
@@ -115,7 +115,7 @@ def check_mp_axioms(T, G):
     """Exact MP1 (TGT = T) and MP2 (GTG = G) flags by table composition."""
     if G.domain_size != T.codomain_size or G.codomain_size != T.domain_size:
         raise ValueError("G must map T's codomain back to its domain")
-    t, g = T.arr, G.arr
+    t, g = T.table, G.table
     mp1 = bool(np.array_equal(t[g[t]], t))
     mp2 = bool(np.array_equal(g[t[g]], g))
     return mp1, mp2
@@ -131,15 +131,15 @@ def double_inverse(T, Tbar):
     mp1, mp2 = check_mp_axioms(T, Tbar)
     if not (mp1 and mp2):
         raise InvalidSpec("Tbar is not a {1,2}-inverse of T")
-    tbar = Tbar.arr
-    table = _invert_on(tbar, image(T), tbar[T.arr], T.domain_size)
+    tbar = Tbar.table
+    table = _invert_on(tbar, image(T), tbar[T.table], T.domain_size)
     return FiniteOperator(T.domain_size, T.codomain_size, table)
 
 
 def one_two_inverse_count(T):
     """Number of {1,2}-inverses: product over the image of preimage sizes,
     times |image|^(#codomain ids off the image)."""
-    preimages = np.bincount(T.arr, minlength=T.codomain_size)
+    preimages = np.bincount(T.table, minlength=T.codomain_size)
     choices = np.where(preimages > 0, preimages, np.count_nonzero(preimages))
     values, mult = np.unique(choices, return_counts=True)
     return math.prod(pow(int(c), int(m)) for c, m in zip(values, mult))
@@ -157,7 +157,7 @@ def enumerate_one_two_inverses(T, cap=10**6, chunk=200_000):
     total = nV ** nW
     if total > cap:
         raise ValueError("candidate space %d exceeds cap %d" % (total, cap))
-    t = T.arr
+    t = T.table
     img = image(T)
     radges = nV ** np.arange(nW - 1, -1, -1, dtype=np.int64)
     keep = []

@@ -8,14 +8,13 @@ vanishing polynomial, and Cayley-Hamilton matrix inversion.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .core_ops import OperatorPolynomial, checked_table, table_power
-from .endofunction import functional_graph
+from .core_ops import FiniteOperator, OperatorPolynomial, table_power
 from .numerics import (INT64_LIMIT, fp_check, fp_solve_kernel, fp_char_poly, fp_matmul,
-                       fp_poly_divmod)
+                       fp_poly_divmod, integer_entries)
 
 SPACE_CAP = 100_000
 
@@ -33,32 +32,29 @@ def encode(vecs, p):
     return vecs @ (p ** np.arange(n, dtype=np.int64))
 
 
-class FpVectorOperator:
-    """Total map on F_p^n stored as a table over vector indices."""
+@dataclass(frozen=True, eq=False, init=False)     # frozen like its base: p, n too
+class FpVectorOperator(FiniteOperator):
+    """A FiniteOperator on F_p^n: its ids index the p^n vectors, whose
+    digits base p are the coordinates, low axis first."""
 
     def __init__(self, p, n, table):
         fp_check(p)
-        if p ** n > SPACE_CAP:
-            raise ValueError("space size %d exceeds the enumeration cap" % p ** n)
-        self.p = int(p)
-        self.n = int(n)
-        self.table = checked_table(table, self.size, self.size)
+        integer_entries([n], "n")
+        if n < 0:
+            raise ValueError("n must be >= 0, got %d" % n)
+        # p >= 2, so p^n exceeds the cap once n reaches its bit length
+        if n >= SPACE_CAP.bit_length() or int(p) ** int(n) > SPACE_CAP:
+            raise ValueError("space size %d^%d exceeds the enumeration cap" % (p, n))
+        object.__setattr__(self, "p", int(p))
+        object.__setattr__(self, "n", int(n))
+        super().__init__(self.p ** self.n, self.p ** self.n, table)
 
     @property
     def size(self):
-        return self.p ** self.n
+        return self.domain_size
 
     def space(self):
         return _space(self.p, self.n)
-
-    @cached_property
-    def graph(self):
-        """The functional graph of the table, analysed once per operator."""
-        return functional_graph(self.table)
-
-    def __eq__(self, other):
-        return (isinstance(other, FpVectorOperator) and self.p == other.p
-                and self.n == other.n and np.array_equal(self.table, other.table))
 
     def compose(self, inner):
         if (self.p, self.n) != (inner.p, inner.n):

@@ -1,6 +1,7 @@
 """Shared independent oracles for the test suite."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -660,7 +661,7 @@ def fp_char_poly_cofactor(A, p):
 
 def one_two_spec_valid_loop(T, v0, p0):
     """The per-id (V0, P0) check, walked through dicts and sets."""
-    img_set = set(int(w) for w in np.unique(T.arr))
+    img_set = set(int(w) for w in np.unique(T.table))
     v0 = [int(v) for v in v0]
     if len(set(v0)) != len(v0) or len(v0) != len(img_set):
         return False
@@ -678,7 +679,7 @@ def one_two_spec_valid_loop(T, v0, p0):
 def default_spec_loop(T):
     """(v0, p0): first source per image element in id order; nearest-id
     retraction, ties to the smaller id."""
-    img = np.unique(T.arr)
+    img = np.unique(T.table)
     v0, taken = [], set()
     for v in range(T.domain_size):
         if T(v) not in taken:
@@ -704,15 +705,15 @@ def one_two_inverse_loop(T, v0, p0):
 def double_inverse_loop(T, Tbar):
     """The construction applied to Tbar with W0 = T(V) and Q0 = Tbar T."""
     source_of = {}
-    for w in np.unique(T.arr):
+    for w in np.unique(T.table):
         source_of[Tbar(int(w))] = int(w)
     return tuple(source_of[Tbar(T(v))] for v in range(T.domain_size))
 
 
 def one_two_inverse_count_loop(T):
     """Product over the image of preimage sizes, times |image|^(off-image ids)."""
-    img = np.unique(T.arr)
-    counts = np.bincount(T.arr, minlength=T.codomain_size)
+    img = np.unique(T.table)
+    counts = np.bincount(T.table, minlength=T.codomain_size)
     total = 1
     for w in img:
         total *= int(counts[w])
@@ -841,10 +842,14 @@ def one_homogeneous_loop(T):
 
 def read_csv_signal_loop(path):
     """The signal reader before it parsed in one call: one float() per
-    stripped, non-blank line. Raises ValueError on a bad line."""
+    stripped, non-blank line. Raises ValueError on a bad or non-finite line."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    return np.array([float(x) for x in lines])
+    values = [float(x) for x in lines]
+    for x, v in zip(lines, values):
+        if not math.isfinite(v):
+            raise ValueError("%r is not finite" % x)
+    return np.array(values)
 
 
 def write_csv_signal_loop(path, values):

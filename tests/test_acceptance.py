@@ -138,7 +138,7 @@ def _one_two_suite(T):
     assert g.double_inverse(T, G) == T
     found = g.enumerate_one_two_inverses(T)
     assert len(found) == g.one_two_inverse_count(T)
-    t = T.arr
+    t = T.table
     tg = t[found]                                     # T(G(w)) tables
     gt = found[:, t]                                  # G(T(v)) tables
     assert np.array_equal(np.take_along_axis(tg, tg, axis=1), tg)

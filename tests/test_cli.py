@@ -142,6 +142,30 @@ def test_denoise_length_mismatch(tmp_path, capsys):
     assert rc == cli.EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+def test_denoise_rejects_a_non_finite_signal_before_writing(tmp_path, capsys, value):
+    signal = tmp_path / "in.csv"
+    signal.write_text("1.0\n%s\n3.0\n4.0\n" % value)
+    out_path = tmp_path / "out.csv"
+    rc = cli.main(["denoise", "--n", "4", "--kind", "hard", "--a", "0.5",
+                   "--signal", str(signal), "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_INPUT_ERROR and captured.out == ""
+    assert not out_path.exists()
+    assert str(signal) in captured.err and repr(value) in captured.err
+
+
+def test_layer_pinv_relu_rejects_a_nan_target(tmp_path, capsys):
+    weights = tmp_path / "A.json"
+    weights.write_text(json.dumps({"rows": 2, "cols": 3,
+                                   "data": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]}))
+    target = tmp_path / "w.csv"
+    target.write_text("nan\n0.2\n")
+    rc, out = run(capsys, ["layer-pinv", "--weights", str(weights),
+                           "--act", "relu", "--w", str(target)])
+    assert rc == cli.EXIT_INPUT_ERROR and out is None
+
+
 def test_drazin_idempotent(tmp_path, capsys):
     op = tmp_path / "idempotent.json"
     table = [0, 0, 2, 2]
@@ -420,6 +444,14 @@ MALFORMED = [
     pytest.param(["pinv1d", "--kind", "soft", "--a", "nan", "--w", "1"], {},
                  id="pinv1d-a-nan"),
     layer_case("target-nan", GOOD_WEIGHTS, w="nan\n"),
+    layer_case("target-inf", GOOD_WEIGHTS, w="inf\n"),
+    denoise_case("signal-nan", "1.0\nnan\n3.0\n4.0\n"),
+    pytest.param(["oracle", "--op", "@op", "--w", "1", "--box", "-1", "1", "--step", "nan"],
+                 {"op": {"kind": "relu"}}, id="oracle-step-nan"),
+    pytest.param(["oracle", "--op", "@op", "--w", "1", "--box", "-1", "1", "--step", "inf"],
+                 {"op": {"kind": "relu"}}, id="oracle-step-inf"),
+    pytest.param(["oracle", "--op", "@op", "--w", "nan", "--box", "-1", "1", "--step", "0.5"],
+                 {"op": {"kind": "relu"}}, id="oracle-w-nan"),
     pytest.param(["pinv1d", "--kind", "exp", "--w", "inf"], {}, id="pinv1d-exp-w-inf"),
 ]
 
@@ -443,6 +475,14 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
                  {"kind": "soft", "a": None}, '"a"', id="oracle-a-null"),
     pytest.param(["drazin"], {"domain": 2.9, "codomain": 2, "table": [1, 0]}, '"domain"',
                  id="drazin-float-domain"),
+    pytest.param(["oracle", "--w", "1", "--box", "-1", "1", "--step", "nan"],
+                 {"kind": "relu"}, "step must be positive and finite, got nan",
+                 id="oracle-step-nan"),
+    pytest.param(["oracle", "--w", "1", "--box", "-1", "1", "--step", "inf"],
+                 {"kind": "relu"}, "step must be positive and finite, got inf",
+                 id="oracle-step-inf"),
+    pytest.param(["oracle", "--w", "nan", "--box", "-1", "1", "--step", "0.5"],
+                 {"kind": "relu"}, "target must be finite, got [nan]", id="oracle-w-nan"),
 ])
 def test_validation_errors_name_the_field(tmp_path, capsys, argv, op, field):
     path = tmp_path / "op.json"

@@ -193,8 +193,12 @@ def test_finite_operator_accepts_integer_kinds():
     assert FiniteOperator(3, 3, [2, 0, 1]) == expect
     assert FiniteOperator(3, 3, np.array([2, 0, 1], dtype=np.uint8)) == expect
     assert FiniteOperator(3, 3, tuple(np.array([2, 0, 1]))) == expect
-    assert all(type(x) is int for x in FiniteOperator(3, 3, np.array([2, 0, 1])).table)
-    assert FiniteOperator(0, 0, np.array([])).table == ()
+    source = np.array([2, 0, 1])
+    T = FiniteOperator(3, 3, source)
+    source[0] = 1                                # the table is a copy
+    assert T == expect and T.table.dtype == np.int64 and not T.table.flags.writeable
+    assert type(T(0)) is int and all(type(x) is int for x in T.to_json()["table"])
+    assert FiniteOperator(0, 0, np.array([])).table.shape == (0,)
 
 
 def test_vector_operator_affine_wrapper():

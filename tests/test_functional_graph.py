@@ -1,11 +1,13 @@
 """The functional-graph kernel against the step-by-step oracles in helpers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from geninv import (FiniteOperator, FpVectorOperator, image_chain, drazin_inverse,
                     left_drazin_inverse, exhaustive_drazin_search,
-                    stabilization_profile, find_vanishing_poly)
+                    stabilization_profile, find_vanishing_poly, minimal_poly,
+                    left_drazin_from_poly)
 from geninv.endofunction import functional_graph
 
 from helpers import (image_chain_steps, walk_graph, drazin_steps, left_drazin_steps,
@@ -68,7 +70,7 @@ def test_drazin_matches_step_construction(t):
     g, index, k = drazin_steps(t)
     res = drazin_inverse(FiniteOperator(len(t), len(t), t))
     assert res.exists
-    assert res.inverse.table == tuple(g.tolist())
+    assert np.array_equal(res.inverse.table, g)
     assert (res.index, res.k) == (index, k)
 
 
@@ -76,7 +78,7 @@ def test_drazin_matches_step_construction(t):
 def test_left_drazin_matches_step_assignment(t):
     table, parameter, k = left_drazin_steps(t)
     res = left_drazin_inverse(FiniteOperator(len(t), len(t), t))
-    assert res.inverse.table == tuple(table.tolist())
+    assert np.array_equal(res.inverse.table, table)
     assert (res.parameter, res.k) == (parameter, k)
 
 
@@ -94,7 +96,7 @@ def test_drazin_path_map_at_size():
     t = np.maximum(np.arange(n) - 1, 0)
     res = drazin_inverse(FiniteOperator(n, n, t))
     assert (res.index, res.k) == (n - 1, n - 1)
-    assert res.inverse.table == (0,) * n
+    assert np.array_equal(res.inverse.table, np.zeros(n))
     assert res.graph.exit_level.tolist() == list(range(n - 1, -1, -1))
 
 
@@ -139,3 +141,75 @@ def test_vanishing_poly_benchmark_cycle_type(labels):
     q = find_vanishing_poly(T)
     assert list(q.coeffs) == vanishing_poly_reducer(T)
     assert q.degree == 104
+
+
+# ---------------------------------------------------------------------------
+# one finite-map class: an FpVectorOperator is a FiniteOperator with one graph
+# ---------------------------------------------------------------------------
+
+def power_steps(t, m):
+    """T^m of a table, one composition at a time."""
+    out = np.arange(len(t))
+    for _ in range(m):
+        out = t[out]
+    return out
+
+
+@st.composite
+def large_fp_maps(draw):
+    """Random maps of F_p^n with at most 243 points."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, {2: 7, 3: 5, 5: 3}[p]))
+    size = p ** n
+    if draw(st.booleans()):
+        return FpVectorOperator(p, n, draw(st.lists(st.integers(0, size - 1),
+                                                    min_size=size, max_size=size)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return FpVectorOperator(p, n, np.random.default_rng(seed).integers(0, size, size))
+
+
+@settings(max_examples=60)
+@given(large_fp_maps())
+def test_fp_operator_is_a_finite_operator_with_one_graph(T):
+    t = T.table
+    assert isinstance(T, FiniteOperator)
+    ld = left_drazin_inverse(T)
+    for G, m in [(ld.inverse, ld.parameter), left_drazin_from_poly(minimal_poly(T), T)]:
+        assert np.array_equal(G.table[power_steps(t, m + 1)], power_steps(t, m))
+    res = drazin_inverse(T)
+    assert res.inverse == drazin_inverse(FiniteOperator(T.size, T.size, T.table)).inverse
+    assert res.graph is T.graph
+
+
+def test_fp_operator_equals_the_finite_operator_of_its_table():
+    t = [3, 0, 0, 2, 8, 1, 4, 4, 7]
+    assert FpVectorOperator(3, 2, t) == FiniteOperator(9, 9, t)
+    assert FiniteOperator(9, 9, t) == FpVectorOperator(3, 2, t)
+    assert FpVectorOperator(3, 2, t) != FiniteOperator(9, 9, t[::-1])
+    assert FpVectorOperator.__hash__ is None and FiniteOperator.__hash__ is None
+
+
+@pytest.mark.parametrize("T", [FiniteOperator(3, 2, [1, 1, 0]),
+                               FpVectorOperator(2, 2, [1, 2, 3, 0])])
+def test_finite_map_tables_are_read_only_and_give_python_ints(T):
+    with pytest.raises(ValueError):
+        T.table[0] = 0
+    with pytest.raises(AttributeError):
+        T.table = np.zeros(T.domain_size, dtype=np.int64)
+    assert type(T(1)) is int
+    assert all(type(x) is int for x in T.to_json()["table"])
+
+
+def test_the_cached_graph_is_shared_and_read_only():
+    T = FiniteOperator(4, 4, [1, 2, 2, 0])
+    assert image_chain(T).exit_level is T.graph.exit_level is drazin_inverse(T).graph.exit_level
+    with pytest.raises(ValueError):
+        T.graph.on_cycle[0] = True
+    with pytest.raises(ValueError):
+        FiniteOperator(2, 3, [0, 2]).graph
+
+
+def test_functional_graph_is_defined_once():
+    import geninv.core_ops
+    import geninv.endofunction
+    assert geninv.endofunction.functional_graph is geninv.core_ops.functional_graph

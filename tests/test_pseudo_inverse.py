@@ -41,6 +41,28 @@ def test_parameter_validation():
         Scalar1DOperator("no_such_kind")
 
 
+@pytest.mark.parametrize("kind, param", [("hard_threshold", "a"), ("soft_threshold", "a"),
+                                         ("shifted_square", "a"), ("sign_eps", "eps"),
+                                         ("linear", "c"), ("relu", "c")])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_parameters_must_be_finite(kind, param, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        Scalar1DOperator(kind, **{param: value})
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -0.5])
+def test_grid_oracle_rejects_a_bad_step(step):
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        GridOracle(Scalar1DOperator("relu").as_vector_operator(), [(-1.0, 1.0)], step)
+
+
+@pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+def test_grid_oracle_rejects_a_non_finite_target(w):
+    oracle = GridOracle(Scalar1DOperator("relu").as_vector_operator(), [(-1.0, 1.0)], 0.5)
+    with pytest.raises(ValueError, match="target must be finite"):
+        oracle.query([w])
+
+
 def test_grid_oracle_identity():
     T = Scalar1DOperator("linear", c=1.0).as_vector_operator()
     best = grid_bas_oracle(T, [0.7], BOX, STEP)

@@ -34,8 +34,8 @@ maps = st.tuples(st.integers(1, 30), st.integers(1, 30)).flatmap(
 def random_spec(T, rng):
     """One random source per image element and a random retraction that is
     the identity on the image."""
-    img = np.unique(T.arr)
-    v0 = [int(rng.choice(np.flatnonzero(T.arr == w))) for w in img]
+    img = np.unique(T.table)
+    v0 = [int(rng.choice(np.flatnonzero(T.table == w))) for w in img]
     rng.shuffle(v0)
     p0 = rng.choice(img, size=T.codomain_size)
     p0[img] = img
@@ -44,8 +44,9 @@ def random_spec(T, rng):
 
 def assert_matches_loops(T, spec):
     G = build_one_two_inverse(T, spec)
-    assert G.table == one_two_inverse_loop(T, spec.v0, spec.p0)
-    assert double_inverse(T, G).table == double_inverse_loop(T, G) == T.table
+    assert np.array_equal(G.table, one_two_inverse_loop(T, spec.v0, spec.p0))
+    assert np.array_equal(double_inverse(T, G).table, double_inverse_loop(T, G))
+    assert np.array_equal(double_inverse_loop(T, G), T.table)
 
 
 @given(maps, st.integers(0, 2 ** 32 - 1))
@@ -77,7 +78,8 @@ def test_spec_validation_matches_loop(codomain_and_table, seed):
         del side[i]
     bent = OneTwoInverseSpec(tuple(v0), tuple(p0))
     if one_two_spec_valid_loop(T, bent.v0, bent.p0):
-        assert build_one_two_inverse(T, bent).table == one_two_inverse_loop(T, v0, p0)
+        assert np.array_equal(build_one_two_inverse(T, bent).table,
+                              one_two_inverse_loop(T, v0, p0))
     else:
         with pytest.raises(InvalidSpec):
             build_one_two_inverse(T, bent)
@@ -118,8 +120,8 @@ def test_spec_rejects_non_integer_retraction_and_json_floats():
     spec = OneTwoInverseSpec.from_json(json.dumps({"v0": [0.0, 2.0], "p0": [0, 1]}))
     with pytest.raises(InvalidSpec):
         build_one_two_inverse(T, spec)
-    assert build_one_two_inverse(
-        T, OneTwoInverseSpec.from_json('{"v0": [0, 2], "p0": [0, 1]}')).table == (2, 0)
+    assert np.array_equal(build_one_two_inverse(
+        T, OneTwoInverseSpec.from_json('{"v0": [0, 2], "p0": [0, 1]}')).table, (2, 0))
 
 
 @pytest.mark.parametrize("table", [[0.7, 1.2], [1.0, 0.0], [True, False], [1, True],
@@ -127,6 +129,18 @@ def test_spec_rejects_non_integer_retraction_and_json_floats():
 def test_fp_vector_operator_rejects_bad_tables(table):
     with pytest.raises(ValueError):
         FpVectorOperator(2, 1, table)
+
+
+@pytest.mark.parametrize("n", [-1, 1.0, True, np.float64(1.0), "1", None])
+def test_fp_vector_operator_rejects_bad_n_before_the_table(n):
+    with pytest.raises(ValueError, match="n must"):
+        FpVectorOperator(2, n, [1, 0])
+
+
+def test_fp_vector_operator_takes_integer_kinds_of_n():
+    T = FpVectorOperator(np.int64(2), np.int64(1), [1, 0])
+    assert (T.p, T.n, T.size) == (2, 1, 2) and type(T.n) is int
+    assert FpVectorOperator(3, 0, [0]).size == 1
 
 
 def vanishing_case(p, n, seed, permutation):
