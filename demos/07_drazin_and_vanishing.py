@@ -39,8 +39,8 @@ rng = np.random.default_rng(5)
 Top = FpVectorOperator(3, 2, rng.integers(0, 9, size=9))
 q = find_vanishing_poly(Top)
 pm = minimal_poly(Top)
-print("random operator on F_3^2: vanishing coeffs", list(q.coeffs),
-      " minimal", list(pm.coeffs), " divides:", pm.divides(q))
+print("random operator on F_3^2: vanishing coeffs", q.coeffs.tolist(),
+      " minimal", pm.coeffs.tolist(), " divides:", pm.divides(q))
 print("companion embedding holds:", companion_embedding_check(Top, pm).ok)
 
 A = np.array([[1, 1], [0, 1]])

@@ -182,8 +182,7 @@ def cmd_vanish(args):
     T = vanishing.FpVectorOperator(p, n, T_table.table)
     l, m = vanishing.stabilization_profile(T)
     van, mini = vanishing.find_vanishing_poly(T), vanishing.minimal_poly(T)
-    _emit({"vanishing": [int(c) for c in van.coeffs],
-           "minimal": [int(c) for c in mini.coeffs],
+    _emit({"vanishing": van.coeffs.tolist(), "minimal": mini.coeffs.tolist(),
            "degree_bound": m * m + l})
     return EXIT_OK
 

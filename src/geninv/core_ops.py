@@ -14,7 +14,8 @@ import json
 
 import numpy as np
 
-from .numerics import fp_check, fp_convolve, fp_poly_divmod, integer_entries
+from .numerics import (fp_check, fp_convolve, fp_poly_divmod, fp_poly_gcd,
+                       integer_entries, real_entries, trimmed)
 
 
 class DimensionMismatch(ValueError):
@@ -29,8 +30,13 @@ def checked_table(table, domain_size, codomain_size):
     """`table` as a new int64 array, checked to be a total map
     {0..domain_size-1} -> {0..codomain_size-1}.
 
-    Entries must pass numerics.integer_entries. Raises ValueError.
+    The sizes and the entries must pass numerics.integer_entries, and the
+    sizes must be >= 0. Raises ValueError.
     """
+    integer_entries([domain_size], '"domain"')
+    integer_entries([codomain_size], '"codomain"')
+    if domain_size < 0 or codomain_size < 0:
+        raise ValueError("sizes must be >= 0, got %d and %d" % (domain_size, codomain_size))
     integer_entries(table, "table entries")
     try:
         arr = np.array(table, dtype=np.int64)
@@ -91,10 +97,7 @@ class FiniteOperator:
 
     @staticmethod
     def from_json(text):
-        """The sizes must pass integer_entries and the table checked_table."""
         obj = json.loads(text) if isinstance(text, str) else text
-        integer_entries([obj["domain"]], '"domain"')
-        integer_entries([obj["codomain"]], '"codomain"')
         return FiniteOperator(obj["domain"], obj["codomain"], obj["table"])
 
     def to_json(self):
@@ -303,137 +306,122 @@ class VectorOperator:
 class OperatorPolynomial:
     """Polynomial with low-degree-first coefficients over the reals or F_p.
 
-    prime=None means real coefficients. Over F_p the coefficients are also
-    kept as an int64 array, `arr`, on which mul, divmod, gcd and lcm run.
+    prime=None means real coefficients, which must pass real_entries; over
+    F_p the prime must pass fp_check and the coefficients integer_entries.
+    `coeffs` is the one stored form: a read-only array without trailing
+    zeros, float64 over the reals and int64 reduced mod p over F_p. Binary
+    operations need both operands over one field. Equal fields and
+    coefficients make equal polynomials; an array makes them unhashable.
     The zero polynomial has no degree; `degree` returns -1 for it as a
     sentinel.
     """
 
     def __init__(self, coeffs, prime=None):
         if prime is None:
-            c = [float(x) for x in coeffs]
-            while c and c[-1] == 0.0:
-                c.pop()
-            self.prime = None
-            self.coeffs = tuple(c)
-            return
-        if prime < 2:
-            raise ValueError("prime must be >= 2")
-        self.prime = p = int(prime)
-        try:
-            arr = np.mod(np.array(coeffs, dtype=np.int64), p)
-        except OverflowError:                   # Python ints past int64
-            arr = np.array([int(x) % p for x in coeffs], dtype=np.int64)
-        nz = arr.nonzero()[0]
-        self.arr = arr[:nz[-1] + 1] if nz.size else arr[:0]
-        self.coeffs = tuple(self.arr.tolist())
+            real_entries(coeffs, "coefficients")
+            c = np.array(coeffs, dtype=np.float64)
+        else:
+            fp_check(prime)
+            integer_entries(coeffs, "coefficients")
+            prime = int(prime)
+            try:
+                c = np.mod(np.asarray(coeffs, dtype=np.int64), prime)   # a new array
+            except OverflowError:                   # Python ints past int64
+                c = np.array([int(x) % prime for x in coeffs], dtype=np.int64)
+        if c.ndim != 1:
+            raise ValueError("coefficients must be a flat sequence")
+        c = trimmed(c)
+        c.flags.writeable = False
+        self.prime = prime
+        self.coeffs = c
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.coeffs.size
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return self.coeffs.size - 1
 
-    def __eq__(self, other):
-        return (isinstance(other, OperatorPolynomial)
-                and self.prime == other.prime and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.prime, self.coeffs))
+    def __eq__(self, other):                    # which also sets __hash__ to None
+        return (isinstance(other, OperatorPolynomial) and self.prime == other.prime
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __repr__(self):
         field = "R" if self.prime is None else "F%d" % self.prime
-        return "OperatorPolynomial(%s, %s)" % (list(self.coeffs), field)
+        return "OperatorPolynomial(%s, %s)" % (self.coeffs.tolist(), field)
 
     def coeff(self, i):
-        return self.coeffs[i] if i <= self.degree else (0.0 if self.prime is None else 0)
+        """Coefficient i as a Python number; zero past the degree."""
+        return self.coeffs[i].item() if i <= self.degree else (0.0 if self.prime is None else 0)
+
+    def _same_field(self, other, prime_only=None):
+        """ValueError unless other is over this field, and F_p when prime_only names an op."""
+        if other.prime != self.prime:
+            raise ValueError("polynomials over different fields")
+        if prime_only and self.prime is None:
+            raise ValueError("%s is supported over a prime field only" % prime_only)
 
     def add(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = [self.coeff(i) + other.coeff(i) for i in range(n)]
+        self._same_field(other)
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
+        c = b.copy()
+        c[:a.size] += a                         # below 2p over F_p; the constructor reduces
         return OperatorPolynomial(c, self.prime)
 
-    def _common_field(self, other, what):
-        if self.prime is None or other.prime != self.prime:
-            raise ValueError("%s is supported over a common prime field" % what)
-
     def mul(self, other):
-        if self.prime is not None:
-            self._common_field(other, "mul")
-            return OperatorPolynomial(fp_convolve(self.arr, other.arr, self.prime),
-                                      self.prime)
-        if self.is_zero or other.is_zero:
+        self._same_field(other)
+        a, b = self.coeffs, other.coeffs
+        if not (a.size and b.size):
             return OperatorPolynomial([], self.prime)
-        c = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                c[i + j] += a * b
+        c = np.convolve(a, b) if self.prime is None else fp_convolve(a, b, self.prime)
         return OperatorPolynomial(c, self.prime)
 
     def scale(self, a):
-        if self.prime is not None:
-            return OperatorPolynomial(self.arr * (int(a) % self.prime), self.prime)
-        return OperatorPolynomial([a * c for c in self.coeffs], self.prime)
+        """a times this polynomial; a must be a coefficient of the field."""
+        return self.mul(OperatorPolynomial([a], self.prime))
 
     def shift(self, k):
         """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return OperatorPolynomial((0,) * k + self.coeffs, self.prime)
+        return OperatorPolynomial(np.concatenate((np.zeros(k, int), self.coeffs)), self.prime)
 
     def eval_scalar(self, x):
         acc = 0.0 if self.prime is None else 0
-        for a in reversed(self.coeffs):
+        for a in reversed(self.coeffs.tolist()):
             acc = acc * x + a
         return acc if self.prime is None else acc % self.prime
 
     def monic(self):
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
-        lead = self.coeffs[-1]
-        if self.prime is None:
-            return self.scale(1.0 / lead)
-        return self if lead == 1 else self.scale(pow(lead, -1, self.prime))
+        lead = self.coeffs[-1].item()
+        if lead == 1:
+            return self
+        return self.scale(1.0 / lead if self.prime is None else pow(lead, -1, self.prime))
 
     def divmod(self, other):
         """Exact polynomial division with remainder; prime fields only."""
-        self._common_field(other, "divmod")
+        self._same_field(other, "divmod")
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        q, r = fp_poly_divmod(self.arr, other.arr, self.prime)
+        q, r = fp_poly_divmod(self.coeffs, other.coeffs, self.prime)
         return OperatorPolynomial(q, self.prime), OperatorPolynomial(r, self.prime)
 
     def gcd(self, other):
-        """Monic greatest common divisor over F_p by Euclid, one vectorized
-        row operation per eliminated leading term; zero when both are zero."""
-        self._common_field(other, "gcd")
-        p = self.prime
-        a, b = self.arr.copy(), other.arr.copy()
-        while b.size > 1:
-            inv = pow(int(b[-1]), -1, p)
-            while a.size >= b.size:               # a <- a mod b
-                top = a[a.size - b.size:]
-                top -= int(a[-1]) * inv % p * b
-                top %= p
-                k = a.size - 1
-                while k >= 0 and not a[k]:
-                    k -= 1
-                a = a[:k + 1]
-            a, b = b, a
-        g = b if b.size else a                    # a nonzero constant b: gcd 1
-        return OperatorPolynomial(g * pow(int(g[-1]), -1, p) if g.size else g, p)
+        """Monic greatest common divisor over F_p; zero when both are zero."""
+        self._same_field(other, "gcd")
+        return OperatorPolynomial(fp_poly_gcd(self.coeffs, other.coeffs, self.prime),
+                                  self.prime)
 
     def lcm(self, other):
         """Monic least common multiple over F_p, a (b / gcd(a, b)); zero when
         either is zero."""
-        self._common_field(other, "lcm")
+        self._same_field(other, "lcm")
         if self.is_zero or other.is_zero:
             return OperatorPolynomial([], self.prime)
         p = self.prime
-        q = fp_poly_divmod(other.arr, self.gcd(other).arr, p)[0]
-        return OperatorPolynomial(fp_convolve(self.arr, q, p), p).monic()
+        q = fp_poly_divmod(other.coeffs, fp_poly_gcd(self.coeffs, other.coeffs, p), p)[0]
+        return OperatorPolynomial(fp_convolve(self.coeffs, q, p), p).monic()
 
     def divides(self, other):
         _, r = other.divmod(self)
@@ -441,18 +429,13 @@ class OperatorPolynomial:
 
     @staticmethod
     def from_json(text):
-        """A prime field's prime must pass fp_check, its coeffs integer_entries."""
         obj = json.loads(text) if isinstance(text, str) else text
         field = obj.get("field", "real")
-        if field == "real":
-            return OperatorPolynomial(obj["coeffs"])
-        fp_check(field["prime"])
-        integer_entries(obj["coeffs"], '"coeffs"')
-        return OperatorPolynomial(obj["coeffs"], int(field["prime"]))
+        return OperatorPolynomial(obj["coeffs"], None if field == "real" else field["prime"])
 
     def to_json(self):
         field = "real" if self.prime is None else {"prime": self.prime}
-        return {"field": field, "coeffs": list(self.coeffs)}
+        return {"field": field, "coeffs": self.coeffs.tolist()}
 
 
 def apply_polynomial(p, T, v):

@@ -245,6 +245,32 @@ def fp_poly_divmod(A, b, p):
     return Q, R[..., :d]
 
 
+def trimmed(c):
+    """The 1-D coefficient array c without its trailing zeros, as a view."""
+    nz = c.nonzero()[0]
+    return c[:nz[-1] + 1] if nz.size else c[:0]
+
+
+def fp_poly_gcd(a, b, p):
+    """Monic gcd over F_p of two coefficient arrays (low degree first) by Euclid,
+    one vectorized row operation per eliminated leading term; empty for two zeros."""
+    p = int(p)
+    a, b = trimmed(fp_asarray(a, p)), trimmed(fp_asarray(b, p))     # new arrays
+    while b.size > 1:
+        inv = pow(int(b[-1]), -1, p)
+        while a.size >= b.size:                   # a <- a mod b
+            top = a[a.size - b.size:]
+            top -= int(a[-1]) * inv % p * b
+            top %= p
+            k = a.size - 1
+            while k >= 0 and not a[k]:
+                k -= 1
+            a = a[:k + 1]
+        a, b = b, a
+    g = b if b.size else a                        # a nonzero constant b: gcd 1
+    return g * pow(int(g[-1]), -1, p) % p if g.size else g
+
+
 def fp_rref(A, p):
     """Reduced row echelon form over F_p; returns (R, pivot_cols, rank)."""
     fp_check(p)

@@ -8,13 +8,13 @@ vanishing polynomial, and Cayley-Hamilton matrix inversion.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .core_ops import FiniteOperator, OperatorPolynomial, table_power
 from .numerics import (INT64_LIMIT, fp_check, fp_solve_kernel, fp_char_poly, fp_matmul,
-                       fp_poly_divmod, integer_entries)
+                       fp_poly_divmod, fp_poly_gcd, integer_entries)
 
 SPACE_CAP = 100_000
 
@@ -106,7 +106,7 @@ def fp_apply_polynomial(poly, T, nodes=None):
     acc = np.zeros((T.n, len(cur)), dtype=np.int64)
     room = (INT64_LIMIT - 1) // (p - 1) ** 2 - 1           # terms addable after a reduction
     terms = 0
-    for j, a in enumerate(poly.coeffs):
+    for j, a in enumerate(poly.coeffs.tolist()):    # Python ints scale arrays faster
         if j > 0:
             cur = T.table[cur]
         if a:
@@ -148,10 +148,9 @@ def find_vanishing_poly(T, l=None):
     elif l < fg.k:
         raise ValueError("image sizes still shrinking after %d iterations" % l)
     m = int(np.count_nonzero(fg.on_cycle))
-    lcm = OperatorPolynomial([1], T.p)
-    for c in np.unique(fg.cycle_length[fg.on_cycle]):
-        lcm = lcm.lcm(OperatorPolynomial([-1] + [0] * (c - 1) + [1], T.p))   # x^c - 1
-    poly = lcm.shift(l)
+    periods = [OperatorPolynomial([-1] + [0] * (c - 1) + [1], T.p)     # x^c - 1
+               for c in np.unique(fg.cycle_length[fg.on_cycle])]
+    poly = reduce(OperatorPolynomial.lcm, periods).shift(l)
     if poly.degree > m * m + l:
         raise AssertionError("vanishing polynomial exceeds the degree bound m^2 + l")
     if not poly_vanishes(poly, T):
@@ -167,16 +166,15 @@ def _cycles_annihilator(rows, c, p):
     The gcd is reduced one row at a time; all remaining rows are reduced
     modulo it at once, and every step lowers its degree.
     """
-    period = OperatorPolynomial([-1] + [0] * (c - 1) + [1], p)
-    g = period
-    while g.degree > 0:
-        rows = fp_poly_divmod(rows, g.arr, p)[1]
+    period = g = np.array([-1] + [0] * (c - 1) + [1])
+    while g.size > 1:
+        rows = fp_poly_divmod(rows, g, p)[1]
         live = np.flatnonzero(rows.any(axis=1))
         if not live.size:
             break
-        g = g.gcd(OperatorPolynomial(rows[live[0]], p))
+        g = fp_poly_gcd(g, rows[live[0]], p)
         rows = rows[live[1:]]
-    return OperatorPolynomial(fp_poly_divmod(period.arr, g.arr, p)[0], p)
+    return OperatorPolynomial(fp_poly_divmod(period, g, p)[0], p)
 
 
 def minimal_poly(T):
@@ -195,7 +193,7 @@ def minimal_poly(T):
     vecs = T.space()
     nodes = np.arange(T.size)
     roots = nodes[fg.on_cycle & (fg.cycle_root == nodes)]           # one per cycle
-    L = OperatorPolynomial([1], T.p)
+    annihilators = []
     for c in np.unique(fg.cycle_length[roots]):
         cur = roots[fg.cycle_length[roots] == c]
         orbits = np.empty((len(cur), c), dtype=np.int64)              # reversed
@@ -203,7 +201,8 @@ def minimal_poly(T):
             orbits[:, i] = cur
             cur = T.table[cur]
         rows = vecs[orbits].transpose(0, 2, 1).reshape(-1, c)       # per cycle and digit
-        L = L.lcm(_cycles_annihilator(rows, c, T.p))
+        annihilators.append(_cycles_annihilator(rows, c, T.p))
+    L = reduce(OperatorPolynomial.lcm, annihilators)
     tail = nodes[~fg.on_cycle]
     missed = tail[fp_apply_polynomial(L, T, tail).any(axis=1)] if tail.size else tail
     A = 1 + int(fg.exit_level[missed].max()) if missed.size else 0
@@ -250,7 +249,7 @@ def left_drazin_from_poly(poly, T):
     """
     if not poly_vanishes(poly, T):
         raise ValueError("polynomial does not vanish in T")
-    k = next(i for i, a in enumerate(poly.coeffs) if a)
+    k = int(np.flatnonzero(poly.coeffs)[0])
     G = _tail_operator(poly, k, T)
     m = max(k, 1)
     if G.compose(T.power(m + 1)) != T.power(m):
@@ -263,7 +262,7 @@ def reciprocal_poly(poly):
     an invertible T."""
     if poly.is_zero:
         raise ValueError("zero polynomial has no reciprocal")
-    return OperatorPolynomial(tuple(reversed(poly.coeffs)), poly.prime)
+    return OperatorPolynomial(poly.coeffs[::-1], poly.prime)
 
 
 def power_vanishing_poly(poly, k, l):
@@ -280,17 +279,13 @@ def power_vanishing_poly(poly, k, l):
     m = poly.degree
     rem = np.zeros((m + 1, m), dtype=np.int64)
     for j in range(m + 1):
-        xjk = OperatorPolynomial((0,) * (j * k) + (1,), p)
-        _, r = xjk.divmod(poly)
-        for i, c in enumerate(r.coeffs):
-            rem[j, i] = c
+        r = OperatorPolynomial([1], p).shift(j * k).divmod(poly)[1]      # x^(jk) mod poly
+        rem[j, :r.coeffs.size] = r.coeffs
     alphas = fp_solve_kernel(rem.T, p)
     if not alphas:
         raise AssertionError("remainders must be dependent: m+1 vectors in dimension m")
-    alpha = alphas[0]
     out = np.zeros(m * l + 1, dtype=np.int64)
-    for j, aj in enumerate(alpha):
-        out[j * l] = (out[j * l] + aj) % p
+    out[::l] = alphas[0]
     result = OperatorPolynomial(out, p)
     if result.is_zero or result.degree > m * l:
         raise AssertionError("power vanishing polynomial is zero or exceeds degree m l")
@@ -307,8 +302,10 @@ def _fp_matrix_poly(coeffs, A, p):
     return acc
 
 
-def affine_vanishing_poly(poly, A, p, b=None):
-    """p^2 - p(1) p, vanishing in T(v) = A v + b when p vanishes in A."""
+def affine_vanishing_poly(poly, A, p):
+    """p^2 - p(1) p, vanishing in every T(v) = A v + b when p vanishes in A."""
+    if poly.prime != p:
+        raise ValueError("polynomial and matrix fields differ")
     if _fp_matrix_poly(poly.coeffs, A, p).any():
         raise ValueError("polynomial does not vanish in the matrix")
     return poly.mul(poly).add(poly.scale(-poly.eval_scalar(1)))
@@ -338,15 +335,10 @@ def product_vanishing_poly(parts):
 
     parts: list of (poly_i, T_i); each pair is verified before multiplying.
     """
-    polys = []
     for poly, T in parts:
         if not poly_vanishes(poly, T):
             raise ValueError("a factor polynomial fails to vanish; product rejected")
-        polys.append(poly)
-    out = polys[0]
-    for q in polys[1:]:
-        out = out.mul(q)
-    return out
+    return reduce(OperatorPolynomial.mul, [poly for poly, _ in parts])
 
 
 def companion_matrix(poly):
@@ -354,13 +346,9 @@ def companion_matrix(poly):
     -a0, unit subdiagonal, last column -a_i."""
     if poly.is_zero or poly.coeffs[-1] != 1:
         raise ValueError("companion matrix needs a monic polynomial")
-    p = poly.prime
     n = poly.degree
-    C = np.zeros((n, n), dtype=np.int64)
-    for j in range(1, n):
-        C[j, j - 1] = 1
-    for j in range(n):
-        C[j, n - 1] = (-poly.coeff(j)) % p
+    C = np.eye(n, k=-1, dtype=np.int64)                  # unit subdiagonal
+    C[:, n - 1:] = (-poly.coeffs[:n, None]) % poly.prime     # last column, if any
     return C
 
 

@@ -220,6 +220,30 @@ def test_vanish_bad_size(tmp_path, capsys):
     assert rc == cli.EXIT_INPUT_ERROR
 
 
+# stdout bytes of `geninv vanish` on three fixed maps, pinned
+VANISH_BYTES = [
+    pytest.param(3, [3, 2, 0, 7, 6, 4, 8, 5, 1],
+                 b'{"degree_bound":81,"minimal":[1,1,1,1,1,1,1,1,1],'
+                 b'"vanishing":[2,0,0,0,0,0,0,0,0,1]}\n', id="permutation-F3^2"),
+    pytest.param(2, [14, 18, 30, 4, 31, 23, 14, 11, 22, 14, 8, 31, 6, 25, 3, 27,
+                     4, 17, 16, 30, 28, 0, 29, 28, 10, 12, 13, 7, 7, 17, 21, 30],
+                 b'{"degree_bound":69,"minimal":[0,0,0,0,0,1,0,0,0,0,0,0,1],'
+                 b'"vanishing":[0,0,0,0,0,1,0,0,0,0,0,0,1]}\n', id="map-F2^5"),
+    pytest.param(5, [23, 8, 5, 22, 2, 11, 14, 24, 10, 19, 22, 19, 19, 9, 23, 14,
+                     11, 6, 1, 20, 2, 6, 2, 16, 19],
+                 b'{"degree_bound":30,"minimal":[0,0,0,0,0,4,0,0,0,0,1],'
+                 b'"vanishing":[0,0,0,0,0,4,0,0,0,0,1]}\n', id="map-F5^2"),
+]
+
+
+@pytest.mark.parametrize("p, table, expect", VANISH_BYTES)
+def test_vanish_stdout_bytes(tmp_path, capsys, p, table, expect):
+    op = tmp_path / "T.json"
+    op.write_text(json.dumps({"domain": len(table), "codomain": len(table), "table": table}))
+    assert cli.main(["vanish", "--op", str(op), "--prime", str(p)]) == 0
+    assert capsys.readouterr().out.encode() == expect
+
+
 def test_json_output_deterministic(tmp_path, capsys):
     op = tmp_path / "T.json"
     op.write_text(json.dumps({"domain": 4, "codomain": 4, "table": [1, 1, 3, 0]}))

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from geninv import (FiniteOperator, VectorOperator, OperatorPolynomial,
                     compose, power, image, apply_polynomial, DimensionMismatch)
-from geninv.numerics import fp_poly_divmod
-from geninv.vanishing import FpVectorOperator, fp_apply_polynomial
+from geninv.numerics import fp_poly_divmod, fp_poly_gcd
+from geninv.vanishing import FpVectorOperator, fp_apply_polynomial, reciprocal_poly
 
 from helpers import (poly_trim, poly_mul_list, poly_divmod_list, poly_gcd_list,
                      poly_lcm_list)
@@ -269,6 +269,7 @@ def test_poly_gcd_and_lcm_match_list(pab):
     A, B = OperatorPolynomial(a, p), OperatorPolynomial(b, p)
     assert list(A.gcd(B).coeffs) == poly_gcd_list(a, b, p)
     assert list(A.lcm(B).coeffs) == poly_lcm_list([a, b], p)
+    assert fp_poly_gcd(a + [0, p], b + [0], p).tolist() == poly_gcd_list(a, b, p)  # untrimmed
 
 
 @settings(max_examples=100)
@@ -301,6 +302,96 @@ def test_poly_field_mismatch_rejected():
     with pytest.raises(ValueError):
         OperatorPolynomial([1, 1], 5).gcd(OperatorPolynomial([1.0, 1.0]))
     assert OperatorPolynomial([2 ** 70, 3], 7) == OperatorPolynomial([2 ** 70 % 7, 3], 7)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OperatorPolynomial([1, 1], 5).add(OperatorPolynomial([3, 4], 7)),
+    lambda: OperatorPolynomial([1, 1], 5).add(OperatorPolynomial([0.5, 2.5])),
+    lambda: OperatorPolynomial([1.0, 2.0]).mul(OperatorPolynomial([1, 1], 7)),
+    lambda: OperatorPolynomial([1, 1], 7).mul(OperatorPolynomial([1.0, 2.0])),
+    lambda: OperatorPolynomial([1, 1], 5).divmod(OperatorPolynomial([1, 1], 7)),
+    lambda: OperatorPolynomial([1, 1], 5).gcd(OperatorPolynomial([1, 1], 7)),
+    lambda: OperatorPolynomial([1, 1], 5).lcm(OperatorPolynomial([1, 1], 7)),
+    lambda: OperatorPolynomial([1, 1], 5).divides(OperatorPolynomial([1, 1], 7)),
+    lambda: OperatorPolynomial([1.0, 1.0]).divmod(OperatorPolynomial([1.0])),
+    lambda: OperatorPolynomial([1.5, 2], 5),
+    lambda: OperatorPolynomial(np.array([1.0, 2.0]), 5),
+    lambda: OperatorPolynomial([True, 1], 5),
+    lambda: OperatorPolynomial([1, 1], 5).scale(0.5),
+    lambda: OperatorPolynomial([1, 1], 4),
+    lambda: OperatorPolynomial([1, 1], 5.0),
+    lambda: OperatorPolynomial(["1.5", 2]),
+    lambda: OperatorPolynomial([[1, 2]], 5),
+    lambda: OperatorPolynomial.from_json({"field": "real", "coeffs": ["1.5", True]}),
+], ids=["add-F5-F7", "add-F5-real", "mul-real-F7", "mul-F7-real", "divmod-F5-F7",
+        "gcd-F5-F7", "lcm-F5-F7", "divides-F5-F7", "divmod-real", "float-over-F5",
+        "float-array-over-F5", "bool-over-F5", "scale-F5-by-float", "non-prime-field",
+        "float-prime", "string-over-R", "nested-over-F5", "real-json-string-and-bool"])
+def test_polynomial_rejects_coercion(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def check_stored_form(q, p):
+    """One read-only array of the field's dtype, reduced and trimmed."""
+    c = q.coeffs
+    assert isinstance(c, np.ndarray) and c.ndim == 1 and not c.flags.writeable
+    assert c.dtype == (np.float64 if p is None else np.int64)
+    assert not c.size or c[-1] != 0
+    if p is not None:
+        assert ((0 <= c) & (c < p)).all()
+    with pytest.raises(TypeError):
+        hash(q)
+
+
+@st.composite
+def field_polys(draw):
+    """(p, a, b, s): a field (None: the reals), two polynomials over it and a
+    scalar of it."""
+    p = draw(st.sampled_from(POLY_PRIMES + [None]))
+    if p is None:
+        entries = st.one_of(st.just(0.0), st.floats(-8, 8, allow_nan=False))
+    else:
+        entries = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1, -1, 2 ** 70]))
+    a, b = (OperatorPolynomial(draw(st.lists(entries, max_size=10)), p) for _ in range(2))
+    return p, a, b, draw(entries)
+
+
+@settings(max_examples=300)
+@given(field_polys(), st.integers(0, 5))
+def test_polynomial_stored_form_after_every_operation(pabs, k):
+    p, a, b, s = pabs
+    results = [a, b, a.add(b), a.mul(b), a.scale(s), a.shift(k)]
+    if not a.is_zero:
+        results += [a.monic(), reciprocal_poly(a)]
+    if p is None:
+        for op in (a.divmod, a.gcd, a.lcm):
+            with pytest.raises(ValueError):
+                op(b)
+    else:
+        results += [a.gcd(b), a.lcm(b)]
+        if not b.is_zero:
+            results += list(a.divmod(b))
+    for q in results:
+        check_stored_form(q, p)
+    assert OperatorPolynomial.from_json(a.to_json()) == a
+
+
+def test_polynomial_equality_by_field_and_array():
+    assert OperatorPolynomial([1, 2, 0], 5) == OperatorPolynomial(np.array([6, 7]), 5)
+    assert OperatorPolynomial([1, 2], 5) != OperatorPolynomial([1, 2], 7)
+    assert OperatorPolynomial([1, 2], 5) != OperatorPolynomial([1.0, 2.0])
+    assert OperatorPolynomial([1.0, -0.0]) == OperatorPolynomial([1])
+    assert OperatorPolynomial.__hash__ is None
+
+
+def test_finite_operator_rejects_bad_sizes():
+    with pytest.raises(ValueError):
+        FiniteOperator(3.0, 3, [1, 2, 0])
+    with pytest.raises(ValueError):
+        FiniteOperator(True, True, [0])
+    with pytest.raises(ValueError):
+        FiniteOperator(0, -5, [])
 
 
 def test_vector_power_applies_fn_k_times_in_one_closure():

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -149,7 +151,7 @@ TABLE1_ROWS = [
 
 @pytest.mark.parametrize("op", TABLE1_ROWS, ids=lambda o: o.kind)
 def test_closed_form_matches_oracle(op):
-    rng = np.random.default_rng(hash(op.kind) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(op.kind.encode()))
     oracle = GridOracle(op.as_vector_operator(), oracle_box(op), STEP)
     for _ in range(10):
         w = sample_w(op, rng, avoid=row_break_points(op))
@@ -163,7 +165,7 @@ def test_closed_form_matches_oracle(op):
 
 @pytest.mark.parametrize("op", TABLE1_ROWS, ids=lambda o: o.kind)
 def test_closed_form_mp2(op):
-    rng = np.random.default_rng(1 + hash(op.kind) % 2**32)
+    rng = np.random.default_rng(1 + zlib.crc32(op.kind.encode()))
     for _ in range(20):
         w = sample_w(op, rng)
         cf = closed_form_pinv(op, w)
@@ -179,7 +181,7 @@ def test_closed_form_mp2(op):
 def test_unique_rows_reject_perturbation(op):
     # moving the closed form by 3 grid steps must be strictly worse in the
     # (residual, norm) lexicographic order
-    rng = np.random.default_rng(2 + hash(op.kind) % 2**32)
+    rng = np.random.default_rng(2 + zlib.crc32(op.kind.encode()))
     for _ in range(10):
         w = sample_w(op, rng, avoid=row_break_points(op))
         cf = closed_form_pinv(op, w)

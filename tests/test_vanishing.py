@@ -235,6 +235,11 @@ def test_affine_vanishing_nilpotent():
         assert poly_vanishes(q, T)
 
 
+def test_affine_vanishing_rejects_other_field():
+    with pytest.raises(ValueError):
+        affine_vanishing_poly(OperatorPolynomial([0, 1], 5), np.zeros((2, 2), int), 7)
+
+
 def test_affine_vanishing_rejects_nonvanishing():
     with pytest.raises(ValueError):
         affine_vanishing_poly(OperatorPolynomial([0, 0, 1], 3),
