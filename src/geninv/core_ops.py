@@ -431,6 +431,8 @@ class OperatorPolynomial:
     def from_json(text):
         obj = json.loads(text) if isinstance(text, str) else text
         field = obj.get("field", "real")
+        if field != "real" and not (isinstance(field, dict) and field.keys() == {"prime"}):
+            raise ValueError('"field" must be "real" or {"prime": p}, got %r' % (field,))
         return OperatorPolynomial(obj["coeffs"], None if field == "real" else field["prime"])
 
     def to_json(self):

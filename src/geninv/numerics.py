@@ -71,19 +71,23 @@ def mp_residuals(A, G):
     }
 
 
-def matrix_from_json(text):
-    """Real matrix JSON: flat "data" of rows * cols numbers. ValueError unless
-    rows and cols pass integer_entries and the data pass real_entries and
-    fill the shape exactly."""
-    obj = json.loads(text) if isinstance(text, str) else text
+def _dense_matrix(obj, entries, dtype):
+    """obj's flat "data" as a rows x cols array of dtype. ValueError unless rows
+    and cols pass integer_entries and the data pass `entries` and fill the shape."""
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     integer_entries([rows], '"rows"')
     integer_entries([cols], '"cols"')
-    real_entries(data, '"data"')
-    A = np.asarray(data, dtype=float)
+    entries(data, '"data"')
+    A = np.asarray(data, dtype=dtype)
     if A.ndim != 1 or min(rows, cols) < 0 or A.size != rows * cols:
         raise ValueError("matrix data must hold rows * cols = %d x %d numbers" % (rows, cols))
     return A.reshape(rows, cols)
+
+
+def matrix_from_json(text):
+    """Real matrix JSON: the dense format of `_dense_matrix`, real entries."""
+    obj = json.loads(text) if isinstance(text, str) else text
+    return _dense_matrix(obj, real_entries, float)
 
 
 def matrix_to_json(A):
@@ -93,15 +97,11 @@ def matrix_to_json(A):
 
 
 def fp_matrix_from_json(text):
-    """F_p matrix JSON: the dense format plus "prime"; rejects a bad prime or entry."""
+    """F_p matrix JSON: the dense format plus "prime"; rejects a bad prime, entry or shape."""
     obj = json.loads(text) if isinstance(text, str) else text
     p = obj["prime"]
     fp_check(p)
-    integer_entries(obj["data"], '"data"')
-    integer_entries([obj["rows"]], '"rows"')
-    integer_entries([obj["cols"]], '"cols"')
-    A = np.asarray(obj["data"], dtype=np.int64).reshape(obj["rows"], obj["cols"])
-    return np.mod(A, p), int(p)
+    return np.mod(_dense_matrix(obj, integer_entries, np.int64), p), int(p)
 
 
 def fp_matrix_to_json(A, p):

@@ -245,7 +245,8 @@ def _residuals(values, w):
 
 
 class _Grid:
-    """A box grid in row-major order, with T and the norm at every point."""
+    """A box grid in row-major order, with T and the norm at every point;
+    ValueError where T is NaN, which no residual bound could admit."""
 
     def __init__(self, T, axes):
         total = int(np.prod([len(ax) for ax in axes], dtype=object))
@@ -254,6 +255,8 @@ class _Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         self.points = np.stack([m.ravel() for m in mesh], axis=1)
         self.values = T.apply_batch(self.points)
+        if np.isnan(self.values).any():
+            raise ValueError("T is NaN at a grid point")
         self.norms = np.linalg.norm(self.points, axis=1)
 
     @cached_property
@@ -266,38 +269,31 @@ class _Grid:
         """||T(p) - w|| at every grid point p, in one scan of the values."""
         return _residuals(self._columns, w)
 
-    def best(self, w, tie_tol=0.0):
-        """Index of the least residual (within tie_tol), then the least
-        norm, then the first in grid order; and the residual array."""
-        res = self.residuals(w)
-        tie = np.flatnonzero(res <= res.min() + tie_tol)
-        return tie[np.argmin(self.norms[tie])], res
-
-    def min_norm(self, res, res_bound):
-        """Smallest norm among the points whose residual in `res` is <= res_bound."""
-        hit = res <= res_bound
-        if not hit.any():
-            return np.inf
-        return float(self.norms[hit].min())
+    def least_norm(self, res, bound):
+        """Index of the least-norm point whose residual in `res` is <= bound,
+        the first in grid order among equal norms; None if none qualifies."""
+        hit = np.flatnonzero(res <= bound)
+        if hit.size == 0:
+            return None
+        return int(hit[np.argmin(self.norms[hit])])
 
 
 class GridOracle:
     """Exhaustive BAS search over a fixed box grid.
 
-    `query` minimizes the residual, breaking ties by smaller norm and then
-    by lexicographic (row-major) grid order. A positive `tie_tol` widens
-    the residual tie group before the norm tie-break; the default 0.0 is
-    the exact deterministic rule.
+    Both queries apply one rule, `_Grid.least_norm`: the least norm among
+    the points whose residual is within a bound, then the first in
+    row-major grid order. `query(w)` bounds at the least residual (BAS on
+    the grid); `within(w, res_bound)` at res_bound, None if none qualifies.
 
     The oracle holds one grid per factor of T (`T.factors`: the parts of a
     componentwise product, or T itself) with T's part evaluated on it.
     The residual and the norm of a product are both sums of squares over
-    its factors, so the exact BAS rule picks each factor's point on its
-    own: `query` with tie_tol 0 searches d grids of n points in place of
-    one of n^d. A positive tie_tol, `min_norm_within` and the `points`,
-    `values` and `norms` arrays read the joint grid, built on first use;
-    MAX_GRID_POINTS bounds each factor grid at construction and the joint
-    grid when it is built.
+    its factors, so the BAS rule picks each factor's point on its own:
+    `query` searches d grids of n points in place of one of n^d. `within`
+    and the `points`, `values` and `norms` arrays read the joint grid,
+    built on first use; MAX_GRID_POINTS bounds each factor grid at
+    construction and the joint grid when it is built.
 
     In floats the per-factor answer can differ from a scan of the joint
     grid in two ways. (a) Where a factor has several coordinates, its
@@ -352,19 +348,14 @@ class GridOracle:
             raise ValueError("target must be finite, got %s" % w.tolist())
         return w
 
-    def query(self, w, tie_tol=0.0):
+    def query(self, w):
         w = self._target(w)
-        if tie_tol < 0:
-            raise ValueError("tie_tol must be non-negative")
-        if tie_tol > 0:
-            j, res = self.grid.best(w, tie_tol)
-            return OracleBest(self.points[j].copy(), float(res[j]),
-                              float(self.norms[j]), int(j))
         index, v, value, start = 0, [], [], 0
         for f in self.factors:
             stop = start + f.values.shape[1]
-            j, _ = f.best(w[start:stop])
-            index = index * len(f.points) + int(j)
+            res = f.residuals(w[start:stop])
+            j = f.least_norm(res, res.min())
+            index = index * len(f.points) + j
             v.append(f.points[j])
             value.append(f.values[j])
             start = stop
@@ -373,14 +364,17 @@ class GridOracle:
         return OracleBest(v, float(residual),
                           float(np.linalg.norm(v[None, :], axis=1)[0]), index)
 
-    def min_norm_within(self, w, res_bound):
-        """Smallest grid-point norm among points with residual <= res_bound."""
-        return self.grid.min_norm(self.grid.residuals(self._target(w)), res_bound)
+    def within(self, w, res_bound):
+        """`_Grid.least_norm` at res_bound on the joint grid; None if none qualifies."""
+        res = self.grid.residuals(self._target(w))
+        j = self.grid.least_norm(res, res_bound)
+        return None if j is None else OracleBest(self.points[j].copy(), float(res[j]),
+                                                 float(self.norms[j]), j)
 
 
-def grid_bas_oracle(T, w, box, step, tie_tol=0.0):
+def grid_bas_oracle(T, w, box, step):
     """One-shot oracle call; see GridOracle."""
-    return GridOracle(T, box, step).query(w, tie_tol=tie_tol)
+    return GridOracle(T, box, step).query(w)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +391,19 @@ class PseudoInverseReport:
     mp2_residual: float
     bas_ok: bool
     mp2_ok: bool
-    residual_gap: float        # residual - oracle best residual
-    norm_gap: float            # norm - min oracle norm within the tie group
+    residual_gap: float        # see bas_gaps
+    norm_gap: float
+
+
+def bas_gaps(grid, w, residual, norm, res_slack):
+    """BAS certificate of a candidate v with `residual` ||T(v) - w|| and
+    `norm` ||v|| against the points p of a GridOracle's `grid`: residual
+    minus the least ||T(p) - w||, and norm minus the least ||p|| among the
+    p with ||T(p) - w|| <= residual + res_slack (-inf: there is none)."""
+    res = grid.residuals(w)
+    j = grid.least_norm(res, residual + res_slack)
+    norm_gap = -np.inf if j is None else norm - float(grid.norms[j])
+    return residual - float(res.min()), norm_gap
 
 
 def check_pseudo_inverse(T, G, samples, box, step, res_slack=1e-9,
@@ -406,9 +411,9 @@ def check_pseudo_inverse(T, G, samples, box, step, res_slack=1e-9,
     """Verify a candidate inverse G of T against axioms and the grid oracle.
 
     For each sample w: MP1 residual ||T G T(v) - T(v)|| at v = G(w), MP2
-    residual ||G T G(w) - G(w)||, and a BAS certificate -- the candidate may
-    not be beaten by any grid point by more than `res_slack` in residual,
-    nor by more than `norm_slack` in norm among near-ties.
+    residual ||G T G(w) - G(w)||, and `bas_gaps`: bas_ok unless a grid point
+    beats G(w)'s residual by more than `res_slack`, or one with residual at
+    most G(w)'s plus res_slack beats its norm by more than `norm_slack`.
     """
     if oracle is None:
         oracle = GridOracle(T, box, step)
@@ -425,15 +430,11 @@ def check_pseudo_inverse(T, G, samples, box, step, res_slack=1e-9,
         gtv = G.apply(Tv)
         mp1 = float(np.linalg.norm(T.apply(gtv) - Tv))
         mp2 = float(np.linalg.norm(gtv - v))
-        res = grid.residuals(w)                 # one scan serves both bounds
-        best_residual = float(res.min())
-        tie_norm = grid.min_norm(res, max(residual, best_residual) + res_slack)
-        residual_gap = residual - best_residual
-        norm_gap = norm - tie_norm
+        residual_gap, norm_gap = bas_gaps(grid, w, residual, norm, res_slack)
         bas_ok = residual_gap <= res_slack and norm_gap <= norm_slack
         reports.append(PseudoInverseReport(w, v, residual, norm, mp1, mp2,
                                            bool(bas_ok), bool(mp2 <= mp2_tol),
-                                           float(residual_gap), float(norm_gap)))
+                                           residual_gap, norm_gap))
     return reports
 
 
@@ -448,13 +449,13 @@ class ExpandingDomainResult:
     history: list = field(default_factory=list)
 
 
-def expanding_domain_pinv(T, w, radius_schedule, stabilization_window, step,
-                          tie_tol=0.0):
+def expanding_domain_pinv(T, w, radius_schedule, stabilization_window, step):
     """Grid pseudo-inverse restricted to balls B(0, r) over growing radii.
 
-    The search box is the cube [-r, r]^dim intersected with the ball.
-    Reports the value once it repeats, within 2*step per coordinate,
-    across `stabilization_window` consecutive radii.
+    The search box is the cube [-r, r]^dim intersected with the ball; its
+    BAS point is `_Grid.least_norm` at the least residual. Reports the value
+    once it repeats, within 2*step per coordinate, across
+    `stabilization_window` consecutive radii.
     """
     radii = list(radius_schedule)
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -465,13 +466,9 @@ def expanding_domain_pinv(T, w, radius_schedule, stabilization_window, step,
     history = []
     for r in radii:
         oracle = GridOracle(T, [(-r, r)] * dim, step)
-        inside = oracle.norms <= r + 1e-12
-        res = np.linalg.norm(oracle.values - np.atleast_1d(w)[None, :], axis=1)
-        res = np.where(inside, res, np.inf)
-        rmin = res.min()
-        tie = np.flatnonzero(res <= rmin + tie_tol)
-        j = tie[np.argmin(oracle.norms[tie])]
-        history.append(oracle.points[j].copy())
+        res = oracle.grid.residuals(oracle._target(w))
+        res = np.where(oracle.norms <= r + 1e-12, res, np.inf)
+        history.append(oracle.points[oracle.grid.least_norm(res, res.min())].copy())
         k = stabilization_window
         if len(history) >= k:
             run = history[-k:]

@@ -400,13 +400,9 @@ def projection_after_operator_pinv(T, C, w, box, step, probes=None,
     target = C.project(w)
     if feas_tol is None:
         feas_tol = step * np.sqrt(T.dim_in)
-    grid = GridOracle(T, box, step)
-    imgs = C.project_batch(grid.values)
-    res = np.linalg.norm(imgs - target[None, :], axis=1)
-    feas = np.flatnonzero(res <= feas_tol)
-    if feas.size == 0:
+    oracle = GridOracle(T, box, step)
+    res = np.linalg.norm(C.project_batch(oracle.values) - target[None, :], axis=1)
+    j = oracle.grid.least_norm(res, feas_tol)
+    if j is None:
         return ConstrainedSearchResult(None, False, target, float(res.min()))
-    norms = grid.norms[feas]
-    j = feas[np.argmin(norms)]
-    return ConstrainedSearchResult(grid.points[j].copy(), True, target,
-                                   float(res[j]))
+    return ConstrainedSearchResult(oracle.points[j].copy(), True, target, float(res[j]))

@@ -767,8 +767,10 @@ def grid_query_dense(T, box, step, w):
 def check_pseudo_inverse_two_scan(T, G, samples, box, step, res_slack=1e-9,
                                   norm_slack=None, mp2_tol=1e-9):
     """The BAS certificate with two joint-grid scans per sample: one for the
-    best residual, one for the least norm among near-ties. Returns one tuple
-    per sample in the field order of PseudoInverseReport."""
+    best residual, one for the least norm among the points whose residual is
+    at most the candidate's plus res_slack (-inf norm gap when there is
+    none). Returns one tuple per sample in the field order of
+    PseudoInverseReport."""
     points, values, norms = grid_dense(T, box, step)
     if norm_slack is None:
         norm_slack = 2.0 * step * np.sqrt(T.dim_in)
@@ -786,7 +788,7 @@ def check_pseudo_inverse_two_scan(T, G, samples, box, step, res_slack=1e-9,
         tie = np.flatnonzero(res <= res.min())
         best = float(res[tie[np.argmin(norms[tie])]])
         res = np.linalg.norm(values - w[None, :], axis=1)
-        hit = res <= max(residual, best) + res_slack
+        hit = res <= residual + res_slack
         tie_norm = float(norms[hit].min()) if hit.any() else np.inf
         gap, ngap = residual - best, norm - tie_norm
         out.append((w, v, residual, norm, mp1, mp2,

@@ -154,6 +154,13 @@ def test_polynomial_from_json_rejects_bad_prime_field_input(obj):
         OperatorPolynomial.from_json(obj)
 
 
+@pytest.mark.parametrize("field", ["abc", None, 7, {}, {"prime": 5, "degree": 1},
+                                   ["prime", 5], "R"])
+def test_polynomial_from_json_names_a_bad_field(field):
+    with pytest.raises(ValueError, match='"field"'):
+        OperatorPolynomial.from_json({"field": field, "coeffs": [1]})
+
+
 def test_finite_operator_json_roundtrip():
     T = FiniteOperator(3, 2, (1, 1, 0))
     assert FiniteOperator.from_json(T.to_json()) == T

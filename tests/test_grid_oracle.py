@@ -170,21 +170,30 @@ def test_joint_arrays_are_the_factor_grid_for_a_single_factor():
     assert np.array_equal(oracle.points[:, 0], [-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
-def test_positive_tie_tol_and_min_norm_read_the_joint_grid():
+def test_within_reads_the_joint_grid():
     T = product_of([("relu", {}), ("soft_threshold", {"a": 1.0})])
     oracle = GridOracle(T, [(-2.0, 2.0)] * 2, 0.25)
     points, values = oracle.points, oracle.values
     w = np.array([-0.5, 0.1])
     res = np.linalg.norm(values - w, axis=1)
-    best = oracle.query(w, tie_tol=0.2)
+    best = oracle.within(w, res.min() + 0.2)
     tie = np.flatnonzero(res <= res.min() + 0.2)
     j = tie[np.argmin(np.linalg.norm(points[tie], axis=1))]
     assert best.index == j and np.array_equal(best.v, points[j])
-    assert oracle.min_norm_within(w, 0.6) == np.linalg.norm(points[res <= 0.6], axis=1).min()
-    with pytest.raises(ValueError):
-        oracle.query(w, tie_tol=-1.0)
-    with pytest.raises(DimensionMismatch):
-        oracle.query([0.5])
+    assert bits(best.residual) == bits(res[j])
+    assert oracle.within(w, 0.6).norm == np.linalg.norm(points[res <= 0.6], axis=1).min()
+    assert oracle.within(w, res.min() - 1e-3) is None
+    for query in (oracle.query, lambda u: oracle.within(u, 1.0)):
+        with pytest.raises(DimensionMismatch):
+            query([0.5])
+
+
+def test_oracle_rejects_an_operator_that_is_nan_on_its_grid():
+    # a NaN residual fails every bound, so no grid point could be chosen
+    T = Scalar1DOperator("custom", fn=lambda v: np.where(v < 0.0, np.nan, v))
+    with pytest.raises(ValueError, match="NaN"):
+        GridOracle(T.as_vector_operator(), [(-1.0, 1.0)], 0.5)
+    GridOracle(T.as_vector_operator(), [(0.0, 1.0)], 0.5).query([0.5])
 
 
 def test_three_factor_oracle_at_step_001():
@@ -197,8 +206,7 @@ def test_three_factor_oracle_at_step_001():
     # the joint grid of 801^3 points is past MAX_GRID_POINTS: refused unallocated
     tracemalloc.start()
     try:
-        for joint in (lambda: oracle.points, lambda: oracle.query([0.0] * 3, tie_tol=0.1),
-                      lambda: oracle.min_norm_within([0.0] * 3, 1.0)):
+        for joint in (lambda: oracle.points, lambda: oracle.within([0.0] * 3, 1.0)):
             with pytest.raises(ValueError, match="too large"):
                 joint()
         _, peak = tracemalloc.get_traced_memory()
@@ -256,7 +264,8 @@ def assert_reports_equal(new, old):
 
 @given(st.lists(UNIQUE_PARTS, min_size=1, max_size=3), st.floats(0.5, 2.0),
        st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=40, deadline=None)
+@example([("soft_threshold", {"a": 1.0})], 1.0, 0)   # exact off-grid candidates:
+@settings(max_examples=40, deadline=None)            # norm gap -inf on every sample
 def test_check_pseudo_inverse_matches_two_scans_on_products(parts, skew, seed):
     step = 0.02 if len(parts) < 3 else 0.1
     ops = [Scalar1DOperator(kind, **params) for kind, params in parts]

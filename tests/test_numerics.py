@@ -356,6 +356,10 @@ def test_fp_check_accepts_integer_kinds():
     {"rows": 1, "cols": 2, "data": [1, 2], "prime": True},
     {"rows": 1.5, "cols": 2, "data": [1, 2], "prime": 5},
     {"rows": 1, "cols": True, "data": [1], "prime": 5},
+    {"rows": -1, "cols": 3, "data": [1, 2, 3], "prime": 5},    # reshaped to 1 x 3 before
+    {"rows": -1, "cols": -3, "data": [1, 2, 3], "prime": 5},
+    {"rows": 1, "cols": -3, "data": [1, 2, 3], "prime": 5},
+    {"rows": 2, "cols": 2, "data": [1, 2, 3], "prime": 5},     # too few entries
 ])
 def test_fp_matrix_from_json_rejects(obj):
     with pytest.raises(ValueError):

@@ -218,6 +218,41 @@ def test_check_pseudo_inverse_flags_bad_candidate():
     assert not reports[0].bas_ok
 
 
+SUITE_BOX, SUITE_STEP = [(-6.0, 6.0)], 1e-2
+
+
+def test_check_pseudo_inverse_accepts_an_exact_candidate_off_the_grid():
+    # G(-1.9e-4) = -1.00019 has residual 0 up to rounding; every grid point
+    # has residual >= 1.9e-4, so none may undercut its norm
+    op = Scalar1DOperator("soft_threshold", a=1.0)
+    report, = check_pseudo_inverse(op.as_vector_operator(), pinv1d_operator(op),
+                                   [[-1.9e-4]], SUITE_BOX, SUITE_STEP)
+    assert report.residual <= 1e-15 and report.bas_ok
+    assert report.norm_gap == -np.inf
+
+
+def _hard_threshold_branch_swapped(w):
+    aw = np.abs(w)
+    return np.sign(w) * (aw > 1.0) * np.where(aw > 2.0, 2.0, aw)
+
+
+@pytest.mark.parametrize("op, mutant", [
+    (Scalar1DOperator("soft_threshold", a=1.0),
+     lambda w: np.sign(w) * (np.abs(w) + 1.0) + 0.1),
+    (Scalar1DOperator("hard_threshold", a=2.0), _hard_threshold_branch_swapped),
+    (Scalar1DOperator("relu"), lambda w: w),                 # no clamp at 0
+    (Scalar1DOperator("sign_eps", eps=0.5), lambda w: 0.5 * w),   # no clip
+])
+def test_check_pseudo_inverse_rejects_mutated_closed_forms(op, mutant):
+    targets = [[w] for w in (-3.0, -1.5, -0.4, -1.9e-4, 0.3, 1.2, 2.5)]
+    T = op.as_vector_operator()
+    good = check_pseudo_inverse(T, pinv1d_operator(op), targets, SUITE_BOX, SUITE_STEP)
+    assert all(r.bas_ok for r in good)
+    bad = check_pseudo_inverse(T, VectorOperator.from_scalar(mutant), targets,
+                               SUITE_BOX, SUITE_STEP)
+    assert not all(r.bas_ok for r in bad)
+
+
 def test_mp2_counterexample_from_constant_operator():
     # V = {-1, 1}, W = {0, 1}, T constant 1; S(0) = -1, S(1) = 1 satisfies
     # BAS but violates MP2
@@ -274,7 +309,8 @@ def test_discontinuity_of_unique_pseudo_inverse():
     def pinv(w):
         # three sources tie the residual exactly; group grid near-ties so
         # the norm tie-break picks among all of them
-        return oracle.query(np.array([w]), tie_tol=5 * STEP).v[0]
+        w = np.array([w])
+        return oracle.within(w, oracle.query(w).residual + 5 * STEP).v[0]
 
     lo, hi = 0.2, 0.6
     assert pinv(lo) < 2.0 < pinv(hi)
