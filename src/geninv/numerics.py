@@ -71,6 +71,19 @@ def mp_residuals(A, G):
     }
 
 
+def json_object(obj, what="JSON value"):
+    """obj if it is a JSON object (a dict); ValueError naming `what` otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s must be a JSON object" % what)
+    return obj
+
+
+def parse_json_object(text):
+    """The JSON object `text`, parsed first when it is a str; ValueError when
+    it is not an object. The one entry check of the library's JSON readers."""
+    return json_object(json.loads(text) if isinstance(text, str) else text)
+
+
 def _dense_matrix(obj, entries, dtype):
     """obj's flat "data" as a rows x cols array of dtype. ValueError unless rows
     and cols pass integer_entries and the data pass `entries` and fill the shape."""
@@ -86,8 +99,7 @@ def _dense_matrix(obj, entries, dtype):
 
 def matrix_from_json(text):
     """Real matrix JSON: the dense format of `_dense_matrix`, real entries."""
-    obj = json.loads(text) if isinstance(text, str) else text
-    return _dense_matrix(obj, real_entries, float)
+    return _dense_matrix(parse_json_object(text), real_entries, float)
 
 
 def matrix_to_json(A):
@@ -98,7 +110,7 @@ def matrix_to_json(A):
 
 def fp_matrix_from_json(text):
     """F_p matrix JSON: the dense format plus "prime"; rejects a bad prime, entry or shape."""
-    obj = json.loads(text) if isinstance(text, str) else text
+    obj = parse_json_object(text)
     p = obj["prime"]
     fp_check(p)
     return np.mod(_dense_matrix(obj, integer_entries, np.int64), p), int(p)

@@ -13,52 +13,54 @@ import math
 import numpy as np
 
 from .core_ops import FiniteOperator, checked_table, image
+from .numerics import parse_json_object
 
 
 class InvalidSpec(ValueError):
     """Raised when a (V0, P0) pair violates its invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneTwoInverseSpec:
     """Source selector V0 and retraction P0 for building a {1,2}-inverse.
 
     v0: ids in the domain, exactly one source for each image element.
     p0: full codomain-length table mapping every codomain id into the
         image, restricting to the identity on the image.
+
+    Both are stored as read-only int64 arrays, checked where they are built:
+    v0 holds non-negative ids and p0 maps its own length into itself, else
+    InvalidSpec. Equal arrays make equal specs; the arrays make them
+    unhashable. `validate` checks the rest against T.
     """
 
-    v0: tuple
-    p0: tuple
+    v0: np.ndarray
+    p0: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "v0", _read_only_ids("v0", self.v0, np.iinfo(np.int64).max))
+        object.__setattr__(self, "p0", _read_only_ids("p0", self.p0))
+
+    def __eq__(self, other):                    # which also sets __hash__ to None
+        return (isinstance(other, OneTwoInverseSpec) and np.array_equal(self.v0, other.v0)
+                and np.array_equal(self.p0, other.p0))
 
     @staticmethod
-    def from_json(obj):
-        import json
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return OneTwoInverseSpec(tuple(obj["v0"]), tuple(obj["p0"]))
+    def from_json(text):
+        obj = parse_json_object(text)
+        return OneTwoInverseSpec(obj["v0"], obj["p0"])
 
     def to_json(self):
-        # without T, v0 holds non-negative ids and p0 maps its own length into itself
-        v0, p0 = self._checked(np.iinfo(np.int64).max, len(self.p0))
-        return {"v0": v0.tolist(), "p0": p0.tolist()}
-
-    def _checked(self, domain_size, codomain_size):
-        """(v0, p0) as int64 arrays checked by checked_table; raises InvalidSpec."""
-        try:
-            v0 = checked_table(self.v0, len(self.v0), domain_size)
-        except ValueError as e:
-            raise InvalidSpec("v0: %s" % e)
-        try:
-            p0 = checked_table(self.p0, codomain_size, codomain_size)
-        except ValueError as e:
-            raise InvalidSpec("p0: %s" % e)
-        return v0, p0
+        return {"v0": self.v0.tolist(), "p0": self.p0.tolist()}
 
     def validate(self, T):
-        """Check the spec against T, raising InvalidSpec; returns (v0, p0)
-        as int64 arrays."""
-        v0, p0 = self._checked(T.domain_size, T.codomain_size)
+        """Check the spec against T, raising InvalidSpec."""
+        v0, p0 = self.v0, self.p0
+        if v0.size and v0.max() >= T.domain_size:
+            raise InvalidSpec("v0: source %d lies outside the domain" % v0.max())
+        if len(p0) != T.codomain_size:
+            raise InvalidSpec("p0: length %d is not the codomain size %d"
+                              % (len(p0), T.codomain_size))
         on_image = np.bincount(T.table, minlength=T.codomain_size) > 0
         if len(v0) != np.count_nonzero(on_image):
             raise InvalidSpec("v0 must pick exactly one source per image element")
@@ -70,7 +72,17 @@ class OneTwoInverseSpec:
                               % p0[np.argmin(on_image[p0])])
         if not np.array_equal(p0[on_image], np.flatnonzero(on_image)):
             raise InvalidSpec("p0 must be the identity on the image")
-        return v0, p0
+
+
+def _read_only_ids(name, ids, bound=None):
+    """`ids` as a read-only int64 array checked by checked_table, its entries
+    in [0, bound) (bound defaults to len(ids)); InvalidSpec naming `name`."""
+    try:
+        arr = checked_table(ids, len(ids), len(ids) if bound is None else bound)
+    except (TypeError, ValueError) as e:     # TypeError: ids has no length
+        raise InvalidSpec("%s: %s" % (name, e))
+    arr.flags.writeable = False
+    return arr
 
 
 def default_spec(T):
@@ -83,7 +95,7 @@ def default_spec(T):
     lower = img[np.maximum(j - 1, 0)]          # equal to upper past either end
     upper = img[np.minimum(j, len(img) - 1)]
     p0 = np.where(w - lower <= upper - w, lower, upper)   # ties to the smaller id
-    return OneTwoInverseSpec(tuple(np.sort(first).tolist()), tuple(p0.tolist()))
+    return OneTwoInverseSpec(np.sort(first), p0)
 
 
 def _invert_on(t, sources, targets, size):
@@ -102,9 +114,9 @@ def build_one_two_inverse(T, spec=None):
     """Construct (T|_V0)^-1 P0, a {1,2}-inverse of T."""
     if spec is None:
         spec = default_spec(T)
-    v0, p0 = spec.validate(T)
+    spec.validate(T)
     G = FiniteOperator(T.codomain_size, T.domain_size,
-                       _invert_on(T.table, v0, p0, T.codomain_size))
+                       _invert_on(T.table, spec.v0, spec.p0, T.codomain_size))
     mp1, mp2 = check_mp_axioms(T, G)
     if not (mp1 and mp2):
         raise AssertionError("construction violated MP1-2; spec validation is broken")

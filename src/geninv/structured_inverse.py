@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_ops import VectorOperator, DimensionMismatch
+from .numerics import json_object
 from .pseudo_inverse import GridOracle
 
 DYKSTRA_TOL = 1e-10
@@ -222,7 +223,7 @@ def project(C, x):
 
 
 def convex_set_from_json(obj):
-    kind = obj["kind"]
+    kind = json_object(obj, "convex set")["kind"]
     if kind == "box":
         return Box(obj["lo"], obj["hi"])
     if kind == "l2_ball":

@@ -1,7 +1,11 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from geninv import cli
 
@@ -242,6 +246,78 @@ def test_vanish_stdout_bytes(tmp_path, capsys, p, table, expect):
     op.write_text(json.dumps({"domain": len(table), "codomain": len(table), "table": table}))
     assert cli.main(["vanish", "--op", str(op), "--prime", str(p)]) == 0
     assert capsys.readouterr().out.encode() == expect
+
+
+def relabelled_path(n, a):
+    """v -> max(v - 1, 0) with each point v renamed a*v mod n (a prime to n)."""
+    t = [0] * n
+    for v in range(n):
+        t[a * v % n] = a * max(v - 1, 0) % n
+    return t
+
+
+def lcg_map(n, seed):
+    """n pseudo-random entries in 0..n-1 from a 64-bit linear congruential generator."""
+    t, x = [], seed
+    for _ in range(n):
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2 ** 64
+        t.append((x >> 33) % n)
+    return t
+
+
+# sha256 of the stdout of `geninv drazin` on two maps longer than
+# cli.INT_ARRAY_MIN, taken from the list-based output the digit writer replaced
+DRAZIN_SHA256 = [
+    pytest.param(relabelled_path(700, 389), 4151,
+                 "19c3462234b1717c32e5a238f36bd878a4533f2e4da40c69d7b3ab8cce592155",
+                 id="relabelled-path-700"),
+    pytest.param(lcg_map(1500, 17), 9646,
+                 "33ff9660a075d25e60f019275ed42db44447f50c6e40468cec555270ad8143f6",
+                 id="random-map-1500"),
+]
+
+
+@pytest.mark.parametrize("table, size, sha", DRAZIN_SHA256)
+def test_drazin_stdout_bytes(tmp_path, capsys, table, size, sha):
+    assert len(table) >= cli.INT_ARRAY_MIN
+    op = tmp_path / "T.json"
+    op.write_text(json.dumps({"domain": len(table), "codomain": len(table), "table": table}))
+    assert cli.main(["drazin", "--op", str(op)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == size and hashlib.sha256(out).hexdigest() == sha
+
+
+# entries at each 10^k - 1 and 10^k, where the digit count changes, at the
+# writer's switch from uint32 to uint64 digits, and at the int64 top
+DIGIT_EDGES = ([0] + [v for k in range(1, 19) for v in (10 ** k - 1, 10 ** k)]
+               + [2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1])
+
+
+@given(st.lists(st.sampled_from(DIGIT_EDGES) | st.integers(0, 2 ** 63 - 1), min_size=1),
+       st.integers(0, 2 * cli.INT_ARRAY_MIN))
+@example([0], 0)
+@example([0], 1)
+@example(DIGIT_EDGES, len(DIGIT_EDGES))
+@example([7, 10 ** 18], cli.INT_ARRAY_MIN - 1)
+@example([7, 10 ** 18], cli.INT_ARRAY_MIN)
+def test_int_array_writer_matches_json(entries, length):
+    a = np.resize(np.array(entries, dtype=np.int64), length)    # entries repeated
+    expect = json.dumps(a.tolist(), separators=(",", ":"))
+    assert cli._int_array_json(a) == expect
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit({"table": a, "index": 3, "levels": a[:4]})
+    assert out.getvalue() == ('{"index":3,"levels":%s,"table":%s}\n'
+                              % (json.dumps(a[:4].tolist(), separators=(",", ":")), expect))
+
+
+def test_int_array_writer_rejects_negative_entries():
+    with pytest.raises(AssertionError, match="negative"):
+        cli._int_array_json(np.array([3, -1, 4], dtype=np.int64))
+    long = np.zeros(cli.INT_ARRAY_MIN, dtype=np.int64)
+    long[-1] = -(2 ** 63)
+    with pytest.raises(AssertionError, match="negative"):
+        cli._emit({"table": long})
 
 
 def test_json_output_deterministic(tmp_path, capsys):

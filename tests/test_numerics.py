@@ -369,3 +369,17 @@ def test_fp_matrix_from_json_rejects(obj):
 def test_fp_matrix_from_json_reduces_integers():
     A, p = fp_matrix_from_json('{"rows": 1, "cols": 3, "data": [-1, 7, 2], "prime": 5}')
     assert p == 5 and A.tolist() == [[4, 2, 2]]
+
+
+def _json_readers():
+    from geninv import FiniteOperator, OperatorPolynomial, OneTwoInverseSpec
+    from geninv.structured_inverse import convex_set_from_json
+    return [FiniteOperator.from_json, OperatorPolynomial.from_json, matrix_from_json,
+            fp_matrix_from_json, OneTwoInverseSpec.from_json, convex_set_from_json]
+
+
+@pytest.mark.parametrize("value", [[1, 2], "[1]", 3], ids=["list", "list-text", "int"])
+@pytest.mark.parametrize("reader", _json_readers(), ids=lambda f: f.__qualname__)
+def test_json_readers_reject_non_objects(reader, value):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        reader(value)

@@ -6,6 +6,8 @@ from geninv import (FiniteOperator, compose, image,
                     build_one_two_inverse, double_inverse, check_mp_axioms,
                     enumerate_one_two_inverses, one_two_inverse_count)
 
+from helpers import default_spec_loop
+
 
 def random_operator(rng, max_side=8):
     nv = int(rng.integers(1, max_side + 1))
@@ -167,9 +169,57 @@ def test_default_spec_validates():
 def test_spec_json_roundtrip():
     T = FiniteOperator(3, 2, (1, 1, 0))
     spec = default_spec(T)
+    v0, p0 = default_spec_loop(T)
+    assert np.array_equal(spec.v0, v0) and np.array_equal(spec.p0, p0)
+    assert spec.to_json() == {"v0": list(v0), "p0": list(p0)}
     back = OneTwoInverseSpec.from_json(spec.to_json())
     assert back == spec
     assert build_one_two_inverse(T, back) == build_one_two_inverse(T, spec)
+
+
+def test_spec_stores_read_only_int64_arrays():
+    given = np.array([0, 2])
+    spec = OneTwoInverseSpec(given, [0, 1])
+    for arr in (spec.v0, spec.p0):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.int64
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    given[0] = 1                                  # the spec holds its own copy
+    assert spec.v0.tolist() == [0, 2]
+
+
+def test_spec_equality_is_by_value_and_specs_are_unhashable():
+    spec = OneTwoInverseSpec((0, 2), (0, 1))
+    assert spec == OneTwoInverseSpec(np.array([0, 2], dtype=np.int32), [0, 1])
+    assert spec == OneTwoInverseSpec.from_json('{"v0": [0, 2], "p0": [0, 1]}')
+    assert spec != OneTwoInverseSpec((2, 0), (0, 1))
+    assert spec != OneTwoInverseSpec((0, 2), (0, 1, 1))
+    assert spec != ((0, 2), (0, 1))
+    with pytest.raises(TypeError):
+        hash(spec)
+    with pytest.raises(TypeError):
+        {spec}
+
+
+@pytest.mark.parametrize("bad", [[0.0, 1], [0.5, 1], [True, 0], [0, False], [-1, 0],
+                                 [[0, 1]], [0, [1]], ["0", "1"], 3, None],
+                         ids=["float-integral", "float", "bool", "bool-false", "negative",
+                              "nested", "nested-entry", "strings", "int", "null"])
+@pytest.mark.parametrize("side", ["v0", "p0"])
+def test_spec_rejects_bad_entries_where_it_is_built(side, bad):
+    good = {"v0": [0, 1], "p0": [0, 1]}
+    with pytest.raises(InvalidSpec, match=side):
+        OneTwoInverseSpec(**dict(good, **{side: bad}))
+    with pytest.raises(InvalidSpec, match=side):
+        OneTwoInverseSpec.from_json(dict(good, **{side: bad}))
+
+
+def test_spec_rejects_a_retraction_outside_its_own_length():
+    with pytest.raises(InvalidSpec, match="p0"):
+        OneTwoInverseSpec((0, 1), (0, 2))
+    with pytest.raises(InvalidSpec, match="v0"):     # outside T's domain: checked against T
+        OneTwoInverseSpec((0, 3), (0, 1)).validate(FiniteOperator(3, 2, (1, 1, 0)))
 
 
 def test_exhaustive_small_shapes():
