@@ -25,6 +25,7 @@ from .numerics import mp_inverse
 from .pseudo_inverse import Scalar1DOperator, pinv_table
 
 QP_CAP = 500
+QP_TOL = 1e-9              # violation, multiplier-sign and ratio-test threshold
 DEPENDENCE_TOL = 1e-10     # n_p depends on the working rows: ||z|| <= this * ||n_p||
 
 
@@ -171,7 +172,7 @@ def _certified_exit(qp, y, active, iterations):
                     farkas_residuals={"combination": comb, "rhs": gap})
 
 
-def solve_least_norm_qp(qp, tol=1e-9, cap=QP_CAP):
+def solve_least_norm_qp(qp):
     """Dual active-set solver for the strictly convex least-norm program.
 
     Starts from the equality-only least-norm point, which is optimal for
@@ -180,8 +181,8 @@ def solve_least_norm_qp(qp, tol=1e-9, cap=QP_CAP):
     working rows activates it, and the dual ratio test drops the working
     constraint whose multiplier would turn negative first (first minimum
     on ties). Each pass over the candidates and each step counts as an
-    iteration; `cap` bounds them. When no inequality is violated by more
-    than `tol`, the working-set solution is re-solved exactly (if the
+    iteration; QP_CAP bounds them. When no inequality is violated by more
+    than QP_TOL, the working-set solution is re-solved exactly (if the
     working set changed since it was last solved); a negative multiplier
     there drops its constraint, and a violated non-working row resumes
     the loop.
@@ -206,7 +207,7 @@ def solve_least_norm_qp(qp, tol=1e-9, cap=QP_CAP):
     out of Q and R when its right-hand side agrees with the rows it
     depends on, and makes the program infeasible when it does not. A
     dependent violated inequality with no working inequality to drop
-    (no r_j > tol) makes it infeasible too. Either way the vector y with
+    (no r_j > QP_TOL) makes it infeasible too. Either way the vector y with
     1 on that row and -r on the working rows must pass as a Farkas
     certificate (`_certified_exit`).
 
@@ -216,7 +217,7 @@ def solve_least_norm_qp(qp, tol=1e-9, cap=QP_CAP):
                          two residuals in `farkas_residuals`;
       "numerical"        the Farkas vector failed its check, so neither
                          feasibility nor infeasibility is certified;
-      "iteration_limit"  `cap` iterations without an answer.
+      "iteration_limit"  QP_CAP iterations without an answer.
     Every exit reports `iterations` and the working inequalities in
     `active`.
     """
@@ -254,24 +255,24 @@ def solve_least_norm_qp(qp, tol=1e-9, cap=QP_CAP):
 
     solved = True                               # v, mult solve the working rows
     budget = 0
-    while budget < cap:
+    while budget < QP_CAP:
         budget += 1
         viol = np.where(working, -np.inf, C @ v - d)
         p = int(np.argmax(viol)) if nin else 0
-        if not nin or viol[p] <= tol:
+        if not nin or viol[p] <= QP_TOL:
             k = wr.k
             if not solved:
                 v, alpha = wr.least_norm(rhs[wr.cols[:k]])
                 mult[:k] = -alpha
                 solved = True
-            bad = mult[ke:k] < -tol
+            bad = mult[ke:k] < -QP_TOL
             if bad.any():
                 drop(ke + int(np.argmax(bad)))
                 solved = False
                 continue
             # working rows hold to rounding only, which on a solution of
-            # norm 1e9 exceeds tol; looping on them would spin to the cap
-            if nin and np.any(np.where(working, -np.inf, C @ v - d) > tol):
+            # norm 1e9 exceeds QP_TOL; looping on them would spin to the cap
+            if nin and np.any(np.where(working, -np.inf, C @ v - d) > QP_TOL):
                 continue
             lam = np.zeros(neq)
             lam[wr.cols[:ke]] = mult[:ke]
@@ -284,7 +285,7 @@ def solve_least_norm_qp(qp, tol=1e-9, cap=QP_CAP):
         norm_p = math.sqrt(n_p @ n_p)
         u_p = 0.0
         solved = False
-        while budget < cap:
+        while budget < QP_CAP:
             budget += 1
             k = wr.k
             u, z = wr.project(n_p)
@@ -296,7 +297,7 @@ def solve_least_norm_qp(qp, tol=1e-9, cap=QP_CAP):
             if k > ke:                          # dual ratio test, first minimum
                 rw = r[ke:]
                 ratios = np.divide(mult[ke:k], rw, out=np.full(k - ke, np.inf),
-                                   where=rw > tol)
+                                   where=rw > QP_TOL)
                 kb = int(np.argmin(ratios))
                 t1 = float(ratios[kb])
             t = min(t1, t2)
@@ -313,7 +314,7 @@ def solve_least_norm_qp(qp, tol=1e-9, cap=QP_CAP):
                 working[p] = True
                 break
             drop(ke + kb)
-    return QPResult(None, "iteration_limit", None, None, active(), cap)
+    return QPResult(None, "iteration_limit", None, None, active(), QP_CAP)
 
 
 def _kkt_residuals(qp, v, lam, mu):
@@ -383,7 +384,7 @@ def tanh_layer_pinv(layer, w):
     return mp_inverse(layer.weights) @ u
 
 
-def clipped_tanh_layer_pinv(layer, w, tol=1e-9):
+def clipped_tanh_layer_pinv(layer, w):
     """Pseudo-inverse of P_C tanh(A .) with C = [-1+1/k, 1-1/k]^m.
 
     Targets outside C route through the projection (componentwise clamp).
@@ -403,21 +404,21 @@ def clipped_tanh_layer_pinv(layer, w, tol=1e-9):
     sign = -np.sign(wc[clamped])
     qp = LeastNormQP(A[~clamped], pinv_table(_TANH, wc[~clamped])[0],
                      sign[:, None] * A[clamped], np.full(len(sign), -np.arctanh(hi)))
-    out = solve_least_norm_qp(qp, tol=tol)
+    out = solve_least_norm_qp(qp)
     if out.status != "optimal":
         raise ArithmeticError("clipped-tanh program did not solve: %s "
                               "(full-rank certification may have failed)" % out.status)
     return out.v
 
 
-def relu_layer_pinv(layer, w, tol=1e-9):
+def relu_layer_pinv(layer, w):
     """Pseudo-inverse of relu(A .): negative targets clamp to 0 first, then
     least-norm v with (Av)_i = w_i where w_i > 0 and (Av)_i <= 0 where w_i = 0."""
     wc = pinv_table(_RELU, np.atleast_1d(w))[0]
     A = layer.weights
     pos = wc > 0
     qp = LeastNormQP(A[pos], wc[pos], A[~pos], np.zeros(int(np.sum(~pos))))
-    out = solve_least_norm_qp(qp, tol=tol)
+    out = solve_least_norm_qp(qp)
     if out.status != "optimal":
         raise ArithmeticError("relu program did not solve: %s" % out.status)
     return out.v

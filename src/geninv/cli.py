@@ -242,7 +242,7 @@ def cmd_vanish(args):
 def _pinv1d_closed_forms_vs_oracle(rng):
     """The closed forms of four unique kinds pass the grid BAS certificate;
     the worst gaps start at 0, so a -inf norm gap never reaches the JSON."""
-    step, res_slack = 1e-2, 1e-9
+    step = 1e-2
     res_gap = norm_gap = 0.0
     for kind, param in [("relu", {}), ("soft_threshold", {"a": 1.0}),
                         ("hard_threshold", {"a": 2.0}), ("sign_eps", {"eps": 0.5})]:
@@ -251,9 +251,9 @@ def _pinv1d_closed_forms_vs_oracle(rng):
         for w in rng.uniform(-4, 4, size=8):
             v = pseudo_inverse.closed_form_pinv(op, w).value
             gaps = pseudo_inverse.bas_gaps(oracle.grid, np.array([w]),
-                                           abs(float(op(v)) - w), abs(v), res_slack)
+                                           abs(float(op(v)) - w), abs(v))
             res_gap, norm_gap = max(res_gap, gaps[0]), max(norm_gap, gaps[1])
-    return (res_gap <= res_slack and norm_gap <= 2 * step,
+    return (res_gap <= pseudo_inverse.RES_SLACK and norm_gap <= 2 * step,
             {"max_residual_gap": float(res_gap), "max_norm_gap": float(norm_gap)})
 
 

@@ -196,6 +196,20 @@ def image(T):
     return np.unique(T.table)
 
 
+CANDIDATE_CHUNK = 200_000
+
+
+def all_tables(n_values, length):
+    """Every table of `length` entries in {0..n_values-1}, in lexicographic
+    order, as int64 blocks of at most CANDIDATE_CHUNK rows: the candidates
+    of the brute-force searches, which bound n_values^length themselves."""
+    total = n_values ** length
+    radix = n_values ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, CANDIDATE_CHUNK):
+        idx = np.arange(start, min(start + CANDIDATE_CHUNK, total), dtype=np.int64)
+        yield (idx[:, None] // radix[None, :]) % n_values
+
+
 # ---------------------------------------------------------------------------
 # vector operators
 # ---------------------------------------------------------------------------

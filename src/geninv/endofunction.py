@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_ops import (FiniteOperator, FunctionalGraph, compose, functional_graph,
-                       power, table_power)
+from .core_ops import (FiniteOperator, FunctionalGraph, all_tables, compose,
+                       functional_graph, power, table_power)
 
 
 def _require_endo(T):
@@ -131,36 +131,31 @@ def left_drazin_inverse(T, fill=None):
     return LeftDrazinResult(G, m, k)
 
 
-def exhaustive_drazin_search(T, cap=3125, chunk=100_000):
+DRAZIN_SEARCH_CAP = 5 ** 5
+
+
+def exhaustive_drazin_search(T):
     """All G satisfying MP1^k (some k <= |V|), MP2, and D5, by brute force.
 
     MP1^k for any k >= 1 is equivalent to MP1^|V| because the identity
     propagates upward and powers of T cycle, so one exponent check
-    suffices. Rejected when |V|^|V| exceeds `cap`.
+    suffices. Rejected when |V|^|V| exceeds DRAZIN_SEARCH_CAP.
     """
     _require_endo(T)
     n = T.domain_size
     if n == 0:
         raise ValueError("empty operator")
     total = n ** n
-    if total > cap:
-        raise ValueError("candidate space %d exceeds cap %d" % (total, cap))
+    if total > DRAZIN_SEARCH_CAP:
+        raise ValueError("candidate space %d exceeds cap %d" % (total, DRAZIN_SEARCH_CAP))
     t = T.table
     tK = power(T, max(n, 1)).table
-    radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     hits = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cand = (idx[:, None] // radix[None, :]) % n
+    for cand in all_tables(n, n):
         gt = cand[:, t]                              # G(T(v)) columnwise
         tg = t[cand]                                 # T(G(v))
         mp1k = np.all(tK[gt] == tK[None, :], axis=1)
         mp2 = np.all(np.take_along_axis(cand, tg, axis=1) == cand, axis=1)
         d5 = np.all(tg == gt, axis=1)
-        sel = cand[mp1k & mp2 & d5]
-        if sel.size:
-            hits.append(sel)
-    if not hits:
-        return []
-    tables = np.concatenate(hits, axis=0)
-    return [FiniteOperator(n, n, row) for row in tables]
+        hits.append(cand[mp1k & mp2 & d5])
+    return [FiniteOperator(n, n, row) for row in np.concatenate(hits, axis=0)]

@@ -40,15 +40,18 @@ def svd(A):
     return factors
 
 
-def mp_inverse(A, tol=1e-12):
-    """Moore-Penrose inverse with relative singular-value cutoff `tol`.
+SV_CUTOFF = 1e-12
 
-    Singular values below tol * S_max are treated as exact zeros, so rank
-    deficiency is handled the standard way.
+
+def mp_inverse(A):
+    """Moore-Penrose inverse with relative singular-value cutoff SV_CUTOFF.
+
+    Singular values at most SV_CUTOFF * S_max are treated as exact zeros,
+    so rank deficiency is handled the standard way.
     """
     A = np.asarray(A, dtype=float)
     f = svd(A)
-    cutoff = tol * (f.S[0] if f.S.size else 0.0)
+    cutoff = SV_CUTOFF * (f.S[0] if f.S.size else 0.0)
     inv = np.divide(1.0, f.S, out=np.zeros_like(f.S), where=f.S > cutoff)
     r, c = A.shape
     Sig_pinv = np.zeros((c, r))
@@ -84,42 +87,19 @@ def parse_json_object(text):
     return json_object(json.loads(text) if isinstance(text, str) else text)
 
 
-def _dense_matrix(obj, entries, dtype):
-    """obj's flat "data" as a rows x cols array of dtype. ValueError unless rows
-    and cols pass integer_entries and the data pass `entries` and fill the shape."""
+def matrix_from_json(text):
+    """Real matrix JSON {"rows", "cols", "data"}: the flat "data" as a rows x
+    cols float array. ValueError unless rows and cols pass integer_entries,
+    the data pass real_entries, and they fill the shape."""
+    obj = parse_json_object(text)
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     integer_entries([rows], '"rows"')
     integer_entries([cols], '"cols"')
-    entries(data, '"data"')
-    A = np.asarray(data, dtype=dtype)
+    real_entries(data, '"data"')
+    A = np.asarray(data, dtype=float)
     if A.ndim != 1 or min(rows, cols) < 0 or A.size != rows * cols:
         raise ValueError("matrix data must hold rows * cols = %d x %d numbers" % (rows, cols))
     return A.reshape(rows, cols)
-
-
-def matrix_from_json(text):
-    """Real matrix JSON: the dense format of `_dense_matrix`, real entries."""
-    return _dense_matrix(parse_json_object(text), real_entries, float)
-
-
-def matrix_to_json(A):
-    A = np.asarray(A)
-    return {"rows": int(A.shape[0]), "cols": int(A.shape[1]),
-            "data": [float(x) for x in A.ravel()]}
-
-
-def fp_matrix_from_json(text):
-    """F_p matrix JSON: the dense format plus "prime"; rejects a bad prime, entry or shape."""
-    obj = parse_json_object(text)
-    p = obj["prime"]
-    fp_check(p)
-    return np.mod(_dense_matrix(obj, integer_entries, np.int64), p), int(p)
-
-
-def fp_matrix_to_json(A, p):
-    A = np.asarray(A, dtype=np.int64)
-    return {"rows": int(A.shape[0]), "cols": int(A.shape[1]),
-            "data": [int(x) % p for x in A.ravel()], "prime": int(p)}
 
 
 # ---------------------------------------------------------------------------

@@ -395,31 +395,32 @@ class PseudoInverseReport:
     norm_gap: float
 
 
-def bas_gaps(grid, w, residual, norm, res_slack):
+RES_SLACK = 1e-9      # residual tolerance of the BAS certificate
+MP2_TOL = 1e-9
+
+
+def bas_gaps(grid, w, residual, norm):
     """BAS certificate of a candidate v with `residual` ||T(v) - w|| and
     `norm` ||v|| against the points p of a GridOracle's `grid`: residual
     minus the least ||T(p) - w||, and norm minus the least ||p|| among the
-    p with ||T(p) - w|| <= residual + res_slack (-inf: there is none)."""
+    p with ||T(p) - w|| <= residual + RES_SLACK (-inf: there is none)."""
     res = grid.residuals(w)
-    j = grid.least_norm(res, residual + res_slack)
+    j = grid.least_norm(res, residual + RES_SLACK)
     norm_gap = -np.inf if j is None else norm - float(grid.norms[j])
     return residual - float(res.min()), norm_gap
 
 
-def check_pseudo_inverse(T, G, samples, box, step, res_slack=1e-9,
-                         norm_slack=None, mp2_tol=1e-9, oracle=None):
+def check_pseudo_inverse(T, G, samples, box, step):
     """Verify a candidate inverse G of T against axioms and the grid oracle.
 
     For each sample w: MP1 residual ||T G T(v) - T(v)|| at v = G(w), MP2
-    residual ||G T G(w) - G(w)||, and `bas_gaps`: bas_ok unless a grid point
-    beats G(w)'s residual by more than `res_slack`, or one with residual at
-    most G(w)'s plus res_slack beats its norm by more than `norm_slack`.
+    residual ||G T G(w) - G(w)|| (mp2_ok: at most MP2_TOL), and `bas_gaps`:
+    bas_ok unless a grid point beats G(w)'s residual by more than
+    RES_SLACK, or one with residual at most G(w)'s plus RES_SLACK beats its
+    norm by more than two grid diagonals, 2 * step * sqrt(dim).
     """
-    if oracle is None:
-        oracle = GridOracle(T, box, step)
-    if norm_slack is None:
-        norm_slack = 2.0 * step * np.sqrt(T.dim_in)
-    grid = oracle.grid
+    norm_slack = 2.0 * step * np.sqrt(T.dim_in)
+    grid = GridOracle(T, box, step).grid
     reports = []
     for w in samples:
         w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -430,10 +431,10 @@ def check_pseudo_inverse(T, G, samples, box, step, res_slack=1e-9,
         gtv = G.apply(Tv)
         mp1 = float(np.linalg.norm(T.apply(gtv) - Tv))
         mp2 = float(np.linalg.norm(gtv - v))
-        residual_gap, norm_gap = bas_gaps(grid, w, residual, norm, res_slack)
-        bas_ok = residual_gap <= res_slack and norm_gap <= norm_slack
+        residual_gap, norm_gap = bas_gaps(grid, w, residual, norm)
+        bas_ok = residual_gap <= RES_SLACK and norm_gap <= norm_slack
         reports.append(PseudoInverseReport(w, v, residual, norm, mp1, mp2,
-                                           bool(bas_ok), bool(mp2 <= mp2_tol),
+                                           bool(bas_ok), bool(mp2 <= MP2_TOL),
                                            residual_gap, norm_gap))
     return reports
 
@@ -481,17 +482,21 @@ def expanding_domain_pinv(T, w, radius_schedule, stabilization_window, step):
 # finite-point models (for exact counterexamples)
 # ---------------------------------------------------------------------------
 
-def finite_bas_set(points, values, w, tol=1e-12):
+FINITE_TIE_TOL = 1e-12
+
+
+def finite_bas_set(points, values, w):
     """Indices of BAS-admissible points for target w on a finite model.
 
     points: (N, dV) candidate inputs; values: (N, dW) their images under T.
-    Returns every index whose residual ties the minimum within tol and
-    whose norm ties the minimal norm among those within tol.
+    Returns every index whose residual ties the minimum within
+    FINITE_TIE_TOL and whose norm ties the minimal norm among those within
+    FINITE_TIE_TOL.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.atleast_2d(np.asarray(values, dtype=float))
     w = np.atleast_1d(np.asarray(w, dtype=float))
     res = np.linalg.norm(values - w[None, :], axis=1)
-    cand = np.flatnonzero(res <= res.min() + tol)
+    cand = np.flatnonzero(res <= res.min() + FINITE_TIE_TOL)
     norms = np.linalg.norm(points[cand], axis=1)
-    return cand[norms <= norms.min() + tol]
+    return cand[norms <= norms.min() + FINITE_TIE_TOL]

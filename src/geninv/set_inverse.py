@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core_ops import FiniteOperator, checked_table, image
+from .core_ops import FiniteOperator, all_tables, checked_table, image
 from .numerics import parse_json_object
 
 
@@ -157,32 +157,28 @@ def one_two_inverse_count(T):
     return math.prod(pow(int(c), int(m)) for c, m in zip(values, mult))
 
 
-def enumerate_one_two_inverses(T, cap=10**6, chunk=200_000):
+ENUMERATION_CAP = 10**6
+
+
+def enumerate_one_two_inverses(T):
     """All tables G with TGT = T and GTG = G, by brute force.
 
     Candidates are every map W -> V in lexicographic order; the MP1-2
-    filter is exact. Rejected when |V|^|W| exceeds `cap`.
+    filter is exact. Rejected when |V|^|W| exceeds ENUMERATION_CAP.
     """
     nV, nW = T.domain_size, T.codomain_size
     if nV == 0 or nW == 0:
         raise ValueError("enumeration requires nonempty domain and codomain")
     total = nV ** nW
-    if total > cap:
-        raise ValueError("candidate space %d exceeds cap %d" % (total, cap))
+    if total > ENUMERATION_CAP:
+        raise ValueError("candidate space %d exceeds cap %d" % (total, ENUMERATION_CAP))
     t = T.table
     img = image(T)
-    radges = nV ** np.arange(nW - 1, -1, -1, dtype=np.int64)
     keep = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cand = (idx[:, None] // radges[None, :]) % nV
+    for cand in all_tables(nV, nW):
         tg = t[cand]                                   # (N, nW) values in W
         mp1 = np.all(tg[:, img] == img[None, :], axis=1)
         gtg = np.take_along_axis(cand, tg, axis=1)
         mp2 = np.all(gtg == cand, axis=1)
-        sel = cand[mp1 & mp2]
-        if sel.size:
-            keep.append(sel)
-    if not keep:
-        return np.empty((0, nW), dtype=np.int64)
+        keep.append(cand[mp1 & mp2])
     return np.concatenate(keep, axis=0)

@@ -16,6 +16,7 @@ from .pseudo_inverse import GridOracle
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_CAP = 10_000
+SPOT_CHECK_TOL = 1e-8      # membership, nesting, axiom and round-trip spot checks
 
 
 class ConvexSet:
@@ -36,8 +37,9 @@ class ConvexSet:
         return self.project_batch(x[None, :])[0]
 
     def contains(self, x, tol=1e-9):
+        """||P_C(x) - x|| <= tol; DimensionMismatch for a point of another dim."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bool(np.linalg.norm(self.project_batch(x[None, :])[0] - x) <= tol)
+        return bool(np.linalg.norm(self.project(x) - x) <= tol)
 
     def as_operator(self):
         return VectorOperator(self.dim, self.dim, self.project_batch,
@@ -157,7 +159,7 @@ class Intersection(ConvexSet):
             raise DimensionMismatch("all parts must share one dimension")
         feasible_point = np.asarray(feasible_point, dtype=float)
         for p in parts:
-            if not p.contains(feasible_point, tol=1e-8):
+            if not p.contains(feasible_point, tol=SPOT_CHECK_TOL):
                 raise ValueError("feasible point is not inside every part")
         super().__init__(dim)
         self.parts = parts
@@ -247,29 +249,27 @@ class CascadeResult:
     innermost: ConvexSet
 
 
-def cascade_pinv(sets, check_points=None, tol=1e-8):
+def cascade_pinv(sets):
     """Pseudo-inverse of a cascade of projections onto nested sets.
 
     sets are ordered outermost first (C1 contains C2 contains ... Cn with
-    0 in Cn). Nesting is verified on `check_points` (random probes when
-    omitted): projecting any probe onto an inner set must land inside every
-    outer set. The pseudo-inverse of P_Cn o ... o P_C1 is P_Cn itself.
+    0 in Cn). Nesting is verified on 64 seeded random probes in [-5, 5]^dim:
+    projecting any probe onto an inner set must land within SPOT_CHECK_TOL
+    of every outer set. The pseudo-inverse of P_Cn o ... o P_C1 is P_Cn
+    itself.
     """
     sets = list(sets)
     if not sets:
         raise ValueError("cascade needs at least one set")
     dim = sets[0].dim
     inner = sets[-1]
-    if not inner.contains(np.zeros(dim), tol=tol):
+    if not inner.contains(np.zeros(dim), tol=SPOT_CHECK_TOL):
         raise ValueError("innermost set must contain the origin")
-    if check_points is None:
-        rng = np.random.default_rng(0)
-        check_points = rng.uniform(-5, 5, size=(64, dim))
-    check_points = np.atleast_2d(np.asarray(check_points, dtype=float))
+    check_points = np.random.default_rng(0).uniform(-5, 5, size=(64, dim))
     for outer, inner_set in zip(sets, sets[1:]):
         onto_inner = inner_set.project_batch(check_points)
         back = outer.project_batch(onto_inner)
-        if np.max(np.linalg.norm(back - onto_inner, axis=1)) > tol:
+        if np.max(np.linalg.norm(back - onto_inner, axis=1)) > SPOT_CHECK_TOL:
             raise ValueError("nesting violated: %s does not contain %s on probes"
                              % (outer.kind, inner_set.kind))
 
@@ -283,15 +283,15 @@ def cascade_pinv(sets, check_points=None, tol=1e-8):
 # product and sandwich combinators
 # ---------------------------------------------------------------------------
 
-def _axiom_spot_check(T, G, samples, tol):
+def _axiom_spot_check(T, G, samples):
     for w in samples:
         w = np.atleast_1d(np.asarray(w, dtype=float))
         v = G.apply(w)
         Tv = T.apply(v)
         gtv = G.apply(Tv)
-        if np.linalg.norm(T.apply(gtv) - Tv) > tol:
+        if np.linalg.norm(T.apply(gtv) - Tv) > SPOT_CHECK_TOL:
             return "MP1"
-        if np.linalg.norm(gtv - v) > tol:
+        if np.linalg.norm(gtv - v) > SPOT_CHECK_TOL:
             return "MP2"
     return None
 
@@ -317,21 +317,18 @@ def product_operator(ops):
     return T
 
 
-def product_inverse(parts, check_samples=None, tol=1e-8):
+def product_inverse(parts):
     """Componentwise inverse of a product operator.
 
-    parts: list of (T_i, G_i). Each G_i must pass an MP1/MP2 spot check on
-    its own samples, otherwise the product is rejected. Returns
-    (product_T, product_G).
+    parts: list of (T_i, G_i). Each G_i must pass an MP1/MP2 spot check,
+    within SPOT_CHECK_TOL, on 16 seeded random targets in [-2, 2]^dim of
+    its own, otherwise the product is rejected. Returns (product_T,
+    product_G).
     """
     parts = list(parts)
     for i, (T, G) in enumerate(parts):
-        if check_samples is None:
-            rng = np.random.default_rng(100 + i)
-            samples = rng.uniform(-2, 2, size=(16, T.dim_out))
-        else:
-            samples = check_samples[i]
-        bad = _axiom_spot_check(T, G, samples, tol)
+        samples = np.random.default_rng(100 + i).uniform(-2, 2, size=(16, T.dim_out))
+        bad = _axiom_spot_check(T, G, samples)
         if bad is not None:
             raise ValueError("component %d fails %s; product rejected" % (i, bad))
     Tprod = product_operator([T for T, _ in parts])
@@ -339,23 +336,22 @@ def product_inverse(parts, check_samples=None, tol=1e-8):
     return Tprod, Gprod
 
 
-def sandwich_inverse(s1, s1_inv, T, s2, s2_inv, G, check_samples=None, tol=1e-8):
+def sandwich_inverse(s1, s1_inv, T, s2, s2_inv, G):
     """Inverse of S1 T S2 from an inverse of T: returns S2^-1 G S1^-1.
 
     s1/s1_inv and s2/s2_inv must be actual inverse pairs; round trips are
-    spot-checked on samples and the call is rejected on failure. The
-    pseudo-inverse property additionally needs a*S1 isometric for some a != 0
-    and S2^-1 norm-monotone, which the caller asserts.
+    spot-checked, within SPOT_CHECK_TOL, on 16 seeded random points in
+    [-2, 2]^dim and the call is rejected on failure. The pseudo-inverse
+    property additionally needs a*S1 isometric for some a != 0 and S2^-1
+    norm-monotone, which the caller asserts.
     """
-    rng = np.random.default_rng(7)
-    if check_samples is None:
-        check_samples = rng.uniform(-2, 2, size=(16, max(s1.dim_in, s2.dim_in)))
-    for x in check_samples:
+    samples = np.random.default_rng(7).uniform(-2, 2, size=(16, max(s1.dim_in, s2.dim_in)))
+    for x in samples:
         x1 = np.asarray(x[:s1.dim_in], dtype=float)
-        if np.linalg.norm(s1_inv.apply(s1.apply(x1)) - x1) > tol:
+        if np.linalg.norm(s1_inv.apply(s1.apply(x1)) - x1) > SPOT_CHECK_TOL:
             raise ValueError("s1_inv fails the round-trip check")
         x2 = np.asarray(x[:s2.dim_in], dtype=float)
-        if np.linalg.norm(s2_inv.apply(s2.apply(x2)) - x2) > tol:
+        if np.linalg.norm(s2_inv.apply(s2.apply(x2)) - x2) > SPOT_CHECK_TOL:
             raise ValueError("s2_inv fails the round-trip check")
     return s2_inv.compose(G).compose(s1_inv)
 
@@ -382,28 +378,25 @@ class ConstrainedSearchResult:
     residual: float
 
 
-def projection_after_operator_pinv(T, C, w, box, step, probes=None,
-                                   feas_tol=None):
+def projection_after_operator_pinv(T, C, w, box, step, probes=None):
     """Pseudo-inverse value of P_C o T at w, by constrained grid search.
 
     For w outside C the recursion routes through P_C(w). On C, the value is
     a minimal-norm v with P_C(T(v)) = P_C(w), searched on a box grid with
-    feasibility tolerance `feas_tol` (default: one grid cell). `probes` are
+    feasibility tolerance one grid diagonal, step * sqrt(dim). `probes` are
     caller-supplied (point-in-C, source) pairs certifying C is inside the
     image of T; they are spot-checked. Infeasibility within the search
     budget is reported, never silent.
     """
     if probes is not None:
         for point, source in probes:
-            if np.linalg.norm(T.apply(source) - np.asarray(point, float)) > 1e-8:
+            if np.linalg.norm(T.apply(source) - np.asarray(point, float)) > SPOT_CHECK_TOL:
                 raise ValueError("probe source does not map to its point under T")
     w = np.atleast_1d(np.asarray(w, dtype=float))
     target = C.project(w)
-    if feas_tol is None:
-        feas_tol = step * np.sqrt(T.dim_in)
     oracle = GridOracle(T, box, step)
     res = np.linalg.norm(C.project_batch(oracle.values) - target[None, :], axis=1)
-    j = oracle.grid.least_norm(res, feas_tol)
+    j = oracle.grid.least_norm(res, step * np.sqrt(T.dim_in))
     if j is None:
         return ConstrainedSearchResult(None, False, target, float(res.min()))
     return ConstrainedSearchResult(oracle.points[j].copy(), True, target, float(res[j]))

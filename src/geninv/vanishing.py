@@ -26,6 +26,19 @@ def _space(p, n):
     return (idx[:, None] // p ** np.arange(n, dtype=np.int64)[None, :]) % p
 
 
+def _checked_space(p, n):
+    """(p, n) as ints; ValueError unless p passes fp_check, n is an integer
+    >= 0 and p^n is at most SPACE_CAP."""
+    fp_check(p)
+    integer_entries([n], "n")
+    if n < 0:
+        raise ValueError("n must be >= 0, got %d" % n)
+    # p >= 2, so p^n exceeds the cap once n reaches its bit length
+    if n >= SPACE_CAP.bit_length() or int(p) ** int(n) > SPACE_CAP:
+        raise ValueError("space size %d^%d exceeds the enumeration cap" % (p, n))
+    return int(p), int(n)
+
+
 def encode(vecs, p):
     vecs = np.atleast_2d(np.asarray(vecs, dtype=np.int64)) % p
     n = vecs.shape[1]
@@ -38,16 +51,10 @@ class FpVectorOperator(FiniteOperator):
     digits base p are the coordinates, low axis first."""
 
     def __init__(self, p, n, table):
-        fp_check(p)
-        integer_entries([n], "n")
-        if n < 0:
-            raise ValueError("n must be >= 0, got %d" % n)
-        # p >= 2, so p^n exceeds the cap once n reaches its bit length
-        if n >= SPACE_CAP.bit_length() or int(p) ** int(n) > SPACE_CAP:
-            raise ValueError("space size %d^%d exceeds the enumeration cap" % (p, n))
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "n", int(n))
-        super().__init__(self.p ** self.n, self.p ** self.n, table)
+        p, n = _checked_space(p, n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        super().__init__(p ** n, p ** n, table)
 
     @property
     def size(self):
@@ -77,7 +84,9 @@ class FpVectorOperator(FiniteOperator):
 
     @staticmethod
     def from_callable(p, n, f):
-        """Build the table from a vectorized rule on (N, n) digit arrays."""
+        """Build the table from a vectorized rule on (N, n) digit arrays; p and
+        n are checked before f is called."""
+        p, n = _checked_space(p, n)
         vecs = _space(p, n)
         out = np.asarray(f(vecs), dtype=np.int64) % p
         return FpVectorOperator(p, n, encode(out, p))

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from geninv import (svd, mp_inverse, mp_residuals, fp_rank, fp_rref,
                     fp_solve_kernel, fp_invert, fp_matmul, fp_char_poly,
                     cayley_hamilton_inverse)
-from geninv.numerics import (matrix_from_json, matrix_to_json, fp_matrix_from_json,
-                             fp_check, is_prime)
+from geninv.numerics import matrix_from_json, fp_check, is_prime
 
 from helpers import (fp_rref_object, fp_kernel_object, fp_invert_object,
                      fp_char_poly_cofactor, fp_matmul_object, is_prime_trial_division)
@@ -167,7 +166,8 @@ def test_fp_char_poly_matches_det_and_trace():
 
 def test_matrix_json_roundtrip():
     A = np.array([[1.5, 2.0], [0.0, -3.0], [4.0, 5.0]])
-    assert np.array_equal(matrix_from_json(matrix_to_json(A)), A)
+    obj = {"rows": 3, "cols": 2, "data": A.ravel().tolist()}
+    assert np.array_equal(matrix_from_json(obj), A)
 
 
 def test_matrix_json_accepts_int_and_float_entries():
@@ -194,15 +194,6 @@ def test_matrix_json_accepts_int_and_float_entries():
 def test_matrix_json_rejects_coercions(obj):
     with pytest.raises(ValueError):
         matrix_from_json(obj)
-
-
-def test_fp_matrix_json_roundtrip():
-    from geninv.numerics import fp_matrix_from_json, fp_matrix_to_json
-    A = np.array([[1, 4], [0, 2]])
-    obj = fp_matrix_to_json(A, 5)
-    assert obj["prime"] == 5
-    B, p = fp_matrix_from_json(obj)
-    assert p == 5 and np.array_equal(A % 5, B)
 
 
 # ---------------------------------------------------------------------------
@@ -347,35 +338,11 @@ def test_fp_check_accepts_integer_kinds():
         fp_check(p)
 
 
-@pytest.mark.parametrize("obj", [
-    {"rows": 1, "cols": 2, "data": [1.7, True], "prime": 5},
-    {"rows": 1, "cols": 2, "data": [1.0, 2], "prime": 5},
-    {"rows": 1, "cols": 2, "data": [False, 2], "prime": 5},
-    {"rows": 1, "cols": 2, "data": [1, 2], "prime": 4},
-    {"rows": 1, "cols": 2, "data": [1, 2], "prime": 5.0},
-    {"rows": 1, "cols": 2, "data": [1, 2], "prime": True},
-    {"rows": 1.5, "cols": 2, "data": [1, 2], "prime": 5},
-    {"rows": 1, "cols": True, "data": [1], "prime": 5},
-    {"rows": -1, "cols": 3, "data": [1, 2, 3], "prime": 5},    # reshaped to 1 x 3 before
-    {"rows": -1, "cols": -3, "data": [1, 2, 3], "prime": 5},
-    {"rows": 1, "cols": -3, "data": [1, 2, 3], "prime": 5},
-    {"rows": 2, "cols": 2, "data": [1, 2, 3], "prime": 5},     # too few entries
-])
-def test_fp_matrix_from_json_rejects(obj):
-    with pytest.raises(ValueError):
-        fp_matrix_from_json(obj)
-
-
-def test_fp_matrix_from_json_reduces_integers():
-    A, p = fp_matrix_from_json('{"rows": 1, "cols": 3, "data": [-1, 7, 2], "prime": 5}')
-    assert p == 5 and A.tolist() == [[4, 2, 2]]
-
-
 def _json_readers():
     from geninv import FiniteOperator, OperatorPolynomial, OneTwoInverseSpec
     from geninv.structured_inverse import convex_set_from_json
     return [FiniteOperator.from_json, OperatorPolynomial.from_json, matrix_from_json,
-            fp_matrix_from_json, OneTwoInverseSpec.from_json, convex_set_from_json]
+            OneTwoInverseSpec.from_json, convex_set_from_json]
 
 
 @pytest.mark.parametrize("value", [[1, 2], "[1]", 3], ids=["list", "list-text", "int"])

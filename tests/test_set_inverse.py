@@ -125,7 +125,7 @@ def test_enumeration_projection_not_unique():
 def test_enumeration_cap():
     T = FiniteOperator(8, 8, tuple([0] * 8))
     with pytest.raises(ValueError):
-        enumerate_one_two_inverses(T, cap=10)
+        enumerate_one_two_inverses(T)             # 8^8 candidates
 
 
 def test_enumeration_matches_count_formula():

@@ -98,6 +98,15 @@ def test_intersection_requires_feasible_point():
                      feasible_point=np.zeros(2))
 
 
+def test_membership_checks_the_point_dimension():
+    box = Box(-np.ones(3), np.ones(3))
+    with pytest.raises(ValueError):
+        box.contains(np.zeros(1))
+    with pytest.raises(ValueError):
+        Intersection([box, L2Ball(np.zeros(3), 2.0)], np.zeros(1))
+    assert box.contains(np.zeros(3)) and not box.contains(np.full(3, 2.0))
+
+
 def test_empty_box_rejected():
     with pytest.raises(ValueError):
         Box(np.array([1.0]), np.array([0.0]))

@@ -24,6 +24,16 @@ SWAP = FpVectorOperator(2, 1, [1, 0])
 IDEM_F3 = FpVectorOperator(3, 1, [0, 1, 1])      # 0->0, 1->1, 2->1
 
 
+@pytest.mark.parametrize("p, n", [(2, 17), (4, 2), (2, -1)])
+def test_from_callable_checks_the_space_before_calling_f(p, n):
+    called = []
+    with pytest.raises(ValueError):
+        FpVectorOperator.from_callable(p, n, lambda V: called.append(V.shape) or V)
+    assert called == []
+    with pytest.raises(ValueError):
+        FpVectorOperator(p, n, [])
+
+
 def test_find_vanishing_idempotent_divisible_by_x2_minus_x():
     q = find_vanishing_poly(IDEM_F3)
     x2x = OperatorPolynomial([0, -1, 1], 3)
