@@ -54,8 +54,8 @@ class Box(ConvexSet):
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be 1-D of equal length")
-        if np.any(lo > hi):
-            raise ValueError("empty box: lo > hi somewhere")
+        if not np.all(lo <= hi):                  # False for a NaN bound too
+            raise ValueError("empty box: lo > hi or a NaN bound somewhere")
         super().__init__(len(lo))
         self.lo, self.hi = lo, hi
 
@@ -71,8 +71,10 @@ class L2Ball(ConvexSet):
 
     def __init__(self, center, radius):
         center = np.asarray(center, dtype=float)
-        if radius < 0:
-            raise ValueError("empty ball: negative radius")
+        if np.isnan(center).any():
+            raise ValueError("ball center must not be NaN")
+        if not radius >= 0:                       # False for a NaN radius too
+            raise ValueError("empty ball: negative or NaN radius")
         super().__init__(len(center))
         self.center, self.radius = center, float(radius)
 
@@ -95,11 +97,13 @@ class Halfspace(ConvexSet):
     kind = "halfspace"
 
     def __init__(self, normal, offset):
-        normal = np.asarray(normal, dtype=float)
-        if np.linalg.norm(normal) == 0:
-            raise ValueError("halfspace needs a nonzero normal")
+        normal, offset = np.asarray(normal, dtype=float), float(offset)
+        if not np.linalg.norm(normal) > 0:        # False for a NaN entry too
+            raise ValueError("halfspace needs a nonzero normal without NaN")
+        if np.isnan(offset):
+            raise ValueError("halfspace offset must not be NaN")
         super().__init__(len(normal))
-        self.normal, self.offset = normal, float(offset)
+        self.normal, self.offset = normal, offset
 
     def project_batch(self, X):
         # a row sum, not X @ normal: BLAS rounds a row by its place in the batch

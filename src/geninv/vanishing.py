@@ -100,9 +100,8 @@ class FpVectorOperator(FiniteOperator):
         return FpVectorOperator.from_callable(p, n, lambda V: (V @ A.T + off) % p)
 
 
-def fp_apply_polynomial(poly, T, nodes=None):
-    """q(T) evaluated on the vectors with indices `nodes` (every vector by
-    default): returns a (len(nodes), n) digit array.
+def fp_apply_polynomial(poly, T):
+    """q(T) evaluated on every vector: returns a (p^n, n) digit array.
 
     Sums run unreduced in int64 and are reduced mod p only as often as
     the bound (p-1)^2 per term requires.
@@ -111,8 +110,8 @@ def fp_apply_polynomial(poly, T, nodes=None):
         raise ValueError("polynomial and operator fields differ")
     p = T.p
     digits = np.ascontiguousarray(T.space().T)          # (n, p^n)
-    cur = np.arange(T.size, dtype=np.int64) if nodes is None else np.asarray(nodes)
-    acc = np.zeros((T.n, len(cur)), dtype=np.int64)
+    cur = np.arange(T.size, dtype=np.int64)
+    acc = np.zeros((T.n, T.size), dtype=np.int64)
     room = (INT64_LIMIT - 1) // (p - 1) ** 2 - 1           # terms addable after a reduction
     terms = 0
     for j, a in enumerate(poly.coeffs.tolist()):    # Python ints scale arrays faster
@@ -212,38 +211,25 @@ def minimal_poly(T):
         rows = vecs[orbits].transpose(0, 2, 1).reshape(-1, c)       # per cycle and digit
         annihilators.append(_cycles_annihilator(rows, c, T.p))
     L = reduce(OperatorPolynomial.lcm, annihilators)
-    tail = nodes[~fg.on_cycle]
-    missed = tail[fp_apply_polynomial(L, T, tail).any(axis=1)] if tail.size else tail
-    A = 1 + int(fg.exit_level[missed].max()) if missed.size else 0
-    poly = L.shift(A)
-    if poly.coeffs[-1] != 1 or not poly_vanishes(poly, T):
+    # x^A L(T)(v) = L(T)(T^A v): one evaluation of L gives both A and the certificate
+    missed = fp_apply_polynomial(L, T).any(axis=1)
+    A = 1 + int(fg.exit_level[missed].max()) if missed.any() else 0
+    if L.coeffs[-1] != 1 or missed[table_power(T.table, A)].any():
         raise AssertionError("minimal polynomial fails its certificate")
-    return poly
-
-
-def _tail_operator(poly, k, T):
-    """-a_k^-1 sum_{i>k} a_i T^(i-k-1): the coefficient tail after a_k,
-    evaluated in T and scaled; the zero operator when the tail is empty."""
-    p = T.p
-    tail = fp_apply_polynomial(OperatorPolynomial(poly.coeffs[k + 1:], p), T)
-    scale = (-pow(int(poly.coeff(k)), -1, p)) % p
-    return FpVectorOperator(p, T.n, encode(tail * scale % p, p))
+    return L.shift(A)
 
 
 def poly_left_inverse(poly, T):
-    """Left inverse S = -a0^-1 sum_{i>=1} a_i T^(i-1) from a vanishing poly.
+    """Left inverse S = -a0^-1 sum_{i>=1} a_i T^(i-1) from a vanishing poly:
+    the G of `left_drazin_from_poly`, whose certificate is S T = I here.
 
-    Returns None ("not applicable") when the free coefficient a0 is zero.
-    S T = I is verified exhaustively; when T is surjective, S is the
-    two-sided inverse.
+    Returns None ("not applicable") when the free coefficient a0 is zero,
+    after the certificate, so a polynomial that does not vanish in T still
+    raises ValueError. When T is surjective, S is the two-sided inverse.
     """
-    if not poly_vanishes(poly, T):
-        raise ValueError("polynomial does not vanish in T")
+    S, _ = left_drazin_from_poly(poly, T)
     if poly.coeff(0) == 0:
         return None
-    S = _tail_operator(poly, 0, T)
-    if S.compose(T) != FpVectorOperator.identity(T.p, T.n):
-        raise AssertionError("left-inverse identity failed; vanishing certificate inconsistent")
     if T.is_surjective() and T.compose(S) != FpVectorOperator.identity(T.p, T.n):
         raise AssertionError("surjective operator must make the left inverse two-sided")
     return S
@@ -252,18 +238,21 @@ def poly_left_inverse(poly, T):
 def left_drazin_from_poly(poly, T):
     """Left-Drazin inverse G = -a_k^-1 sum_{i>k} a_i T^(i-k-1), parameter max(k,1).
 
-    k is the least index with a nonzero coefficient. The defining identity
-    G T^(m+1) = T^m is verified exhaustively. An empty sum (k = deg) gives
-    the zero operator.
+    k is the least index with a nonzero coefficient; an empty sum (k = deg)
+    gives the zero operator. G(T^(k+1) v) = T^k v - a_k^-1 q(T)(v), so the
+    identity G T^(k+1) = T^k, checked exhaustively, holds exactly when q
+    vanishes in T (ValueError otherwise); it implies G T^(m+1) = T^m.
     """
-    if not poly_vanishes(poly, T):
+    if poly.is_zero:
         raise ValueError("polynomial does not vanish in T")
     k = int(np.flatnonzero(poly.coeffs)[0])
-    G = _tail_operator(poly, k, T)
-    m = max(k, 1)
-    if G.compose(T.power(m + 1)) != T.power(m):
-        raise AssertionError("left-Drazin identity failed")
-    return G, m
+    tail = fp_apply_polynomial(OperatorPolynomial(poly.coeffs[k + 1:], poly.prime), T)
+    scale = (-pow(int(poly.coeff(k)), -1, T.p)) % T.p
+    G = FpVectorOperator(T.p, T.n, encode(tail * scale % T.p, T.p))
+    Tk = table_power(T.table, k)
+    if not np.array_equal(G.table[T.table[Tk]], Tk):
+        raise ValueError("polynomial does not vanish in T")
+    return G, max(k, 1)
 
 
 def reciprocal_poly(poly):
@@ -323,6 +312,8 @@ def affine_vanishing_poly(poly, A, p):
 def product_operator_fp(parts):
     """Componentwise operator on F_p^(n1+...+nk) from per-factor operators."""
     parts = list(parts)
+    if not parts:
+        raise ValueError("need at least one factor")
     p = parts[0].p
     if any(t.p != p for t in parts):
         raise ValueError("all factors must share the prime")
@@ -370,27 +361,28 @@ class CompanionReport:
 
 def companion_embedding_check(T, poly):
     """Verify phi_T(T(v)) = C_p^T phi_T(v) for every v, with
-    phi_T(v) = (v, T(v), ..., T^(deg-1)(v))."""
+    phi_T(v) = (v, T(v), ..., T^(deg-1)(v)).
+
+    Block r says that x^(r+1) - sum_s C[s, r] x^s vanishes at v; it holds
+    for every T where column r of C is e_(r+1), so only the other columns
+    (the last one, for a companion matrix) are evaluated. `violations`
+    counts the failing vectors over all blocks.
+    """
     if not poly_vanishes(poly, T):
         raise ValueError("polynomial must vanish in T")
     C = companion_matrix(poly)
     d = poly.degree
-    p = T.p
-    vecs = T.space()
-    blocks = []                                   # T^i over all v, i = 0..d
-    cur = np.arange(T.size, dtype=np.int64)
-    for _ in range(d + 1):
-        blocks.append(vecs[cur])
-        cur = T.table[cur]
+    unit = np.zeros(d, dtype=bool)                # column r is e_(r+1); no e_d for r = d-1
+    unit[:-1] = C.diagonal(-1) == 1
+    rows, cols = np.nonzero(C)
+    unit[cols[rows != cols + 1]] = False
     bad = 0
-    for r in range(d):
-        lhs = blocks[r + 1]                       # block r of phi(T(v))
-        rhs = np.zeros_like(lhs)
-        for s in range(d):
-            c = C[s, r]
-            if c:
-                rhs = (rhs + c * blocks[s]) % p
-        bad += int(np.count_nonzero(np.any(lhs != rhs, axis=1)))
+    for r in np.flatnonzero(~unit).tolist():
+        coeffs = np.zeros(d + 1, dtype=np.int64)
+        coeffs[:d] = -C[:, r]
+        coeffs[r + 1] += 1
+        block = fp_apply_polynomial(OperatorPolynomial(coeffs, T.p), T)
+        bad += int(np.count_nonzero(block.any(axis=1)))
     return CompanionReport(bad == 0, bad, C)
 
 

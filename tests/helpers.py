@@ -739,6 +739,30 @@ def tail_operator_loop(poly, k, T):
     return encode(acc * scale % p, p)
 
 
+def companion_blocks_loop(T, C):
+    """(ok, violations) of phi(T(v)) = C^T phi(v) for every v, compared
+    block by block over the stored iterates T^0(v), ..., T^d(v): each
+    vector counts once for every block it fails."""
+    d = C.shape[0]
+    p = T.p
+    vecs = T.space()
+    blocks = []                                   # T^i over all v, i = 0..d
+    cur = np.arange(T.size, dtype=np.int64)
+    for _ in range(d + 1):
+        blocks.append(vecs[cur])
+        cur = T.table[cur]
+    bad = 0
+    for r in range(d):
+        lhs = blocks[r + 1]                       # block r of phi(T(v))
+        rhs = np.zeros_like(lhs)
+        for s in range(d):
+            c = C[s, r]
+            if c:
+                rhs = (rhs + c * blocks[s]) % p
+        bad += int(np.count_nonzero(np.any(lhs != rhs, axis=1)))
+    return bad == 0, bad
+
+
 # ---------------------------------------------------------------------------
 # joint-grid scans, plain Dykstra and the per-scalar homogeneity loop
 # ---------------------------------------------------------------------------

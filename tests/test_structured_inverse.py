@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,23 @@ def test_empty_box_rejected():
         Box(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         L2Ball(np.zeros(2), -1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: L2Ball(np.zeros(2), np.nan),
+    lambda: L2Ball(np.array([np.nan, 0.0]), 1.0),
+    lambda: Box(np.array([np.nan]), np.array([1.0])),
+    lambda: Box(np.array([0.0]), np.array([np.nan])),
+    lambda: Halfspace(np.array([np.nan, 1.0]), 0.0),
+    lambda: Halfspace(np.array([1.0, 1.0]), np.nan),
+    lambda: convex_set_from_json(json.loads('{"kind": "l2_ball", "center": [0, 0], "radius": NaN}')),
+    lambda: convex_set_from_json(json.loads('{"kind": "box", "lo": [NaN], "hi": [1]}')),
+    lambda: convex_set_from_json(json.loads('{"kind": "halfspace", "normal": [1, 1], "offset": NaN}')),
+])
+def test_nan_parameters_rejected(make):
+    # every comparison with NaN is False, so the emptiness checks alone let NaN through
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_projection_lipschitz():

@@ -2,8 +2,11 @@
 
 `set_inverse` builds, checks and counts {1,2}-inverses with bincount,
 unique and searchsorted on int64 tables; the vanishing-polynomial
-inverses evaluate the coefficient tail with `fp_apply_polynomial`. The
-loops they replaced live in helpers.py and must give the same answers.
+inverses evaluate the coefficient tail once with `fp_apply_polynomial`
+and certify it by the table identity G T^(k+1) = T^k, which holds exactly
+when the polynomial vanishes. The loops they replaced live in helpers.py
+and must give the same answers; a polynomial that does not vanish must
+raise ValueError exactly where `poly_vanishes` is False.
 """
 
 import json
@@ -19,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from geninv import (FiniteOperator, power, OneTwoInverseSpec, InvalidSpec, default_spec,
                     build_one_two_inverse, double_inverse, one_two_inverse_count,
                     FpVectorOperator, OperatorPolynomial, find_vanishing_poly,
-                    poly_left_inverse, left_drazin_from_poly)
+                    poly_vanishes, poly_left_inverse, left_drazin_from_poly)
 
 from helpers import (one_two_spec_valid_loop, default_spec_loop, one_two_inverse_loop,
                      double_inverse_loop, one_two_inverse_count_loop, tail_operator_loop)
@@ -148,7 +151,10 @@ def test_fp_vector_operator_takes_integer_kinds_of_n():
     assert FpVectorOperator(3, 0, [0]).size == 1
 
 
-def vanishing_case(p, n, seed, permutation):
+def vanishing_case(p, n, seed, permutation, vanishing):
+    """T and a multiple of its vanishing polynomial, or, when `vanishing` is
+    False, that polynomial plus a random one of degree <= 2: the sum
+    vanishes in T exactly when the added one does."""
     rng = np.random.default_rng(seed)
     size = p ** n
     T = FpVectorOperator(p, n, rng.permutation(size) if permutation
@@ -158,14 +164,19 @@ def vanishing_case(p, n, seed, permutation):
         coeffs[0] = 1 + rng.integers(p - 1)
     factor = OperatorPolynomial(coeffs, p)
     poly = find_vanishing_poly(T)
+    if not vanishing:
+        return T, poly.add(factor)
     return T, (poly if factor.is_zero else poly.mul(factor))
 
 
-@settings(max_examples=60)
-@given(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (5, 1), (5, 2)]),
-       st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_polynomial_inverses_match_loops(space, seed, permutation):
-    T, poly = vanishing_case(*space, seed, permutation)
+def check_polynomial_inverses(T, poly):
+    """Both inverses raise ValueError exactly where poly fails to vanish in
+    T, and match the loop tables everywhere else."""
+    if not poly_vanishes(poly, T):
+        for f in (left_drazin_from_poly, poly_left_inverse):
+            with pytest.raises(ValueError, match="does not vanish"):
+                f(poly, T)
+        return
     k = next(i for i, a in enumerate(poly.coeffs) if a)
     G, m = left_drazin_from_poly(poly, T)
     assert np.array_equal(G.table, tail_operator_loop(poly, k, T))
@@ -175,6 +186,21 @@ def test_polynomial_inverses_match_loops(space, seed, permutation):
         assert S is None
     else:
         assert np.array_equal(S.table, tail_operator_loop(poly, 0, T))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (5, 1), (5, 2)]),
+       st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_polynomial_inverses_match_loops(space, seed, permutation, vanishing):
+    check_polynomial_inverses(*vanishing_case(*space, seed, permutation, vanishing))
+
+
+def test_inverses_certify_at_k_plus_one():
+    # x - 1 does not vanish in T = 0 on F_2, yet its G = 0 passes the weaker
+    # G T^(m+1) = T^m at m = max(k, 1) = 1; G T^(k+1) = T^k at k = 0 fails
+    T, q = FpVectorOperator(2, 1, [0, 0]), OperatorPolynomial([-1, 1], 2)
+    assert not poly_vanishes(q, T)
+    check_polynomial_inverses(T, q)
 
 
 @pytest.mark.parametrize("prime", ["-1", "0", "1", "4"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,9 +13,10 @@ from geninv import (OperatorPolynomial, FiniteOperator, power, image_chain,
                     companion_embedding_check,
                     eigen_root_check, cayley_hamilton_inverse,
                     fp_invert, fp_matmul)
+from geninv import vanishing
 from geninv.vanishing import encode
 
-from helpers import run_optimized
+from helpers import companion_blocks_loop, run_optimized
 
 
 def random_fp_operator(rng, p, n):
@@ -272,6 +275,11 @@ def test_product_vanishing_single_and_pairs():
     assert poly_vanishes(mixed, product_operator_fp([proj, SWAP]))
 
 
+def test_product_operator_needs_a_factor():
+    with pytest.raises(ValueError):
+        product_operator_fp([])
+
+
 def test_companion_degree_one_zero_operator():
     Z = FpVectorOperator.zero(3, 1)
     rep = companion_embedding_check(Z, OperatorPolynomial([0, 1], 3))
@@ -292,6 +300,60 @@ def test_companion_holds_for_minimal_polys():
         n = int(rng.integers(1, 4))
         T = random_fp_operator(rng, p, n)
         assert companion_embedding_check(T, minimal_poly(T)).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 2), (7, 2)]),
+       st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_companion_check_matches_the_block_loop(space, seed, permutation, perturb):
+    rng = np.random.default_rng(seed)
+    p, n = space
+    T = FpVectorOperator(p, n, rng.permutation(p ** n) if permutation
+                         else rng.integers(0, p ** n, p ** n))
+    pm = minimal_poly(T)
+    C = vanishing.companion_matrix(pm).copy()
+    if perturb:                                   # one entry of a random column
+        s, r = rng.integers(pm.degree, size=2)
+        C[s, r] = (C[s, r] + rng.integers(1, p)) % p
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vanishing, "companion_matrix", lambda poly: C)
+        rep = companion_embedding_check(T, pm)
+    assert (rep.ok, rep.violations) == companion_blocks_loop(T, C)
+    assert rep.companion is C
+    assert rep.ok or perturb
+
+
+def test_companion_check_stores_no_iterates():
+    # the stored iterates T^0(v) .. T^d(v) alone took (d+1) p^n n int64, 80 MB here
+    rng = np.random.default_rng(10)
+    T = FpVectorOperator(2, 10, rng.permutation(2 ** 10))
+    pm = minimal_poly(T)
+    tracemalloc.start()
+    try:
+        rep = companion_embedding_check(T, pm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and peak < 30 * 2 ** 20
+
+
+def test_each_answer_evaluates_one_polynomial(monkeypatch):
+    calls = []
+    apply = vanishing.fp_apply_polynomial
+    monkeypatch.setattr(vanishing, "fp_apply_polynomial",
+                        lambda poly, T: calls.append(poly) or apply(poly, T))
+    invertible = FpVectorOperator.from_matrix(np.array([[1, 1], [0, 1]]), 5)
+    nilpotent = FpVectorOperator.from_matrix(np.array([[0, 0], [1, 0]]), 3)
+    for T in (invertible, nilpotent):
+        calls.clear()
+        pm = minimal_poly(T)
+        assert len(calls) == 1
+        for answer, expected in ((lambda: left_drazin_from_poly(pm, T), 1),
+                                 (lambda: poly_left_inverse(pm, T), 1),
+                                 (lambda: companion_embedding_check(T, pm), 2)):
+            calls.clear()
+            answer()
+            assert len(calls) == expected
 
 
 def test_eigen_root_idempotent_fixed_point():
@@ -544,9 +606,10 @@ def test_cayley_hamilton_inverse_numpy_integer_prime():
 def test_certificates_survive_optimize_flag():
     # a failing certificate raises AssertionError under python -O too
     code = (
+        "import numpy as np\n"
         "import geninv.vanishing as v\n"
         "T = v.FpVectorOperator(2, 1, [1, 0])\n"
-        "v.poly_vanishes = lambda q, T: False\n"
+        "v.fp_apply_polynomial = lambda q, T: np.ones((T.size, T.n), dtype=np.int64)\n"
         "for f in (v.find_vanishing_poly, v.minimal_poly):\n"
         "    try:\n"
         "        f(T)\n"
