@@ -213,8 +213,10 @@ MAX_GRID_POINTS = 20_000_000
 def _axis(lo, hi, step):
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
         raise ValueError("box axis must be a finite interval")
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    n = np.floor((hi - lo) / step + 1e-9) + 1     # a float: hi - lo may overflow
+    if n > MAX_GRID_POINTS:                       # refused before np.arange allocates
+        raise ValueError("grid of %.0f points is too large" % n)
+    return lo + step * np.arange(int(n))
 
 
 @dataclass

@@ -54,8 +54,9 @@ class Box(ConvexSet):
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be 1-D of equal length")
-        if not np.all(lo <= hi):                  # False for a NaN bound too
-            raise ValueError("empty box: lo > hi or a NaN bound somewhere")
+        # False for a NaN bound too; lo = hi = +inf (or -inf) holds no point
+        if not ((lo <= hi) & (lo < np.inf) & (hi > -np.inf)).all():
+            raise ValueError("empty box: lo > hi, lo = +inf, hi = -inf or a NaN bound")
         super().__init__(len(lo))
         self.lo, self.hi = lo, hi
 
@@ -71,8 +72,8 @@ class L2Ball(ConvexSet):
 
     def __init__(self, center, radius):
         center = np.asarray(center, dtype=float)
-        if np.isnan(center).any():
-            raise ValueError("ball center must not be NaN")
+        if not np.isfinite(center).all():
+            raise ValueError("ball center must be finite")
         if not radius >= 0:                       # False for a NaN radius too
             raise ValueError("empty ball: negative or NaN radius")
         super().__init__(len(center))
@@ -98,10 +99,10 @@ class Halfspace(ConvexSet):
 
     def __init__(self, normal, offset):
         normal, offset = np.asarray(normal, dtype=float), float(offset)
-        if not np.linalg.norm(normal) > 0:        # False for a NaN entry too
-            raise ValueError("halfspace needs a nonzero normal without NaN")
-        if np.isnan(offset):
-            raise ValueError("halfspace offset must not be NaN")
+        if not (np.isfinite(normal).all() and np.linalg.norm(normal) > 0):
+            raise ValueError("halfspace needs a finite nonzero normal")
+        if not offset > -np.inf:                  # False for a NaN offset too
+            raise ValueError("halfspace offset must not be -inf or NaN")
         super().__init__(len(normal))
         self.normal, self.offset = normal, offset
 

@@ -215,6 +215,25 @@ def test_three_factor_oracle_at_step_001():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("half, points", [("100000", 200000001),
+                                          ("1000000000", 2000000000001)])
+def test_cli_oracle_refuses_a_long_axis_before_allocating_it(tmp_path, capsys, half, points):
+    # np.arange of the axis alone would ask for 1.49 GiB, or 14.6 TiB
+    op = tmp_path / "relu.json"
+    op.write_text(json.dumps({"kind": "relu"}))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["oracle", "--op", str(op), "--w", "0.5",
+                       "--box", "-" + half, half, "--step", "0.001"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "input error: grid of %d points is too large\n" % points
+    assert peak < 1 << 20
+
+
 def test_cli_oracle_on_a_three_dimensional_product(tmp_path, capsys):
     op = tmp_path / "op.json"
     op.write_text(json.dumps({"kind": "componentwise", "parts": [

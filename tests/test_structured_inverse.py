@@ -133,6 +133,33 @@ def test_nan_parameters_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: L2Ball(np.array([np.inf, 0.0]), 1.0),
+    lambda: L2Ball(np.array([0.0, -np.inf]), np.inf),
+    lambda: Box(np.array([np.inf]), np.array([np.inf])),
+    lambda: Box(np.array([-np.inf]), np.array([-np.inf])),
+    lambda: Halfspace(np.array([np.inf, 1.0]), 0.0),
+    lambda: Halfspace(np.array([1.0, 1.0]), -np.inf),
+    lambda: convex_set_from_json(json.loads('{"kind": "l2_ball", "center": [Infinity, 0], "radius": 1}')),
+    lambda: convex_set_from_json(json.loads('{"kind": "box", "lo": [Infinity], "hi": [Infinity]}')),
+    lambda: convex_set_from_json(json.loads('{"kind": "halfspace", "normal": [1, 1], "offset": -Infinity}')),
+])
+def test_infinite_parameters_that_empty_the_set_or_break_the_projection_rejected(make):
+    # these projected to NaN (an infinite center or normal) or to +-inf (an empty set)
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("C, x, expected", [
+    (Box(np.array([-np.inf, 1.0]), np.array([np.inf, np.inf])), [-5.0, -5.0], [-5.0, 1.0]),
+    (L2Ball(np.array([1.0, 2.0]), np.inf), [30.0, -4.0], [30.0, -4.0]),
+    (Halfspace(np.array([1.0, 1.0]), np.inf), [7.0, 9.0], [7.0, 9.0]),
+    (convex_set_from_json(json.loads('{"kind": "box", "lo": [0], "hi": [Infinity]}')), [3.0], [3.0]),
+])
+def test_infinite_parameters_of_a_nonempty_set_kept(C, x, expected):
+    assert np.array_equal(C.project(x), expected)
+
+
 def test_projection_lipschitz():
     kinds = [Box(np.array([-1.0, 0.0, -2.0]), np.array([2.0, 1.0, 0.0])),
              L2Ball(np.array([0.3, -0.2, 0.0]), 1.2),
