@@ -159,6 +159,8 @@ def load_vector_operator(obj):
 # ---------------------------------------------------------------------------
 
 def cmd_pinv1d(args):
+    if not np.isfinite(args.w):
+        raise InputError("w must be finite, got %r" % args.w)
     op = pseudo_inverse.Scalar1DOperator(args.kind, a=args.a, eps=args.eps, c=args.c)
     res = pseudo_inverse.closed_form_pinv(op, args.w)
     _emit({"kind": op.kind, "w": args.w, "defined": res.defined, "values": list(res.values),

@@ -86,7 +86,7 @@ class FiniteOperator:
         if not self.is_endofunction:
             raise ValueError("operator must map a set to itself")
         fg = functional_graph(self.table)
-        for a in (fg.on_cycle, fg.cycle_length, fg.depth, fg.exit_level, fg.cycle_root):
+        for a in (fg.on_cycle, fg.cycle_length, fg.exit_level, fg.cycle_root):
             a.flags.writeable = False
         return fg
 
@@ -137,56 +137,51 @@ def table_power(t, k):
 @dataclass
 class FunctionalGraph:
     on_cycle: np.ndarray       # per node: lies on a cycle of the graph
-    cycle_length: np.ndarray   # per node: length of the cycle it runs into
-    depth: np.ndarray          # per node: steps until it reaches its cycle
+    cycle_length: np.ndarray   # per cycle node, in id order: length of its cycle
     exit_level: np.ndarray     # per node: last j with v in T^j(V); k on cycles
     k: int                     # first k with T^k(V) = T^(k+1)(V)
-    cycle_root: np.ndarray     # per node: least node of the cycle it runs into
+    cycle_root: np.ndarray     # per cycle node, in id order: least node of its cycle
 
 
 def functional_graph(table):
-    """Cycles, cycle lengths, depths and exit levels of an endofunction table.
+    """Cycles, cycle lengths and exit levels of an endofunction table.
 
-    Pointer doubling, so every loop runs O(log n) times: T^(2^r) for
-    2^r >= n maps V onto the cyclic nodes; while it is squared, a
-    `maximum` scatter doubles the longest known path into each node, which
-    off the cycles is the exit level. Depths come from pointer jumping in
-    which the cycles absorb, cycle lengths from propagating the least
-    label around each cycle and counting labels; the least label names
-    each cycle's least node.
+    Pointer doubling: while T^(2^r) is squared, a `maximum` scatter doubles
+    the longest known path into each node, which off the cycles is the exit
+    level, and a bool scatter marks T^(2^r)(V). The chain shrinks strictly
+    up to step k, so once |T^(2^r)(V)| = |T^(2^(r-1))(V)|, 2^(r-1) >= k:
+    every tail path is counted and the marked image is the cyclic part.
+    Cycle lengths come from propagating the least label around each cycle
+    and counting labels; the least label names each cycle's least node.
     """
     t = np.asarray(table, dtype=np.int64)
     n = len(t)
-    rounds = max(n - 1, 0).bit_length()          # 2^rounds > n - 1 >= depth
-    longest = np.zeros(n, dtype=np.int64)        # longest path into v, < 2^r steps
-    jump = t                                     # T^(2^r)
-    for r in range(rounds):
-        np.maximum.at(longest, jump, longest + (1 << r))
-        jump = jump[jump]
-    on_cycle = np.zeros(n, dtype=bool)
-    on_cycle[jump] = True
-    tail = longest[~on_cycle]
-    k = int(tail.max()) + 1 if tail.size else 0
-    exit_level = np.where(on_cycle, k, longest)
-
-    depth = (~on_cycle).astype(np.int64)
-    nxt = np.where(on_cycle, np.arange(n), t)
-    for _ in range(k.bit_length()):
-        depth += depth[nxt]
-        nxt = nxt[nxt]
+    exit_level = np.zeros(n, dtype=np.int64)     # longest path into v, < 2^r steps
+    jump, size, r = t, n, 0                      # T^(2^r); |T^(2^(r-1))(V)|, |V| at r = 0
+    while True:
+        on_cycle = np.zeros(n, dtype=bool)
+        on_cycle[jump] = True
+        count = np.count_nonzero(on_cycle)
+        if count == size:
+            break
+        np.maximum.at(exit_level, jump, exit_level + (1 << r))
+        jump, size, r = jump[jump], count, r + 1
+    del jump
+    k = int(exit_level.max(initial=-1, where=~on_cycle)) + 1
+    exit_level[on_cycle] = k
 
     cyc = np.flatnonzero(on_cycle)
     pos = np.empty(n, dtype=np.int64)
     pos[cyc] = np.arange(len(cyc))
-    label = np.arange(len(cyc))                  # least position on each cycle
     step = pos[t[cyc]]
+    del pos
+    label = np.arange(len(cyc))                  # least position on each cycle
     for _ in range(max(len(cyc) - 1, 0).bit_length()):
-        label = np.minimum(label, label[step])
+        np.minimum(label, label[step], out=label)
         step = step[step]
-    length = np.bincount(label, minlength=len(cyc))[label]
-    cycle_length = length[pos[jump]]
-    cycle_root = cyc[label[pos[jump]]]
-    return FunctionalGraph(on_cycle, cycle_length, depth, exit_level, k, cycle_root)
+    del step
+    cycle_length = np.bincount(label, minlength=len(cyc))[label]
+    return FunctionalGraph(on_cycle, cycle_length, exit_level, k, cyc[label])
 
 
 def image(T):

@@ -6,7 +6,7 @@ permutation S. The Drazin inverse is S^-(k+1) T^k; the left-Drazin
 inverse only needs an injective restriction and is free off T^(k+1)(V).
 Every routine here reads the chain from `T.graph`, the operator's one cached
 analysis of its graph by pointer doubling, `functional_graph` (defined in
-core_ops, imported here), in O(n log n) time and O(n) memory.
+core_ops, imported here), in O(n log k + m log m) time for m cyclic nodes.
 """
 
 from dataclasses import dataclass
@@ -65,28 +65,26 @@ def drazin_inverse(T):
     least m >= 1 with T^(m+1) G = T^m, is max(k, 1): T^(m+1) G maps into
     the cyclic part, which T^m reaches only from step k on.
     """
-    t = T.table
-    n = T.domain_size
-    fg = T.graph
+    t, n, fg = T.table, T.domain_size, T.graph
     k = fg.k
     M = np.flatnonzero(fg.on_cycle)               # T^k(V)
+    tk = table_power(t, k)
     pos = np.empty(n, dtype=np.int64)
     pos[M] = np.arange(len(M))
     inv_perm = np.empty(len(M), dtype=np.int64)   # S^-1 on positions
     inv_perm[pos[t[M]]] = np.arange(len(M))
-    tk = table_power(t, k)
-    g = M[table_power(inv_perm, k + 1)[pos[tk]]]
-    G = FiniteOperator(n, n, g)
+    g = M[table_power(inv_perm, k + 1)][pos[tk]]
+    del pos
 
-    kk = max(k, 1)
     tkk = tk if k else t
     if not np.array_equal(tkk[g[t]], tkk):
         raise AssertionError("MP1^k failed; construction bug")
+    del tk, tkk
     if not np.array_equal(g[t[g]], g):
         raise AssertionError("MP2 failed; construction bug")
     if not np.array_equal(t[g], g[t]):
         raise AssertionError("D5 failed; construction bug")
-    return DrazinResult(True, G, kk, k, fg)
+    return DrazinResult(True, FiniteOperator(n, n, g), max(k, 1), k, fg)
 
 
 def drazin_loop_formula(T, n, k):

@@ -93,23 +93,28 @@ class L2Ball(ConvexSet):
 
 
 class Halfspace(ConvexSet):
-    """{x : normal . x <= offset}."""
+    """{x : normal . x <= offset}. The projection scales both by the power
+    of two that puts the largest |normal entry| in [1, 2), so normal @ normal
+    stays in the float range; the scaling is exact and changes no bits."""
 
     kind = "halfspace"
 
     def __init__(self, normal, offset):
         normal, offset = np.asarray(normal, dtype=float), float(offset)
-        if not (np.isfinite(normal).all() and np.linalg.norm(normal) > 0):
+        if not (np.isfinite(normal).all() and (normal != 0).any()):
             raise ValueError("halfspace needs a finite nonzero normal")
         if not offset > -np.inf:                  # False for a NaN offset too
             raise ValueError("halfspace offset must not be -inf or NaN")
         super().__init__(len(normal))
         self.normal, self.offset = normal, offset
+        shift = 1 - np.frexp(np.abs(normal).max())[1]
+        self._normal, self._offset = np.ldexp(normal, shift), np.ldexp(offset, shift)
+        self._norm2 = self._normal @ self._normal
 
     def project_batch(self, X):
         # a row sum, not X @ normal: BLAS rounds a row by its place in the batch
-        excess = np.maximum((X * self.normal).sum(axis=1) - self.offset, 0.0)
-        return X - np.outer(excess / (self.normal @ self.normal), self.normal)
+        excess = np.maximum((X * self._normal).sum(axis=1) - self._offset, 0.0)
+        return X - np.outer(excess / self._norm2, self._normal)
 
     def to_json(self):
         return {"kind": "halfspace", "normal": list(self.normal),

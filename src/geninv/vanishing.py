@@ -157,7 +157,7 @@ def find_vanishing_poly(T, l=None):
         raise ValueError("image sizes still shrinking after %d iterations" % l)
     m = int(np.count_nonzero(fg.on_cycle))
     periods = [OperatorPolynomial([-1] + [0] * (c - 1) + [1], T.p)     # x^c - 1
-               for c in np.unique(fg.cycle_length[fg.on_cycle])]
+               for c in np.unique(fg.cycle_length)]
     poly = reduce(OperatorPolynomial.lcm, periods).shift(l)
     if poly.degree > m * m + l:
         raise AssertionError("vanishing polynomial exceeds the degree bound m^2 + l")
@@ -199,11 +199,11 @@ def minimal_poly(T):
     """
     fg = T.graph
     vecs = T.space()
-    nodes = np.arange(T.size)
-    roots = nodes[fg.on_cycle & (fg.cycle_root == nodes)]           # one per cycle
+    is_root = fg.cycle_root == np.flatnonzero(fg.on_cycle)          # one per cycle
+    roots, lengths = fg.cycle_root[is_root], fg.cycle_length[is_root]
     annihilators = []
-    for c in np.unique(fg.cycle_length[roots]):
-        cur = roots[fg.cycle_length[roots] == c]
+    for c in np.unique(lengths):
+        cur = roots[lengths == c]
         orbits = np.empty((len(cur), c), dtype=np.int64)              # reversed
         for i in range(c - 1, -1, -1):
             orbits[:, i] = cur

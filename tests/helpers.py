@@ -821,6 +821,14 @@ def check_pseudo_inverse_two_scan(T, G, samples, box, step, res_slack=1e-9,
     return out
 
 
+def halfspace_projection_unscaled(normal, offset, X):
+    """Rows of X projected onto {x : normal . x <= offset} by the formula on
+    the given normal and offset, whose normal @ normal leaves the float
+    range for entries past about 1e154 or below about 1e-162."""
+    excess = np.maximum((X * normal).sum(axis=1) - offset, 0.0)
+    return X - np.outer(excess / (normal @ normal), normal)
+
+
 def dykstra_fixed_sweeps(parts, y, sweeps):
     """Dykstra's alternating projections of one point for a fixed number of
     sweeps, with no stopping rule."""

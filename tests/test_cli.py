@@ -597,11 +597,18 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
                  id="oracle-step-inf"),
     pytest.param(["oracle", "--w", "nan", "--box", "-1", "1", "--step", "0.5"],
                  {"kind": "relu"}, "target must be finite, got [nan]", id="oracle-w-nan"),
+    pytest.param(["pinv1d", "--kind", "relu", "--w", "nan"], None, "w must be finite, got nan",
+                 id="pinv1d-w-nan"),
+    pytest.param(["pinv1d", "--kind", "exp", "--w=-inf"], None, "w must be finite, got -inf",
+                 id="pinv1d-w-minus-inf"),
 ])
 def test_validation_errors_name_the_field(tmp_path, capsys, argv, op, field):
-    path = tmp_path / "op.json"
-    path.write_text(json.dumps(op))
-    assert cli.main(argv + ["--op", str(path)]) == cli.EXIT_INPUT_ERROR
+    # op None: the subcommand reads no operator file
+    if op is not None:
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(op))
+        argv = argv + ["--op", str(path)]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
     assert field in capsys.readouterr().err
 
 

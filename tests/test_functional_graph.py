@@ -1,5 +1,9 @@
 """The functional-graph kernel against the step-by-step oracles in helpers."""
 
+import math
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,15 +47,103 @@ def permutation_with_cycles(lengths, labels):
     return t
 
 
-@given(maps)
-def test_kernel_matches_walks(t):
+def relabeled(t, labels):
+    """The map t with point v renamed labels[v]."""
+    labels = np.asarray(labels)
+    out = np.empty(len(t), dtype=np.int64)
+    out[labels] = labels[np.asarray(t)]
+    return out
+
+
+@st.composite
+def deep_maps(draw, max_n=300):
+    """Maps whose k spans several doubling rounds, on drawn labels: halving
+    maps (k = bit length of n - 1), permutations of a drawn cycle type
+    (k = 0) and paths of n - c steps into a cycle of length c."""
+    n = draw(st.integers(1, max_n))
+    labels = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["halving", "permutation", "path"]))
+    if kind == "permutation":
+        lengths = []
+        while sum(lengths) < n:
+            lengths.append(draw(st.integers(1, n - sum(lengths))))
+        return permutation_with_cycles(lengths, labels)
+    if kind == "halving":
+        return relabeled(np.arange(n) // 2, labels)
+    c = draw(st.integers(1, n))
+    return relabeled(np.concatenate([np.roll(np.arange(c), -1), np.arange(c - 1, n - 1)]),
+                     labels)
+
+
+def assert_graph_matches_walks(t):
+    """Every field of functional_graph(t) against walk_graph; the cycle
+    fields hold the walk's values at the cycle nodes, in id order."""
     fg = functional_graph(t)
     on_cycle, cycle_length, depth, cycle_root = walk_graph(t)
+    cyc = np.flatnonzero(on_cycle)
     assert fg.on_cycle.tolist() == on_cycle
-    assert fg.cycle_length.tolist() == cycle_length
-    assert fg.depth.tolist() == depth
-    assert fg.cycle_root.tolist() == cycle_root
+    assert fg.cycle_length.tolist() == [cycle_length[v] for v in cyc]
+    assert fg.cycle_root.tolist() == [cycle_root[v] for v in cyc]
     assert fg.k == max(depth)
+    sets, _, _, _ = image_chain_steps(t)
+    assert fg.exit_level.tolist() == [sum(v in s for s in sets[1:]) for v in range(len(t))]
+
+
+@given(maps)
+def test_kernel_matches_walks(t):
+    assert_graph_matches_walks(t)
+
+
+@settings(max_examples=60)
+@given(deep_maps())
+def test_deep_maps_match_walks_and_steps(t):
+    assert_graph_matches_walks(t)
+    g, index, k = drazin_steps(t)
+    res = drazin_inverse(FiniteOperator(len(t), len(t), t))
+    assert np.array_equal(res.inverse.table, g)
+    assert (res.index, res.k) == (index, k)
+
+
+def doubling_rounds(t):
+    """How many `maximum` scatters, one per squaring of T^(2^r),
+    functional_graph(t) makes."""
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "at":
+            calls.append(arg)
+    sys.setprofile(count)
+    try:
+        functional_graph(t)
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("t, k, rounds", [
+    (np.arange(2 ** 16 + 1) // 2, 17, 6),                   # not the 17 of ceil(log2 n)
+    (np.roll(np.arange(1000), 1), 0, 0),                    # a permutation
+    (np.maximum(np.arange(1000) - 1, 0), 999, 11),
+    (np.maximum(np.arange(1000) - 1, 0)[:9], 8, 4),
+    (np.maximum(np.arange(1000) - 1, 0)[:2], 1, 1),
+])
+def test_doubling_stops_when_the_image_stops_shrinking(t, k, rounds):
+    assert functional_graph(t).k == k
+    assert doubling_rounds(t) == rounds <= math.ceil(math.log2(k + 1)) + 1
+
+
+def test_drazin_peak_memory_on_the_halving_map():
+    # the graph and the construction together hold about five 2^16+1-entry
+    # int64 arrays (0.5 MB each) at peak
+    n = 2 ** 16 + 1
+    T = FiniteOperator(n, n, np.arange(n) // 2)
+    tracemalloc.start()
+    try:
+        res = drazin_inverse(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.k == 17 and peak < 3.5 * 2 ** 20
 
 
 @given(maps)

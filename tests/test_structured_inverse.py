@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from geninv import (Box, L2Ball, Halfspace, Intersection, project,
                     cascade_pinv, product_inverse,
@@ -11,6 +12,8 @@ from geninv import (Box, L2Ball, Halfspace, Intersection, project,
                     check_pseudo_inverse, grid_bas_oracle)
 from geninv import structured_inverse
 from geninv.structured_inverse import convex_set_from_json
+
+from helpers import halfspace_projection_unscaled
 
 
 def test_box_projection_is_relu():
@@ -148,6 +151,44 @@ def test_infinite_parameters_that_empty_the_set_or_break_the_projection_rejected
     # these projected to NaN (an infinite center or normal) or to +-inf (an empty set)
     with pytest.raises(ValueError):
         make()
+
+
+def test_halfspace_normals_whose_squared_norm_leaves_the_float_range():
+    # normal @ normal is inf for the first: [1, 1] was kept as a member;
+    # it is 0 for the second, which was rejected as a zero normal
+    for scale in (1e200, 1e-200):
+        C = Halfspace([scale, scale], 0.0)
+        assert not C.contains([1.0, 1.0])
+        assert np.allclose(C.project([1.0, 1.0]), [0.0, 0.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(C.project([4.0, -2.0]), [3.0, -3.0], rtol=0.0, atol=1e-15)
+        assert C.contains([-1.0, 0.5])
+
+
+@pytest.mark.parametrize("normal, offset", [([1e200, 1e200], 0.0), ([1e-200, -1e-200], 3.0),
+                                            ([1.0, 1.0, 1.0], 0.4), ([3.0, -0.5], -2.5)])
+def test_halfspace_json_round_trip_keeps_the_given_normal_and_offset(normal, offset):
+    C = Halfspace(normal, offset)
+    obj = json.loads(json.dumps(C.to_json()))
+    assert obj == {"kind": "halfspace", "normal": C.normal.tolist(), "offset": C.offset}
+    D = convex_set_from_json(obj)
+    X = np.random.default_rng(3).normal(size=(20, C.dim))
+    assert np.array_equal(D.normal, C.normal) and D.offset == C.offset
+    assert np.array_equal(D.project_batch(X), C.project_batch(X))
+
+
+# entries 0 or of magnitude 1e-3..1e3: no product, sum or square leaves the normal range
+ordinary = st.one_of(st.just(0.0), st.floats(1e-3, 1e3)).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+
+
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.lists(ordinary, min_size=d, max_size=d).filter(any),
+    st.floats(-1e3, 1e3, allow_subnormal=False),
+    st.lists(st.lists(ordinary, min_size=d, max_size=d), min_size=1, max_size=8))))
+def test_halfspace_scaling_keeps_the_bits_of_ordinary_projections(case):
+    normal, offset, X = np.array(case[0]), case[1], np.array(case[2])
+    assert np.array_equal(Halfspace(normal, offset).project_batch(X),
+                          halfspace_projection_unscaled(normal, offset, X))
 
 
 @pytest.mark.parametrize("C, x, expected", [
