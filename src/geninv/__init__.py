@@ -17,7 +17,7 @@ from .set_inverse import (OneTwoInverseSpec, InvalidSpec, default_spec,
                           check_mp_axioms, enumerate_one_two_inverses,
                           one_two_inverse_count)
 from .pseudo_inverse import (Scalar1DOperator, Pinv1D, closed_form_pinv,
-                             pinv_table, pinv1d_operator, GridOracle, grid_bas_oracle,
+                             pinv_table, pinv1d_operator, Grid, GridOracle, grid_bas_oracle,
                              check_pseudo_inverse, expanding_domain_pinv,
                              finite_bas_set, PseudoInverseReport)
 from .structured_inverse import (Box, L2Ball, Halfspace, Intersection,

@@ -106,18 +106,16 @@ class LeftDrazinResult:
     k: int                     # least chain step with injective restriction
 
 
-def left_drazin_inverse(T, fill=None):
-    """A left-Drazin inverse: S^-1 on T^(k+1)(V), `fill` elsewhere.
+def left_drazin_inverse(T):
+    """A left-Drazin inverse: S^-1 on T^(k+1)(V), the identity elsewhere.
 
     k is the least chain step where the restriction of T is injective. The
-    values off T^(k+1)(V) are genuinely free; `fill` (id -> id) defaults to
-    the identity there. Returns the inverse and the parameter max(k, 1).
+    values off T^(k+1)(V) are genuinely free. Returns the inverse and the
+    parameter max(k, 1).
     """
     fg = T.graph
     cyc = np.flatnonzero(fg.on_cycle)       # T^k(V) = T^(k+1)(V)
     table = np.arange(T.domain_size, dtype=np.int64)
-    if fill is not None:
-        table = np.array([fill(i) for i in range(T.domain_size)], dtype=np.int64)
     # constrained part: on T^(k+1)(V), G must invert the restriction
     table[T.table[cyc]] = cyc
     G = FiniteOperator(T.domain_size, T.domain_size, table)

@@ -246,11 +246,26 @@ def _residuals(values, w):
     return np.sqrt(sq)
 
 
-class _Grid:
-    """A box grid in row-major order, with T and the norm at every point;
-    ValueError where T is NaN, which no residual bound could admit."""
+def _box(box, dim):
+    """`box` as one (lo, hi) per input axis; a bare (lo, hi) is a 1-D box."""
+    box = list(box)
+    if len(box) == 2 and np.isscalar(box[0]):
+        box = [tuple(box)]
+    if len(box) != dim:
+        raise DimensionMismatch("box must give one interval per input axis")
+    return box
 
-    def __init__(self, T, axes):
+
+class Grid:
+    """The joint box grid of T in row-major order, with T and the norm at
+    every point: the one scan of every point of a box. ValueError where T
+    is NaN, which no residual bound could admit, and for a grid past
+    MAX_GRID_POINTS, refused before it is allocated."""
+
+    def __init__(self, T, box, step):
+        if not (np.isfinite(step) and step > 0):
+            raise ValueError("step must be positive and finite, got %r" % (step,))
+        axes = [_axis(lo, hi, step) for lo, hi in _box(box, T.dim_in)]
         total = int(np.prod([len(ax) for ax in axes], dtype=object))
         if total > MAX_GRID_POINTS:
             raise ValueError("grid of %d points is too large" % total)
@@ -268,7 +283,13 @@ class _Grid:
         return self.values
 
     def residuals(self, w):
-        """||T(p) - w|| at every grid point p, in one scan of the values."""
+        """||T(p) - w|| at every grid point p, in one scan of the values; w
+        must be a finite target of T's output dimension."""
+        w = np.atleast_1d(np.asarray(w, dtype=float))
+        if w.shape != (self.values.shape[1],):
+            raise DimensionMismatch("target of dim %d expected" % self.values.shape[1])
+        if not np.isfinite(w).all():
+            raise ValueError("target must be finite, got %s" % w.tolist())
         return _residuals(self._columns, w)
 
     def least_norm(self, res, bound):
@@ -279,23 +300,26 @@ class _Grid:
             return None
         return int(hit[np.argmin(self.norms[hit])])
 
+    def within(self, w, res_bound):
+        """`least_norm` at res_bound for target w; None if none qualifies."""
+        res = self.residuals(w)
+        j = self.least_norm(res, res_bound)
+        return None if j is None else OracleBest(self.points[j].copy(), float(res[j]),
+                                                 float(self.norms[j]), j)
+
 
 class GridOracle:
-    """Exhaustive BAS search over a fixed box grid.
+    """Exhaustive BAS search over a fixed box grid, one factor at a time.
 
-    Both queries apply one rule, `_Grid.least_norm`: the least norm among
-    the points whose residual is within a bound, then the first in
-    row-major grid order. `query(w)` bounds at the least residual (BAS on
-    the grid); `within(w, res_bound)` at res_bound, None if none qualifies.
+    `query(w)` applies `Grid.least_norm` at the least residual: the least
+    norm among the points of least residual, then the first in row-major
+    grid order (BAS on the grid).
 
-    The oracle holds one grid per factor of T (`T.factors`: the parts of a
-    componentwise product, or T itself) with T's part evaluated on it.
-    The residual and the norm of a product are both sums of squares over
-    its factors, so the BAS rule picks each factor's point on its own:
-    `query` searches d grids of n points in place of one of n^d. `within`
-    and the `points`, `values` and `norms` arrays read the joint grid,
-    built on first use; MAX_GRID_POINTS bounds each factor grid at
-    construction and the joint grid when it is built.
+    The oracle holds one `Grid` per factor of T (`T.factors`: the parts of
+    a componentwise product, or T itself). The residual and the norm of a
+    product are both sums of squares over its factors, so the BAS rule
+    picks each factor's point on its own: `query` searches d grids of n
+    points in place of one of n^d.
 
     In floats the per-factor answer can differ from a scan of the joint
     grid in two ways. (a) Where a factor has several coordinates, its
@@ -308,50 +332,17 @@ class GridOracle:
     """
 
     def __init__(self, T, box, step):
-        if not (np.isfinite(step) and step > 0):
-            raise ValueError("step must be positive and finite, got %r" % (step,))
-        box = list(box)
-        if len(box) == 2 and np.isscalar(box[0]):
-            box = [tuple(box)]
-        if len(box) != T.dim_in:
-            raise DimensionMismatch("box must give one interval per input axis")
+        box = _box(box, T.dim_in)
         self.T = T
-        self.axes = [_axis(lo, hi, step) for lo, hi in box]
         self.factors, start = [], 0
         for part in T.factors:
-            self.factors.append(_Grid(part, self.axes[start:start + part.dim_in]))
+            self.factors.append(Grid(part, box[start:start + part.dim_in], step))
             start += part.dim_in
-        self.step = step
 
-    @cached_property
-    def grid(self):
-        """The joint grid; the one factor's grid when T is not a product."""
-        if len(self.factors) == 1:
-            return self.factors[0]
-        return _Grid(self.T, self.axes)
-
-    @property
-    def points(self):
-        return self.grid.points
-
-    @property
-    def values(self):
-        return self.grid.values
-
-    @property
-    def norms(self):
-        return self.grid.norms
-
-    def _target(self, w):
+    def query(self, w):
         w = np.atleast_1d(np.asarray(w, dtype=float))
         if w.shape != (self.T.dim_out,):
             raise DimensionMismatch("target of dim %d expected" % self.T.dim_out)
-        if not np.isfinite(w).all():
-            raise ValueError("target must be finite, got %s" % w.tolist())
-        return w
-
-    def query(self, w):
-        w = self._target(w)
         index, v, value, start = 0, [], [], 0
         for f in self.factors:
             stop = start + f.values.shape[1]
@@ -365,13 +356,6 @@ class GridOracle:
         residual = _residuals(np.concatenate(value)[None, :], w)[0]
         return OracleBest(v, float(residual),
                           float(np.linalg.norm(v[None, :], axis=1)[0]), index)
-
-    def within(self, w, res_bound):
-        """`_Grid.least_norm` at res_bound on the joint grid; None if none qualifies."""
-        res = self.grid.residuals(self._target(w))
-        j = self.grid.least_norm(res, res_bound)
-        return None if j is None else OracleBest(self.points[j].copy(), float(res[j]),
-                                                 float(self.norms[j]), j)
 
 
 def grid_bas_oracle(T, w, box, step):
@@ -393,7 +377,7 @@ class PseudoInverseReport:
     mp2_residual: float
     bas_ok: bool
     mp2_ok: bool
-    residual_gap: float        # see bas_gaps
+    residual_gap: float        # see check_pseudo_inverse
     norm_gap: float
 
 
@@ -401,28 +385,19 @@ RES_SLACK = 1e-9      # residual tolerance of the BAS certificate
 MP2_TOL = 1e-9
 
 
-def bas_gaps(grid, w, residual, norm):
-    """BAS certificate of a candidate v with `residual` ||T(v) - w|| and
-    `norm` ||v|| against the points p of a GridOracle's `grid`: residual
-    minus the least ||T(p) - w||, and norm minus the least ||p|| among the
-    p with ||T(p) - w|| <= residual + RES_SLACK (-inf: there is none)."""
-    res = grid.residuals(w)
-    j = grid.least_norm(res, residual + RES_SLACK)
-    norm_gap = -np.inf if j is None else norm - float(grid.norms[j])
-    return residual - float(res.min()), norm_gap
-
-
 def check_pseudo_inverse(T, G, samples, box, step):
     """Verify a candidate inverse G of T against axioms and the grid oracle.
 
     For each sample w: MP1 residual ||T G T(v) - T(v)|| at v = G(w), MP2
-    residual ||G T G(w) - G(w)|| (mp2_ok: at most MP2_TOL), and `bas_gaps`:
-    bas_ok unless a grid point beats G(w)'s residual by more than
-    RES_SLACK, or one with residual at most G(w)'s plus RES_SLACK beats its
-    norm by more than two grid diagonals, 2 * step * sqrt(dim).
+    residual ||G T G(w) - G(w)|| (mp2_ok: at most MP2_TOL), and the BAS
+    certificate against the points p of `Grid(T, box, step)`: residual_gap
+    is ||T(v) - w|| minus the least ||T(p) - w||, and norm_gap is ||v||
+    minus the least ||p|| among the p with ||T(p) - w|| <= ||T(v) - w|| +
+    RES_SLACK (-inf: there is none). bas_ok unless residual_gap exceeds
+    RES_SLACK or norm_gap two grid diagonals, 2 * step * sqrt(dim).
     """
     norm_slack = 2.0 * step * np.sqrt(T.dim_in)
-    grid = GridOracle(T, box, step).grid
+    grid = Grid(T, box, step)
     reports = []
     for w in samples:
         w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -433,7 +408,10 @@ def check_pseudo_inverse(T, G, samples, box, step):
         gtv = G.apply(Tv)
         mp1 = float(np.linalg.norm(T.apply(gtv) - Tv))
         mp2 = float(np.linalg.norm(gtv - v))
-        residual_gap, norm_gap = bas_gaps(grid, w, residual, norm)
+        res = grid.residuals(w)
+        j = grid.least_norm(res, residual + RES_SLACK)
+        residual_gap = residual - float(res.min())
+        norm_gap = -np.inf if j is None else norm - float(grid.norms[j])
         bas_ok = residual_gap <= RES_SLACK and norm_gap <= norm_slack
         reports.append(PseudoInverseReport(w, v, residual, norm, mp1, mp2,
                                            bool(bas_ok), bool(mp2 <= MP2_TOL),
@@ -456,7 +434,7 @@ def expanding_domain_pinv(T, w, radius_schedule, stabilization_window, step):
     """Grid pseudo-inverse restricted to balls B(0, r) over growing radii.
 
     The search box is the cube [-r, r]^dim intersected with the ball; its
-    BAS point is `_Grid.least_norm` at the least residual. Reports the value
+    BAS point is `Grid.least_norm` at the least residual. Reports the value
     once it repeats, within 2*step per coordinate, across
     `stabilization_window` consecutive radii.
     """
@@ -468,10 +446,9 @@ def expanding_domain_pinv(T, w, radius_schedule, stabilization_window, step):
     dim = T.dim_in
     history = []
     for r in radii:
-        oracle = GridOracle(T, [(-r, r)] * dim, step)
-        res = oracle.grid.residuals(oracle._target(w))
-        res = np.where(oracle.norms <= r + 1e-12, res, np.inf)
-        history.append(oracle.points[oracle.grid.least_norm(res, res.min())].copy())
+        grid = Grid(T, [(-r, r)] * dim, step)
+        res = np.where(grid.norms <= r + 1e-12, grid.residuals(w), np.inf)
+        history.append(grid.points[grid.least_norm(res, res.min())].copy())
         k = stabilization_window
         if len(history) >= k:
             run = history[-k:]

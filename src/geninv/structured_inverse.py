@@ -12,7 +12,7 @@ import numpy as np
 
 from .core_ops import VectorOperator, DimensionMismatch
 from .numerics import json_object
-from .pseudo_inverse import GridOracle
+from .pseudo_inverse import Grid
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_CAP = 10_000
@@ -404,9 +404,9 @@ def projection_after_operator_pinv(T, C, w, box, step, probes=None):
                 raise ValueError("probe source does not map to its point under T")
     w = np.atleast_1d(np.asarray(w, dtype=float))
     target = C.project(w)
-    oracle = GridOracle(T, box, step)
-    res = np.linalg.norm(C.project_batch(oracle.values) - target[None, :], axis=1)
-    j = oracle.grid.least_norm(res, step * np.sqrt(T.dim_in))
+    grid = Grid(T, box, step)
+    res = np.linalg.norm(C.project_batch(grid.values) - target[None, :], axis=1)
+    j = grid.least_norm(res, step * np.sqrt(T.dim_in))
     if j is None:
         return ConstrainedSearchResult(None, False, target, float(res.min()))
-    return ConstrainedSearchResult(oracle.points[j].copy(), True, target, float(res[j]))
+    return ConstrainedSearchResult(grid.points[j].copy(), True, target, float(res[j]))

@@ -226,7 +226,7 @@ def test_criterion_5_neural_layers():
             assert np.linalg.norm(g.tanh_layer_pinv(layer, Tv) - v) <= 1e-8  # MP2
             best = oracle.query(np.array([w]))
             assert np.linalg.norm(Tv - [w]) <= best.residual + 1e-9
-            tie_norm = oracle.within(np.array([w]), np.linalg.norm(A) * 0.01).norm
+            tie_norm = oracle.factors[0].within(np.array([w]), np.linalg.norm(A) * 0.01).norm
             assert np.linalg.norm(v) <= tie_norm + 0.05
             assert tie_norm <= np.linalg.norm(v) + 0.1
 

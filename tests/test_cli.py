@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from geninv import cli
+from geninv import cli, grid_bas_oracle, NeuralLayer, clipped_tanh_layer_pinv
 
 from helpers import image_chain_steps, read_csv_signal_loop, write_csv_signal_loop
 
@@ -68,6 +68,23 @@ def test_oracle_matrix_operator(tmp_path, capsys):
     assert abs(out["v"][0] - 1.0) <= 0.06 and abs(out["v"][1] - 1.0) <= 0.06
 
 
+def test_oracle_layer_operator(tmp_path, capsys):
+    # the clipped layer's image is [-0.75, 0.75]: the target 0.9 is a quarter
+    # of the clip beyond it, and the least-norm v on A v = arctanh(0.75) is
+    # A^T arctanh(0.75) / ||A||^2
+    A = np.array([[1.0, 0.5]])
+    op = tmp_path / "layer.json"
+    op.write_text(json.dumps({"kind": "layer", "activation": "tanh", "clip": 4,
+                              "weights": {"rows": 1, "cols": 2, "data": [1.0, 0.5]}}))
+    rc, out = run(capsys, ["oracle", "--op", str(op), "--w", "0.9",
+                           "--box", "-2", "2", "--step", "0.05"])
+    assert rc == 0
+    best = grid_bas_oracle(NeuralLayer(A, "tanh", 4).operator(), [0.9], [(-2.0, 2.0)] * 2, 0.05)
+    assert out == {"v": best.v.tolist(), "residual": best.residual, "norm": best.norm}
+    assert abs(out["residual"] - 0.15) <= 1e-9
+    assert np.allclose(out["v"], A[0] * np.arctanh(0.75) / 1.25, atol=0.05)
+
+
 def test_oracle_missing_file(capsys):
     rc, _ = run(capsys, ["oracle", "--op", "/nonexistent.json", "--w", "1",
                          "--box", "-1", "1", "--step", "0.1"])
@@ -109,6 +126,22 @@ def test_layer_pinv_rejects_bad_weights(tmp_path, capsys, weights):
     rc, out = run(capsys, ["layer-pinv", "--weights", str(path),
                            "--act", "relu", "--w", str(target)])
     assert rc == cli.EXIT_INPUT_ERROR and out is None
+
+
+@pytest.mark.parametrize("w", [0.5, 0.9, -3.0])
+def test_layer_pinv_clip(tmp_path, capsys, w):
+    weights = tmp_path / "A.json"
+    weights.write_text(json.dumps({"rows": 1, "cols": 2, "data": [1.0, 0.5]}))
+    target = tmp_path / "w.csv"
+    target.write_text("%r\n" % w)
+    rc, out = run(capsys, ["layer-pinv", "--weights", str(weights),
+                           "--act", "tanh", "--w", str(target), "--clip", "4"])
+    assert rc == 0 and out["defined"]
+    A = np.array([[1.0, 0.5]])
+    assert out["v"] == clipped_tanh_layer_pinv(NeuralLayer(A, "tanh", 4), [w]).tolist()
+    # inside the clip [-0.75, 0.75] the layer is inverted exactly, outside at the clip
+    assert np.allclose(out["v"], A[0] * np.arctanh(np.clip(w, -0.75, 0.75)) / 1.25,
+                       atol=1e-12)
 
 
 def test_layer_pinv_tanh_undefined(tmp_path, capsys):
@@ -215,6 +248,15 @@ def test_vanish_swap(tmp_path, capsys):
     assert rc == 0
     assert out["minimal"] == [1, 0, 1]
     assert out["degree_bound"] >= len(out["vanishing"]) - 1
+
+
+def test_vanish_rejects_non_endofunction(tmp_path, capsys):
+    op = tmp_path / "rect.json"
+    op.write_text(json.dumps({"domain": 2, "codomain": 3, "table": [0, 1]}))
+    rc = cli.main(["vanish", "--op", str(op), "--prime", "2"])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_INPUT_ERROR and out == ""
+    assert err == "input error: vanishing polynomials need an endofunction\n"
 
 
 def test_vanish_bad_size(tmp_path, capsys):
@@ -452,7 +494,7 @@ def test_csv_reader_accepts_and_rejects_what_the_line_loop_did(tmp_path, text):
     try:
         expected = read_csv_signal_loop(path)
     except ValueError as e:
-        with pytest.raises(cli.InputError, match="bad float") as info:
+        with pytest.raises(ValueError, match="bad float") as info:
             cli._read_csv_signal(path)
         assert str(info.value).endswith(str(e))
         return

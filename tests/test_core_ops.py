@@ -59,6 +59,16 @@ def test_image_examples():
     assert list(image(FiniteOperator(3, 2, (1, 1, 0)))) == [0, 1]
 
 
+def test_vector_operator_sum():
+    A, B = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0, 1.0], [-1.0, 0.5]])
+    S = VectorOperator.from_matrix(A).add(VectorOperator.from_matrix(B))
+    assert (S.dim_in, S.dim_out) == (2, 2)
+    x = np.random.default_rng(3).normal(size=(5, 2))
+    assert np.array_equal(S.apply_batch(x), x @ A.T + x @ B.T)
+    with pytest.raises(DimensionMismatch, match="equal shapes"):
+        S.add(VectorOperator.from_matrix(np.ones((3, 2))))
+
+
 def test_apply_polynomial_monomial_and_constant():
     T = VectorOperator.pointwise(np.tanh, 2)
     v = np.array([0.3, -1.2])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from geninv import (Scalar1DOperator, GridOracle, VectorOperator, check_pseudo_inverse,
+from geninv import (Scalar1DOperator, Grid, GridOracle, VectorOperator, check_pseudo_inverse,
                     product_operator, pinv1d_operator, cascade_pinv, Box, L2Ball)
 from geninv import cli
 from geninv.core_ops import DimensionMismatch
@@ -103,7 +103,7 @@ def test_query_matches_joint_scan_up_to_collapsed_sums(case):
     # residual and norm at the chosen point come from the joint scan's expression
     assert bits(got.residual) == bits(res[got.index])
     assert bits(got.norm) == bits(norms[got.index])
-    assert bits(got.v) == bits(oracle.points[got.index])
+    assert bits(got.v) == bits(Grid(T, box, step).points[got.index])
     if got.index == index:
         assert bits(got.v) == bits(v) and bits(got.residual) == bits(residual)
         return
@@ -165,27 +165,84 @@ def test_product_operator_flattens_and_records_factors():
 
 def test_joint_arrays_are_the_factor_grid_for_a_single_factor():
     T = Scalar1DOperator("relu").as_vector_operator()
-    oracle = GridOracle(T, [(-1.0, 1.0)], 0.5)
-    assert oracle.grid is oracle.factors[0]
-    assert np.array_equal(oracle.points[:, 0], [-1.0, -0.5, 0.0, 0.5, 1.0])
+    factor, joint = GridOracle(T, [(-1.0, 1.0)], 0.5).factors[0], Grid(T, (-1.0, 1.0), 0.5)
+    assert np.array_equal(factor.points[:, 0], [-1.0, -0.5, 0.0, 0.5, 1.0])
+    for a, b in ((factor.points, joint.points), (factor.values, joint.values),
+                 (factor.norms, joint.norms)):
+        assert bits(a) == bits(b)
 
 
 def test_within_reads_the_joint_grid():
     T = product_of([("relu", {}), ("soft_threshold", {"a": 1.0})])
-    oracle = GridOracle(T, [(-2.0, 2.0)] * 2, 0.25)
-    points, values = oracle.points, oracle.values
+    grid = Grid(T, [(-2.0, 2.0)] * 2, 0.25)
+    points, values = grid.points, grid.values
     w = np.array([-0.5, 0.1])
     res = np.linalg.norm(values - w, axis=1)
-    best = oracle.within(w, res.min() + 0.2)
+    best = grid.within(w, res.min() + 0.2)
     tie = np.flatnonzero(res <= res.min() + 0.2)
     j = tie[np.argmin(np.linalg.norm(points[tie], axis=1))]
     assert best.index == j and np.array_equal(best.v, points[j])
     assert bits(best.residual) == bits(res[j])
-    assert oracle.within(w, 0.6).norm == np.linalg.norm(points[res <= 0.6], axis=1).min()
-    assert oracle.within(w, res.min() - 1e-3) is None
-    for query in (oracle.query, lambda u: oracle.within(u, 1.0)):
+    assert grid.within(w, 0.6).norm == np.linalg.norm(points[res <= 0.6], axis=1).min()
+    assert grid.within(w, res.min() - 1e-3) is None
+    oracle = GridOracle(T, [(-2.0, 2.0)] * 2, 0.25)
+    for query in (oracle.query, lambda u: grid.within(u, 1.0)):
         with pytest.raises(DimensionMismatch):
             query([0.5])
+
+
+def test_the_oracle_holds_factor_grids_only():
+    for T in (Scalar1DOperator("relu").as_vector_operator(),
+              product_of([("relu", {}), ("sign", {})])):
+        oracle = GridOracle(T, [(-1.0, 1.0)] * T.dim_in, 0.5)
+        assert all(isinstance(f, Grid) for f in oracle.factors)
+        for name in ("grid", "points", "values", "norms", "within"):
+            assert not hasattr(oracle, name)
+
+
+@st.composite
+def single_factor_cases(draw):
+    """An operator that is not a product (one scalar kind, or a small matrix,
+    bare or under tanh), with a box, a step and a target."""
+    if draw(st.booleans()):
+        kind, params = draw(FLOAT_PARTS)
+        T, step = Scalar1DOperator(kind, **params).as_vector_operator(), 0.01
+    else:
+        m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        data = draw(st.lists(st.floats(-2.0, 2.0), min_size=m * n, max_size=m * n))
+        T = VectorOperator.from_matrix(np.reshape(data, (m, n)))
+        step = {1: 0.02, 2: 0.1, 3: 0.25}[n]
+        if draw(st.booleans()):
+            T = VectorOperator.pointwise(np.tanh, m).compose(T)
+    box = [(lo, lo + draw(st.floats(0.0, 3.0)))
+           for lo in draw(st.lists(st.floats(-3.0, 0.0), min_size=T.dim_in,
+                                   max_size=T.dim_in))]
+    w = draw(st.lists(st.floats(-3.0, 3.0), min_size=T.dim_out, max_size=T.dim_out))
+    return T, box, step, np.array(w)
+
+
+@given(single_factor_cases())
+@settings(max_examples=80, deadline=None)
+def test_query_is_within_at_the_least_residual_on_one_factor(case):
+    T, box, step, w = case
+    grid = Grid(T, box, step)
+    got = GridOracle(T, box, step).query(w)
+    want = grid.within(w, grid.residuals(w).min())
+    assert got.index == want.index
+    assert bits(got.v) == bits(want.v)
+    assert bits(got.residual) == bits(want.residual) and bits(got.norm) == bits(want.norm)
+
+
+def test_nine_output_columns_take_numpys_row_norm():
+    # from 8 columns on the residuals are numpy's pairwise row sums
+    A = np.random.default_rng(5).normal(size=(9, 2))
+    T = VectorOperator.from_matrix(A)
+    grid = Grid(T, [(-1.0, 1.0)] * 2, 0.25)
+    w = np.random.default_rng(6).normal(size=9)
+    res = np.linalg.norm(grid.values - w, axis=1)
+    assert bits(grid.residuals(w)) == bits(res)
+    best = GridOracle(T, [(-1.0, 1.0)] * 2, 0.25).query(w)
+    assert bits(best.residual) == bits(res[best.index])
 
 
 def test_oracle_rejects_an_operator_that_is_nan_on_its_grid():
@@ -204,9 +261,11 @@ def test_three_factor_oracle_at_step_001():
     assert np.allclose(best.v, [1.5, -1.7, 0.5], atol=0.01)
     assert best.index == int(np.ravel_multi_index([550, 230, 450], (801,) * 3))
     # the joint grid of 801^3 points is past MAX_GRID_POINTS: refused unallocated
+    box = [(-4.0, 4.0)] * 3
     tracemalloc.start()
     try:
-        for joint in (lambda: oracle.points, lambda: oracle.within([0.0] * 3, 1.0)):
+        for joint in (lambda: Grid(oracle.T, box, 0.01),
+                      lambda: check_pseudo_inverse(oracle.T, oracle.T, [[0.0] * 3], box, 0.01)):
             with pytest.raises(ValueError, match="too large"):
                 joint()
         _, peak = tracemalloc.get_traced_memory()

@@ -312,6 +312,14 @@ def test_product_rejects_bad_component():
         product_inverse([(relu.as_vector_operator(), bad)])
 
 
+def test_product_rejects_a_component_that_passes_mp1_but_not_mp2():
+    # T G T = T holds, but G sends every w <= 0 to w - 1 and G(0) to -1
+    relu = Scalar1DOperator("relu").as_vector_operator()
+    G = VectorOperator.from_scalar(lambda w: np.where(w > 0.0, w, w - 1.0))
+    with pytest.raises(ValueError, match="component 0 fails MP2"):
+        product_inverse([(relu, G)])
+
+
 def test_sandwich_identity_reduces_to_g():
     relu = Scalar1DOperator("relu")
     I = VectorOperator.identity(1)
@@ -347,6 +355,15 @@ def test_sandwich_rejects_fake_inverse():
                          pinv1d_operator(relu))
 
 
+def test_sandwich_rejects_a_fake_s2_inverse():
+    relu = Scalar1DOperator("relu")
+    I = VectorOperator.identity(1)
+    doubler = VectorOperator.from_scalar(lambda v: 2.0 * v)
+    with pytest.raises(ValueError, match="s2_inv fails the round-trip check"):
+        sandwich_inverse(I, I, relu.as_vector_operator(), doubler, I,
+                         pinv1d_operator(relu))
+
+
 def test_projection_after_identity_is_projection():
     C = L2Ball(np.zeros(2), 1.5)
     T = VectorOperator.identity(2)
@@ -364,6 +381,16 @@ def test_projection_after_operator_routes_outside_targets():
     at_edge = projection_after_operator_pinv(T, C, np.array([1.0]), [(-2.0, 2.0)], 0.01)
     assert far.feasible and at_edge.feasible
     assert np.linalg.norm(far.v - at_edge.v) <= 0.02
+
+
+def test_projection_after_operator_reports_an_unreachable_target():
+    # T maps the box [-1, 1] into [-1, 1], and P_C of that is the face 5.0 of
+    # C = [5, 6]: half a unit from P_C(w) = 5.5, past the tolerance of 0.1
+    C = Box(np.array([5.0]), np.array([6.0]))
+    res = projection_after_operator_pinv(VectorOperator.identity(1), C, np.array([5.5]),
+                                         [(-1.0, 1.0)], 0.1)
+    assert not res.feasible and res.v is None
+    assert np.array_equal(res.target, [5.5]) and res.residual == 0.5
 
 
 def test_projection_after_operator_rejects_bad_probe():
