@@ -67,19 +67,23 @@ def drazin_inverse(T):
     """
     t, n, fg = T.table, T.domain_size, T.graph
     k = fg.k
-    M = np.flatnonzero(fg.on_cycle)               # T^k(V)
-    tk = table_power(t, k)
-    pos = np.empty(n, dtype=np.int64)
-    pos[M] = np.arange(len(M))
-    inv_perm = np.empty(len(M), dtype=np.int64)   # S^-1 on positions
-    inv_perm[pos[t[M]]] = np.arange(len(M))
-    g = M[table_power(inv_perm, k + 1)][pos[tk]]
-    del pos
+    if k:
+        M = np.flatnonzero(fg.on_cycle)           # T^k(V)
+        tk = table_power(t, k)
+        pos = np.empty(n, dtype=np.int64)
+        pos[M] = np.arange(len(M))
+        inv_perm = np.empty(len(M), dtype=np.int64)   # S^-1 on positions
+        inv_perm[pos[t[M]]] = np.arange(len(M))
+        g = M[table_power(inv_perm, k + 1)][pos[tk]]
+        del M, pos, inv_perm
+    else:                                         # T is a permutation: G = T^-1
+        tk = t                                    # and MP1^k reads T G T = T
+        g = np.empty(n, dtype=np.int64)
+        g[t] = np.arange(n)
 
-    tkk = tk if k else t
-    if not np.array_equal(tkk[g[t]], tkk):
+    if not np.array_equal(tk[g[t]], tk):
         raise AssertionError("MP1^k failed; construction bug")
-    del tk, tkk
+    del tk
     if not np.array_equal(g[t[g]], g):
         raise AssertionError("MP2 failed; construction bug")
     if not np.array_equal(t[g], g[t]):

@@ -227,23 +227,42 @@ class OracleBest:
     index: int
 
 
-def _residuals(values, w):
-    """||values[i] - w|| for every row of an (N, d) array.
+def _row_sum(term, X, a):
+    """sum over k of term(X[:, k], a[..., k]) for every row of an (N, d)
+    batch X, with `a` a (d,) vector or an (N, d) batch: the one row
+    reduction of the batch kernels (grid residuals and norms, ball and
+    halfspace projections).
 
-    Below 8 columns the squares are summed column by column, which gives
-    the bits of np.linalg.norm(values - w, axis=1) on C-ordered rows and
-    streams each column once when `values` is Fortran-ordered. numpy sums
-    longer rows pairwise, so those go to it as C-ordered rows.
+    Below 8 columns the terms are added column by column in place, one
+    transient column at a time: the bits of term(X, a).sum(axis=1) on
+    C-ordered rows in any layout, and one run per column of a
+    Fortran-ordered batch. numpy sums 8 or more terms pairwise, so wider
+    rows go to it C-ordered. Either way a row gets its bits alone.
     """
-    d = values.shape[1]
+    d = X.shape[1]
     if not 0 < d < 8:
-        return np.linalg.norm(np.ascontiguousarray(values) - w[None, :], axis=1)
-    diff = values[:, 0] - w[0]
-    sq = diff * diff
+        return term(np.ascontiguousarray(X), np.ascontiguousarray(a)).sum(axis=1)
+    total = term(X[:, 0], a[..., 0])
     for k in range(1, d):
-        diff = values[:, k] - w[k]
-        sq += diff * diff
-    return np.sqrt(sq)
+        total += term(X[:, k], a[..., k])
+    return total
+
+
+def _square_of_difference(x, c):
+    diff = x - c
+    diff *= diff
+    return diff
+
+
+def _residuals(values, w):
+    """||values[i] - w|| for every row of an (N, d) array, by `_row_sum`: the
+    bits of np.linalg.norm(values - w, axis=1) on C-ordered rows."""
+    return np.sqrt(_row_sum(_square_of_difference, values, w))
+
+
+def _row_norms(X):
+    """||X[i]|| for every row of an (N, d) array, by `_row_sum`."""
+    return np.sqrt(_row_sum(np.multiply, X, X))
 
 
 def _box(box, dim):
@@ -260,21 +279,31 @@ class Grid:
     """The joint box grid of T in row-major order, with T and the norm at
     every point: the one scan of every point of a box. ValueError where T
     is NaN, which no residual bound could admit, and for a grid past
-    MAX_GRID_POINTS, refused before it is allocated."""
+    MAX_GRID_POINTS, refused before it is allocated.
+
+    The points are written as d coordinate columns, so `points` is a
+    Fortran-ordered (N, d) array, and T is applied to it once. Elementwise
+    kernels and `_row_sum` give each point its bits in a C-ordered batch;
+    an operator that keeps its input's layout (the projections do) leaves
+    its values in columns too.
+    """
 
     def __init__(self, T, box, step):
         if not (np.isfinite(step) and step > 0):
             raise ValueError("step must be positive and finite, got %r" % (step,))
         axes = [_axis(lo, hi, step) for lo, hi in _box(box, T.dim_in)]
-        total = int(np.prod([len(ax) for ax in axes], dtype=object))
+        shape = tuple(len(ax) for ax in axes)
+        total = int(np.prod(shape, dtype=object))
         if total > MAX_GRID_POINTS:
             raise ValueError("grid of %d points is too large" % total)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.points = np.stack([m.ravel() for m in mesh], axis=1)
+        columns = np.empty((len(axes), total))
+        for k, ax in enumerate(axes):   # coordinate k varies along axis k of `shape`
+            columns[k].reshape(shape)[...] = ax.reshape((-1,) + (1,) * (len(axes) - 1 - k))
+        self.points = columns.T
         self.values = T.apply_batch(self.points)
         if np.isnan(self.values).any():
             raise ValueError("T is NaN at a grid point")
-        self.norms = np.linalg.norm(self.points, axis=1)
+        self.norms = _row_norms(self.points)
 
     @cached_property
     def _columns(self):
@@ -324,7 +353,9 @@ class GridOracle:
     In floats the per-factor answer can differ from a scan of the joint
     grid in two ways. (a) Where a factor has several coordinates, its
     values come from the factor grid, not from the joint batch, and
-    batched matrix products may round those differently. (b) Where one
+    batched matrix products may round those differently: `X @ A.T` can
+    round a row differently alone than inside a batch, and differently in
+    a Fortran-ordered batch than in a C-ordered one. (b) Where one
     factor's residuals differ by less than an ulp of the joint sum of
     squares, the joint scan sees a tie and breaks it by norm; the
     per-factor search does not. `residual` and `norm` are computed at the
@@ -395,18 +426,24 @@ def check_pseudo_inverse(T, G, samples, box, step):
     minus the least ||p|| among the p with ||T(p) - w|| <= ||T(v) - w|| +
     RES_SLACK (-inf: there is none). bas_ok unless residual_gap exceeds
     RES_SLACK or norm_gap two grid diagonals, 2 * step * sqrt(dim).
+
+    G and T are applied to all samples in one batch each, four calls in all.
+    A row of a batch has its single-point bits for the scalar kinds and
+    the projections, but not for every operator; see GridOracle's (a).
     """
     norm_slack = 2.0 * step * np.sqrt(T.dim_in)
     grid = Grid(T, box, step)
+    W = np.asarray(samples, dtype=float)
+    if W.ndim == 1:                               # scalar samples of a 1-D target
+        W = W[:, None] if len(W) else W.reshape(0, G.dim_in)
+    V = G.apply_batch(W)
+    TV = T.apply_batch(V)
+    GTV = G.apply_batch(TV)
     reports = []
-    for w in samples:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        v = G.apply(w)
-        Tv = T.apply(v)
+    for w, v, Tv, gtv, tgtv in zip(W, V, TV, GTV, T.apply_batch(GTV)):
         residual = float(np.linalg.norm(Tv - w))
         norm = float(np.linalg.norm(v))
-        gtv = G.apply(Tv)
-        mp1 = float(np.linalg.norm(T.apply(gtv) - Tv))
+        mp1 = float(np.linalg.norm(tgtv - Tv))
         mp2 = float(np.linalg.norm(gtv - v))
         res = grid.residuals(w)
         j = grid.least_norm(res, residual + RES_SLACK)

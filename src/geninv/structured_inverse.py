@@ -12,7 +12,7 @@ import numpy as np
 
 from .core_ops import VectorOperator, DimensionMismatch
 from .numerics import json_object
-from .pseudo_inverse import Grid
+from .pseudo_inverse import Grid, _residuals, _row_norms, _row_sum
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_CAP = 10_000
@@ -20,7 +20,12 @@ SPOT_CHECK_TOL = 1e-8      # membership, nesting, axiom and round-trip spot chec
 
 
 class ConvexSet:
-    """Base for nonempty closed convex sets with an exact or iterative projection."""
+    """Base for nonempty closed convex sets with an exact or iterative projection.
+
+    `project_batch` projects the rows of an (N, dim) batch. Box, L2Ball and
+    Halfspace return their input's memory order and broadcast along the
+    long axis; each row gets the bits of its single-point projection.
+    """
 
     kind = "abstract"
 
@@ -61,7 +66,8 @@ class Box(ConvexSet):
         self.lo, self.hi = lo, hi
 
     def project_batch(self, X):
-        return np.clip(X, self.lo, self.hi)
+        out = np.maximum(X, self.lo)
+        return np.minimum(out, self.hi, out=out)
 
     def to_json(self):
         return {"kind": "box", "lo": list(self.lo), "hi": list(self.hi)}
@@ -80,12 +86,13 @@ class L2Ball(ConvexSet):
         self.center, self.radius = center, float(radius)
 
     def project_batch(self, X):
-        d = X - self.center
-        n = np.linalg.norm(d, axis=1)
-        scl = np.ones_like(n)
-        out = n > self.radius
-        scl[out] = self.radius / n[out]
-        return self.center + d * scl[:, None]
+        out = np.asarray(X, dtype=float) - self.center
+        n = _row_norms(out)
+        scale = np.ones(len(n))
+        np.divide(self.radius, n, out=scale, where=n > self.radius)
+        out *= scale[:, None]
+        out += self.center
+        return out
 
     def to_json(self):
         return {"kind": "l2_ball", "center": list(self.center),
@@ -112,9 +119,13 @@ class Halfspace(ConvexSet):
         self._norm2 = self._normal @ self._normal
 
     def project_batch(self, X):
-        # a row sum, not X @ normal: BLAS rounds a row by its place in the batch
-        excess = np.maximum((X * self._normal).sum(axis=1) - self._offset, 0.0)
-        return X - np.outer(excess / self._norm2, self._normal)
+        # the row rule of _row_sum, not X @ normal: BLAS rounds a row by its
+        # place in the batch and by the batch's memory order
+        X = np.asarray(X, dtype=float)
+        excess = np.maximum(_row_sum(np.multiply, X, self._normal) - self._offset, 0.0)
+        out = np.multiply((excess / self._norm2)[:, None], self._normal,
+                          out=np.empty_like(X))
+        return np.subtract(X, out, out=out)
 
     def to_json(self):
         return {"kind": "halfspace", "normal": list(self.normal),
@@ -405,7 +416,7 @@ def projection_after_operator_pinv(T, C, w, box, step, probes=None):
     w = np.atleast_1d(np.asarray(w, dtype=float))
     target = C.project(w)
     grid = Grid(T, box, step)
-    res = np.linalg.norm(C.project_batch(grid.values) - target[None, :], axis=1)
+    res = _residuals(C.project_batch(grid.values), target)
     j = grid.least_norm(res, step * np.sqrt(T.dim_in))
     if j is None:
         return ConstrainedSearchResult(None, False, target, float(res.min()))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -20,6 +21,16 @@ def run_optimized(code):
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
+
+
+def traced_peak(fn):
+    """(fn(), the peak in bytes that tracemalloc saw while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def qp_oracle_enumerate(qp, tol=1e-9):

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from geninv import (FiniteOperator, FpVectorOperator, image_chain, drazin_invers
 from geninv.endofunction import functional_graph
 
 from helpers import (image_chain_steps, walk_graph, drazin_steps, left_drazin_steps,
-                     stabilization_profile_steps, vanishing_poly_reducer)
+                     stabilization_profile_steps, traced_peak, vanishing_poly_reducer)
 
 
 @st.composite
@@ -137,13 +136,18 @@ def test_drazin_peak_memory_on_the_halving_map():
     # int64 arrays (0.5 MB each) at peak
     n = 2 ** 16 + 1
     T = FiniteOperator(n, n, np.arange(n) // 2)
-    tracemalloc.start()
-    try:
-        res = drazin_inverse(T)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: drazin_inverse(T))
     assert res.k == 17 and peak < 3.5 * 2 ** 20
+
+
+def test_drazin_peak_memory_on_a_permutation():
+    # k = 0: G is the inverse permutation, with no T^0 and no position remap
+    n = 2 ** 16 + 1
+    t = np.random.default_rng(0).permutation(n)
+    T = FiniteOperator(n, n, t)
+    res, peak = traced_peak(lambda: drazin_inverse(T))
+    assert res.k == 0 and res.index == 1 and peak < 3.5 * 2 ** 20
+    assert np.array_equal(res.inverse.table[t], np.arange(n))
 
 
 @given(maps)

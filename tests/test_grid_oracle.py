@@ -7,7 +7,6 @@ and must give the same answers.
 """
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from geninv import (Scalar1DOperator, Grid, GridOracle, VectorOperator, check_ps
 from geninv import cli
 from geninv.core_ops import DimensionMismatch
 
-from helpers import grid_query_dense, check_pseudo_inverse_two_scan
+from helpers import grid_query_dense, check_pseudo_inverse_two_scan, traced_peak
 
 
 def bits(x):
@@ -262,15 +261,13 @@ def test_three_factor_oracle_at_step_001():
     assert best.index == int(np.ravel_multi_index([550, 230, 450], (801,) * 3))
     # the joint grid of 801^3 points is past MAX_GRID_POINTS: refused unallocated
     box = [(-4.0, 4.0)] * 3
-    tracemalloc.start()
-    try:
+
+    def refuse_both():
         for joint in (lambda: Grid(oracle.T, box, 0.01),
                       lambda: check_pseudo_inverse(oracle.T, oracle.T, [[0.0] * 3], box, 0.01)):
             with pytest.raises(ValueError, match="too large"):
                 joint()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(refuse_both)
     assert peak < 1 << 20
 
 
@@ -280,13 +277,8 @@ def test_cli_oracle_refuses_a_long_axis_before_allocating_it(tmp_path, capsys, h
     # np.arange of the axis alone would ask for 1.49 GiB, or 14.6 TiB
     op = tmp_path / "relu.json"
     op.write_text(json.dumps({"kind": "relu"}))
-    tracemalloc.start()
-    try:
-        rc = cli.main(["oracle", "--op", str(op), "--w", "0.5",
-                       "--box", "-" + half, half, "--step", "0.001"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(lambda: cli.main(["oracle", "--op", str(op), "--w", "0.5",
+                                              "--box", "-" + half, half, "--step", "0.001"]))
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == "input error: grid of %d points is too large\n" % points
@@ -371,3 +363,32 @@ def test_check_pseudo_inverse_matches_two_scans_on_cascades(radius, margin, shri
     for G in (cas.pseudo_inverse, VectorOperator.identity(2)):
         assert_reports_equal(check_pseudo_inverse(cas.cascade, G, samples, box, step),
                              check_pseudo_inverse_two_scan(cas.cascade, G, samples, box, step))
+
+
+def bench_cascade():
+    """The benchmark's cascade: box [-2, 2]^2, ball of radius 1.5, box [-1, 1]^2."""
+    return cascade_pinv([Box(np.full(2, -2.0), np.full(2, 2.0)), L2Ball(np.zeros(2), 1.5),
+                         Box(np.full(2, -1.0), np.full(2, 1.0))])
+
+
+def test_certificate_applies_each_operator_to_all_samples_at_once():
+    cas, calls = bench_cascade(), []
+
+    def counted(op, name):
+        return VectorOperator(op.dim_in, op.dim_out,
+                              lambda b: calls.append((name, len(b))) or op.fn(b))
+    samples = np.random.default_rng(3).normal(scale=2.0, size=(16, 2))
+    reports = check_pseudo_inverse(counted(cas.cascade, "T"), counted(cas.pseudo_inverse, "G"),
+                                   samples, [(-2.5, 2.5)] * 2, 0.02)
+    assert calls == [("T", 251 ** 2), ("G", 16), ("T", 16), ("G", 16), ("T", 16)]
+    assert all(r.bas_ok and r.mp2_ok for r in reports)
+
+
+def test_certificate_peak_memory_on_the_bench_cascade():
+    # the 251^2-point grid as two coordinate columns (1 MB), its values and
+    # norms, and the projections' transients: 6.86 MB with C-ordered rows
+    cas = bench_cascade()
+    samples = np.random.default_rng(3).normal(scale=2.0, size=(16, 2))
+    reports, peak = traced_peak(lambda: check_pseudo_inverse(
+        cas.cascade, cas.pseudo_inverse, samples, [(-2.5, 2.5)] * 2, 0.02))
+    assert len(reports) == 16 and peak < 5 * 2 ** 20

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +14,7 @@ from geninv import (OperatorPolynomial, FiniteOperator, power, image_chain,
 from geninv import vanishing
 from geninv.vanishing import encode
 
-from helpers import companion_blocks_loop, run_optimized
+from helpers import companion_blocks_loop, run_optimized, traced_peak
 
 
 def random_fp_operator(rng, p, n):
@@ -338,12 +336,7 @@ def test_companion_check_stores_no_iterates():
     rng = np.random.default_rng(10)
     T = FpVectorOperator(2, 12, rng.permutation(2 ** 12))
     pm = minimal_poly(T)
-    tracemalloc.start()
-    try:
-        rep = companion_embedding_check(T, pm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(lambda: companion_embedding_check(T, pm))
     assert rep.ok and peak < 4 * 2 ** 20
 
 
