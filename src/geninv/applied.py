@@ -429,7 +429,7 @@ def relu_layer_pinv(layer, w):
 # ---------------------------------------------------------------------------
 
 SQRT2 = np.sqrt(2.0)
-PARSEVAL_TOL = 1e-12
+PARSEVAL_TOL = 1e-12       # the Haar matrix's Gram check and the transform's Parseval check
 
 
 @dataclass
@@ -494,7 +494,7 @@ class WaveletBasis:
             bot = np.kron(np.eye(m), [1.0, -1.0])
             H = np.concatenate([top, bot], axis=0) / SQRT2
         gram_err = np.max(np.abs(H.T @ H - np.eye(self.n)))
-        if gram_err > 1e-12:
+        if gram_err > PARSEVAL_TOL:
             raise ArithmeticError("Haar construction lost orthonormality (%g)" % gram_err)
         return H
 

@@ -186,9 +186,7 @@ def functional_graph(table):
 
 def image(T):
     """Sorted array of codomain ids hit by T."""
-    if T.domain_size == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(T.table)
+    return np.flatnonzero(np.bincount(T.table, minlength=T.codomain_size))
 
 
 CANDIDATE_CHUNK = 200_000

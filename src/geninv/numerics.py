@@ -26,6 +26,9 @@ class SvdFactors:
         return self.U @ Sig @ self.Vt
 
 
+SVD_CHECK_TOL = 1e-10      # svd's reconstruction error, relative to 1 + ||A||
+
+
 def svd(A):
     """Full SVD A = U diag(S) Vt with S descending and non-negative."""
     A = np.asarray(A, dtype=float)
@@ -35,7 +38,7 @@ def svd(A):
     factors = SvdFactors(U, S, Vt)
     scale = np.linalg.norm(A)
     err = np.linalg.norm(factors.reconstruct() - A)
-    if err > 1e-10 * (1.0 + scale):
+    if err > SVD_CHECK_TOL * (1.0 + scale):
         raise ArithmeticError("svd failed to reconstruct input (residual %g)" % err)
     return factors
 

@@ -208,12 +208,14 @@ def pinv1d_operator(op):
 # ---------------------------------------------------------------------------
 
 MAX_GRID_POINTS = 20_000_000
+GRID_CHUNK = 2 ** 14          # points per block of a grid scan
+AXIS_COUNT_SLACK = 1e-9       # an axis ending within this many steps of hi keeps hi
 
 
 def _axis(lo, hi, step):
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
         raise ValueError("box axis must be a finite interval")
-    n = np.floor((hi - lo) / step + 1e-9) + 1     # a float: hi - lo may overflow
+    n = np.floor((hi - lo) / step + AXIS_COUNT_SLACK) + 1     # a float: hi - lo may overflow
     if n > MAX_GRID_POINTS:                       # refused before np.arange allocates
         raise ValueError("grid of %.0f points is too large" % n)
     return lo + step * np.arange(int(n))
@@ -275,51 +277,103 @@ def _box(box, dim):
     return box
 
 
+def _column_major(values):
+    """An (N, d) batch as `_row_sum` reads it fastest when one batch serves
+    many targets: Fortran-ordered below 8 columns, as it is from 8 on."""
+    return np.asfortranarray(values) if values.shape[1] < 8 else values
+
+
+def _target(w, dim):
+    """w as a finite target of dimension dim, else DimensionMismatch or
+    ValueError."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    if w.shape != (dim,):
+        raise DimensionMismatch("target of dim %d expected" % dim)
+    if not np.isfinite(w).all():
+        raise ValueError("target must be finite, got %s" % w.tolist())
+    return w
+
+
+def _checked_values(T, points):
+    values = T.apply_batch(points)
+    if np.isnan(values).any():
+        raise ValueError("T is NaN at a grid point")
+    return values
+
+
 class Grid:
     """The joint box grid of T in row-major order, with T and the norm at
-    every point: the one scan of every point of a box. ValueError where T
-    is NaN, which no residual bound could admit, and for a grid past
-    MAX_GRID_POINTS, refused before it is allocated.
+    every point. ValueError where T is NaN, which no residual bound could
+    admit, and for a grid past MAX_GRID_POINTS, refused before it is
+    allocated.
 
-    The points are written as d coordinate columns, so `points` is a
-    Fortran-ordered (N, d) array, and T is applied to it once. Elementwise
-    kernels and `_row_sum` give each point its bits in a C-ordered batch;
-    an operator that keeps its input's layout (the projections do) leaves
-    its values in columns too.
+    The points are the whole grid as one block of `_blocks`, written as d
+    coordinate columns, so `points` is a Fortran-ordered (N, d) array, and
+    T is applied to it once. Elementwise kernels and `_row_sum` give each
+    point its bits in a C-ordered batch; an operator that keeps its
+    input's layout (the projections and `product_operator` do) leaves its
+    values in columns too. `check_pseudo_inverse` reads the grid in
+    smaller blocks from the same generator and never holds it; a matrix
+    or layer operator may round a row differently in a block than in the
+    whole batch, as GridOracle's caveat (a) says.
     """
 
     def __init__(self, T, box, step):
+        axes = self._axes(T, box, step)
+        (self.points,) = self._blocks(axes, math.prod(map(len, axes)))
+        self.values = _checked_values(T, self.points)
+        self.norms = _row_norms(self.points)
+
+    @staticmethod
+    def _axes(T, box, step):
+        """The coordinates along each axis of T's box grid; ValueError for a
+        bad step or box and for a grid past MAX_GRID_POINTS."""
         if not (np.isfinite(step) and step > 0):
             raise ValueError("step must be positive and finite, got %r" % (step,))
         axes = [_axis(lo, hi, step) for lo, hi in _box(box, T.dim_in)]
-        shape = tuple(len(ax) for ax in axes)
-        total = int(np.prod(shape, dtype=object))
+        total = math.prod(map(len, axes))
         if total > MAX_GRID_POINTS:
             raise ValueError("grid of %d points is too large" % total)
-        columns = np.empty((len(axes), total))
-        for k, ax in enumerate(axes):   # coordinate k varies along axis k of `shape`
-            columns[k].reshape(shape)[...] = ax.reshape((-1,) + (1,) * (len(axes) - 1 - k))
-        self.points = columns.T
-        self.values = T.apply_batch(self.points)
-        if np.isnan(self.values).any():
-            raise ValueError("T is NaN at a grid point")
-        self.norms = _row_norms(self.points)
+        return axes
+
+    @staticmethod
+    def _blocks(axes, size):
+        """The grid on `axes` in row-major order, `size` points at a time,
+        each block a Fortran-ordered (n, d) array of points.
+
+        A row is a run of points over which only the last axes vary,
+        taking as many last axes as fit in one block. A block is cut from
+        the whole rows it meets, filled by broadcasting: per row for the
+        first axes, per point for the last ones. So a block of the whole
+        grid is one broadcast per axis and no cut.
+        """
+        d = len(axes)
+        shape = tuple(map(len, axes))
+        j = next(j for j in range(d + 1) if math.prod(shape[j:]) <= size)
+        inner = shape[j:]
+        row = math.prod(inner)
+        total = math.prod(shape)
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            first, last = start // row, -(-stop // row)
+            rows = np.empty((d, last - first) + inner)
+            prefix = np.arange(first, last)
+            for k in reversed(range(j)):        # coordinate k is constant along a row
+                prefix, index = np.divmod(prefix, shape[k])
+                rows[k] = axes[k][index].reshape((-1,) + (1,) * len(inner))
+            for k in range(j, d):               # coordinate k varies along axis k of `shape`
+                rows[k] = axes[k].reshape((-1,) + (1,) * (d - 1 - k))
+            cut = rows.reshape(d, (last - first) * row)[:, start - first * row:stop - first * row]
+            yield np.ascontiguousarray(cut).T
 
     @cached_property
     def _columns(self):
-        if self.values.shape[1] < 8:
-            return np.asfortranarray(self.values)
-        return self.values
+        return _column_major(self.values)
 
     def residuals(self, w):
         """||T(p) - w|| at every grid point p, in one scan of the values; w
         must be a finite target of T's output dimension."""
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        if w.shape != (self.values.shape[1],):
-            raise DimensionMismatch("target of dim %d expected" % self.values.shape[1])
-        if not np.isfinite(w).all():
-            raise ValueError("target must be finite, got %s" % w.tolist())
-        return _residuals(self._columns, w)
+        return _residuals(self._columns, _target(w, self.values.shape[1]))
 
     def least_norm(self, res, bound):
         """Index of the least-norm point whose residual in `res` is <= bound,
@@ -421,36 +475,54 @@ def check_pseudo_inverse(T, G, samples, box, step):
 
     For each sample w: MP1 residual ||T G T(v) - T(v)|| at v = G(w), MP2
     residual ||G T G(w) - G(w)|| (mp2_ok: at most MP2_TOL), and the BAS
-    certificate against the points p of `Grid(T, box, step)`: residual_gap
-    is ||T(v) - w|| minus the least ||T(p) - w||, and norm_gap is ||v||
-    minus the least ||p|| among the p with ||T(p) - w|| <= ||T(v) - w|| +
-    RES_SLACK (-inf: there is none). bas_ok unless residual_gap exceeds
-    RES_SLACK or norm_gap two grid diagonals, 2 * step * sqrt(dim).
+    certificate against the points p of the box grid that
+    `Grid(T, box, step)` would hold: residual_gap is ||T(v) - w|| minus
+    the least ||T(p) - w||, and norm_gap is ||v|| minus the least ||p||
+    among the p with ||T(p) - w|| <= ||T(v) - w|| + RES_SLACK (-inf: there
+    is none). bas_ok unless residual_gap exceeds RES_SLACK or norm_gap two
+    grid diagonals, 2 * step * sqrt(dim).
 
-    G and T are applied to all samples in one batch each, four calls in all.
-    A row of a batch has its single-point bits for the scalar kinds and
-    the projections, but not for every operator; see GridOracle's (a).
+    G and T are applied to all samples in one batch each, four calls in
+    all. Then the grid is read in row-major blocks of GRID_CHUNK points,
+    never held whole: T is applied to each block once, and each sample
+    keeps its least residual and its least norm within its bound, which is
+    known before the scan. MAX_GRID_POINTS bounds the scan's time. A row
+    of a batch has its single-point bits for the scalar kinds, the
+    projections and their products, but not for every operator: a matrix
+    or layer operator may round a row differently in a block, in the
+    sample batch or alone; see GridOracle's (a).
     """
     norm_slack = 2.0 * step * np.sqrt(T.dim_in)
-    grid = Grid(T, box, step)
+    axes = Grid._axes(T, box, step)
     W = np.asarray(samples, dtype=float)
     if W.ndim == 1:                               # scalar samples of a 1-D target
         W = W[:, None] if len(W) else W.reshape(0, G.dim_in)
     V = G.apply_batch(W)
     TV = T.apply_batch(V)
     GTV = G.apply_batch(TV)
+    TGTV = T.apply_batch(GTV)
+    targets = [_target(w, T.dim_out) for w in W]
+    residual = [float(np.linalg.norm(Tv - w)) for w, Tv in zip(W, TV)]
+    bound = [r + RES_SLACK for r in residual]
+    least_res = [np.inf] * len(W)
+    least_norm = [np.inf] * len(W)
+    for P in Grid._blocks(axes, GRID_CHUNK):
+        values = _column_major(_checked_values(T, P))
+        norms = _row_norms(P)
+        for i, w in enumerate(targets):
+            res = _residuals(values, w)
+            least_res[i] = min(least_res[i], res.min())
+            least_norm[i] = min(least_norm[i], norms[res <= bound[i]].min(initial=np.inf))
     reports = []
-    for w, v, Tv, gtv, tgtv in zip(W, V, TV, GTV, T.apply_batch(GTV)):
-        residual = float(np.linalg.norm(Tv - w))
+    for i, (w, v, gtv) in enumerate(zip(W, V, GTV)):
         norm = float(np.linalg.norm(v))
-        mp1 = float(np.linalg.norm(tgtv - Tv))
+        mp1 = float(np.linalg.norm(TGTV[i] - TV[i]))
         mp2 = float(np.linalg.norm(gtv - v))
-        res = grid.residuals(w)
-        j = grid.least_norm(res, residual + RES_SLACK)
-        residual_gap = residual - float(res.min())
-        norm_gap = -np.inf if j is None else norm - float(grid.norms[j])
+        residual_gap = residual[i] - float(least_res[i])
+        # a point is within the bound exactly when the least residual is
+        norm_gap = norm - float(least_norm[i]) if least_res[i] <= bound[i] else -np.inf
         bas_ok = residual_gap <= RES_SLACK and norm_gap <= norm_slack
-        reports.append(PseudoInverseReport(w, v, residual, norm, mp1, mp2,
+        reports.append(PseudoInverseReport(w, v, residual[i], norm, mp1, mp2,
                                            bool(bas_ok), bool(mp2 <= MP2_TOL),
                                            residual_gap, norm_gap))
     return reports
@@ -459,6 +531,9 @@ def check_pseudo_inverse(T, G, samples, box, step):
 # ---------------------------------------------------------------------------
 # expanding-domain limit
 # ---------------------------------------------------------------------------
+
+BALL_SLACK = 1e-12         # grid points this far past the radius count as in the ball
+
 
 @dataclass
 class ExpandingDomainResult:
@@ -484,7 +559,7 @@ def expanding_domain_pinv(T, w, radius_schedule, stabilization_window, step):
     history = []
     for r in radii:
         grid = Grid(T, [(-r, r)] * dim, step)
-        res = np.where(grid.norms <= r + 1e-12, grid.residuals(w), np.inf)
+        res = np.where(grid.norms <= r + BALL_SLACK, grid.residuals(w), np.inf)
         history.append(grid.points[grid.least_norm(res, res.min())].copy())
         k = stabilization_window
         if len(history) >= k:

@@ -86,16 +86,23 @@ def _read_only_ids(name, ids, bound=None):
 
 
 def default_spec(T):
-    """Smallest-id source per image element; nearest-id retraction."""
-    img, first = np.unique(T.table, return_index=True)
-    if not img.size and T.codomain_size:
+    """Smallest-id source per image element; nearest-id retraction.
+
+    Both come from scans over the id ranges, in O(n + m) time: no sort."""
+    t, n, m = T.table, T.domain_size, T.codomain_size
+    v = np.arange(n, dtype=np.int64)
+    first = np.full(m, n, dtype=np.int64)
+    np.minimum.at(first, t, v)                  # the least source of each image id
+    on_image = first < n
+    if m and not on_image.any():
         raise ValueError("no retraction of a nonempty codomain onto an empty image")
-    w = np.arange(T.codomain_size, dtype=np.int64)
-    j = np.searchsorted(img, w)                 # img[j - 1] < w <= img[j]
-    lower = img[np.maximum(j - 1, 0)]          # equal to upper past either end
-    upper = img[np.minimum(j, len(img) - 1)]
+    w = np.arange(m, dtype=np.int64)
+    lower = np.maximum.accumulate(np.where(on_image, w, -1))   # greatest image id <= w, or -1
+    upper = np.minimum.accumulate(np.where(on_image, w, m)[::-1])[::-1]   # least >= w, or m
+    lower = np.where(lower < 0, upper, lower)       # equal to upper past either end
+    upper = np.where(upper == m, lower, upper)
     p0 = np.where(w - lower <= upper - w, lower, upper)   # ties to the smaller id
-    return OneTwoInverseSpec(np.sort(first), p0)
+    return OneTwoInverseSpec(np.flatnonzero(first[t] == v), p0)
 
 
 def _invert_on(t, sources, targets, size):
@@ -153,8 +160,8 @@ def one_two_inverse_count(T):
     times |image|^(#codomain ids off the image)."""
     preimages = np.bincount(T.table, minlength=T.codomain_size)
     choices = np.where(preimages > 0, preimages, np.count_nonzero(preimages))
-    values, mult = np.unique(choices, return_counts=True)
-    return math.prod(pow(int(c), int(m)) for c, m in zip(values, mult))
+    mult = np.bincount(choices)
+    return math.prod(pow(int(c), int(mult[c])) for c in np.flatnonzero(mult))
 
 
 ENUMERATION_CAP = 10**6

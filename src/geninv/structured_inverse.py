@@ -17,6 +17,7 @@ from .pseudo_inverse import Grid, _residuals, _row_norms, _row_sum
 DYKSTRA_TOL = 1e-10
 DYKSTRA_CAP = 10_000
 SPOT_CHECK_TOL = 1e-8      # membership, nesting, axiom and round-trip spot checks
+SECANT_FLOOR = 1e-3        # Anderson's secant, relative to max|f|, below which gamma is 0
 
 
 class ConvexSet:
@@ -213,11 +214,11 @@ class Intersection(ConvexSet):
             df = f - f_prev
             den = (df * df).sum(axis=(1, 2))
             gamma = np.zeros(len(rows))
-            # gamma stays 0 where |df| <= 1e-3 max|f|: so flat a secant is
+            # gamma stays 0 where |df| <= SECANT_FLOOR max|f|: so flat a secant is
             # rounding noise or a drift, and its |gamma| >~ 1e3 throws c far
             # off; a linear rate that slow could not settle within the cap
             np.divide((df * f).sum(axis=(1, 2)), den, out=gamma,
-                      where=~fresh & (den > (1e-3 * res) ** 2))
+                      where=~fresh & (den > (SECANT_FLOOR * res) ** 2))
             c = g - gamma[:, None, None] * (g - g_prev)
             if back.any():                      # drop the step, restart from G_prev
                 c[back] = g_prev[back]
@@ -321,7 +322,9 @@ def product_operator(ops):
     """Componentwise operator on the direct product of the parts' spaces.
 
     The result records its parts as `factors`; parts that are products
-    themselves are flattened into theirs.
+    themselves are flattened into theirs. Each part's output is written
+    into its columns of one output array in the batch's memory order, so
+    a Fortran-ordered batch gives Fortran-ordered values.
     """
     ops = [f for op in ops for f in op.factors]
     din = [op.dim_in for op in ops]
@@ -331,7 +334,11 @@ def product_operator(ops):
 
     def f(batch):
         outs = [op.fn(batch[:, in_ofs[i]:in_ofs[i + 1]]) for i, op in enumerate(ops)]
-        return np.concatenate(outs, axis=1)
+        out = np.empty((len(batch), out_ofs[-1]), dtype=np.result_type(*outs),
+                       order="F" if np.isfortran(batch) else "C")
+        for i, part in enumerate(outs):
+            out[:, out_ofs[i]:out_ofs[i + 1]] = part
+        return out
 
     T = VectorOperator(int(in_ofs[-1]), int(out_ofs[-1]), f, name="product")
     T._factors = tuple(ops)

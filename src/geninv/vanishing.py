@@ -72,7 +72,7 @@ class FpVectorOperator(FiniteOperator):
         return FpVectorOperator(self.p, self.n, table_power(self.table, k))
 
     def is_surjective(self):
-        return len(np.unique(self.table)) == self.size
+        return bool(np.bincount(self.table, minlength=self.size).all())
 
     @staticmethod
     def identity(p, n):
@@ -157,7 +157,7 @@ def find_vanishing_poly(T, l=None):
         raise ValueError("image sizes still shrinking after %d iterations" % l)
     m = int(np.count_nonzero(fg.on_cycle))
     periods = [OperatorPolynomial([-1] + [0] * (c - 1) + [1], T.p)     # x^c - 1
-               for c in np.unique(fg.cycle_length)]
+               for c in np.flatnonzero(np.bincount(fg.cycle_length))]
     poly = reduce(OperatorPolynomial.lcm, periods).shift(l)
     if poly.degree > m * m + l:
         raise AssertionError("vanishing polynomial exceeds the degree bound m^2 + l")
@@ -202,7 +202,7 @@ def minimal_poly(T):
     is_root = fg.cycle_root == np.flatnonzero(fg.on_cycle)          # one per cycle
     roots, lengths = fg.cycle_root[is_root], fg.cycle_length[is_root]
     annihilators = []
-    for c in np.unique(lengths):
+    for c in np.flatnonzero(np.bincount(lengths)):
         cur = roots[lengths == c]
         orbits = np.empty((len(cur), c), dtype=np.int64)              # reversed
         for i in range(c - 1, -1, -1):

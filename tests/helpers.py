@@ -1,5 +1,8 @@
 """Shared independent oracles for the test suite."""
 
+import contextlib
+import hashlib
+import io
 import itertools
 import math
 import os
@@ -9,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 
+from geninv import cli
 from geninv.applied import QP_CAP, LeastNormQP, QPResult, _kkt_residuals
 from geninv.pseudo_inverse import Pinv1D, UNDEFINED
 
@@ -31,6 +35,21 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def verify_suite_digest(seeds):
+    """sha256 over the seed, the exit code and the stdout of in-process
+    `geninv verify-suite --seed s` for each seed in order; stderr, which
+    carries a timing, is dropped. Equal digests on two trees mean the
+    battery printed the same bytes for every seed."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(["verify-suite", "--seed", str(seed)])
+        digest.update(b"%d %d\n" % (seed, rc))
+        digest.update(out.getvalue().encode())
+    return digest.hexdigest()
 
 
 def qp_oracle_enumerate(qp, tol=1e-9):
@@ -729,6 +748,40 @@ def one_two_inverse_count_loop(T):
     for w in img:
         total *= int(counts[w])
     return total * len(img) ** (T.codomain_size - len(img))
+
+
+def image_unique(T):
+    """core_ops.image by sorting: the distinct entries of T's table."""
+    if T.domain_size == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.unique(T.table)
+
+
+def default_spec_unique(T):
+    """(v0, p0) of set_inverse.default_spec by np.unique and searchsorted;
+    ValueError for a nonempty codomain and an empty image."""
+    img, first = np.unique(T.table, return_index=True)
+    if not img.size and T.codomain_size:
+        raise ValueError("no retraction of a nonempty codomain onto an empty image")
+    w = np.arange(T.codomain_size, dtype=np.int64)
+    j = np.searchsorted(img, w)                 # img[j - 1] < w <= img[j]
+    lower = img[np.maximum(j - 1, 0)]          # equal to upper past either end
+    upper = img[np.minimum(j, len(img) - 1)]
+    return np.sort(first), np.where(w - lower <= upper - w, lower, upper)
+
+
+def one_two_inverse_count_unique(T):
+    """set_inverse.one_two_inverse_count with the choice sizes grouped by
+    np.unique."""
+    preimages = np.bincount(T.table, minlength=T.codomain_size)
+    choices = np.where(preimages > 0, preimages, np.count_nonzero(preimages))
+    values, mult = np.unique(choices, return_counts=True)
+    return math.prod(pow(int(c), int(m)) for c, m in zip(values, mult))
+
+
+def is_surjective_unique(T):
+    """FpVectorOperator.is_surjective by counting distinct entries."""
+    return len(np.unique(T.table)) == T.size
 
 
 def tail_operator_loop(poly, k, T):

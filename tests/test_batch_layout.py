@@ -1,7 +1,8 @@
 """The row rule of the real-valued batch kernels: no layout changes a bit.
 
 `Grid` writes its points as coordinate columns (a Fortran-ordered batch),
-and Box, L2Ball and Halfspace keep their input's memory order. A row must
+and Box, L2Ball, Halfspace and `product_operator` keep their input's
+memory order. A row must
 get the same bits in a C-ordered batch, in a Fortran-ordered one and alone,
 at every width; from 8 columns on the row sums take numpy's pairwise
 branch, so widths up to 10 run both branches.
@@ -101,6 +102,25 @@ def test_grid_of_a_cascade_is_the_dense_grid_and_keeps_its_columns(radius, margi
                         L2Ball(np.zeros(2), radius),
                         Box(np.full(2, -inner), np.full(2, inner))])
     grid = assert_grid_is_dense(cas.cascade, [(-2.5, 2.5)] * 2, step)
+    assert grid.values.flags.f_contiguous and grid._columns is grid.values
+
+
+@given(st.lists(FLOAT_PARTS, min_size=1, max_size=4), st.integers(1, 30),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_product_keeps_its_batch_order_and_the_bits_of_its_joined_parts(parts, rows, seed):
+    T = product_of(parts)
+    X = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(rows, len(parts)))
+    joined = np.concatenate([part.fn(X[:, [i]]) for i, part in enumerate(T.factors)], axis=1)
+    for batch in (X, np.asfortranarray(X)):
+        values = T.apply_batch(batch)
+        assert bits(values) == bits(joined)
+        assert np.isfortran(values) == np.isfortran(batch)
+
+
+def test_grid_of_a_product_holds_its_values_once():
+    grid = Grid(product_of([("relu", {}), ("tanh", {})]), [(-2.5, 2.5)] * 2, 0.01)
+    assert len(grid.points) == 251_001
     assert grid.values.flags.f_contiguous and grid._columns is grid.values
 
 

@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from geninv import cli, grid_bas_oracle, NeuralLayer, clipped_tanh_layer_pinv
 
-from helpers import image_chain_steps, read_csv_signal_loop, write_csv_signal_loop
+from helpers import (image_chain_steps, read_csv_signal_loop, verify_suite_digest,
+                     write_csv_signal_loop)
 
 
 def run(capsys, argv):
@@ -382,6 +383,13 @@ def test_verify_suite_passes_and_is_deterministic(capsys):
     assert first == second
     body = json.loads(first)
     assert body["all_pass"] and len(body["checks"]) >= 8
+
+
+def test_verify_suite_digest_is_deterministic_and_reads_every_seed(capsys):
+    digest = verify_suite_digest(range(5))
+    assert len(digest) == 64 and digest == verify_suite_digest(range(5))
+    assert verify_suite_digest(range(4)) != digest != verify_suite_digest([0, 1, 2, 4, 3])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_verify_suite_seed_95_passes(capsys):

@@ -1,12 +1,15 @@
-"""The grid BAS oracle: per-factor search on products, one scan per sample.
+"""The grid BAS oracle: per-factor search on products, one blockwise scan
+for the certificate.
 
 `GridOracle.query` searches each factor of a componentwise product on its
 own grid, and `check_pseudo_inverse` takes both of a sample's bounds from
-one residual scan. The joint-grid scans they replaced live in helpers.py
-and must give the same answers.
+one scan of the joint grid, read in row-major blocks of GRID_CHUNK points
+and never held whole. The joint-grid scans they replaced live in
+helpers.py and must give the same answers, at any block size.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +17,10 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from geninv import (Scalar1DOperator, Grid, GridOracle, VectorOperator, check_pseudo_inverse,
                     product_operator, pinv1d_operator, cascade_pinv, Box, L2Ball)
-from geninv import cli
+from geninv import cli, pseudo_inverse
 from geninv.core_ops import DimensionMismatch
 
-from helpers import grid_query_dense, check_pseudo_inverse_two_scan, traced_peak
+from helpers import grid_dense, grid_query_dense, check_pseudo_inverse_two_scan, traced_peak
 
 
 def bits(x):
@@ -308,7 +311,7 @@ def test_cli_oracle_reports_a_grid_past_the_cap_as_an_input_error(tmp_path, caps
 
 
 # ---------------------------------------------------------------------------
-# check_pseudo_inverse: one scan per sample against two
+# check_pseudo_inverse: one blockwise scan against two joint-grid scans per sample
 # ---------------------------------------------------------------------------
 
 UNIQUE_PARTS = st.one_of(
@@ -376,19 +379,85 @@ def test_certificate_applies_each_operator_to_all_samples_at_once():
 
     def counted(op, name):
         return VectorOperator(op.dim_in, op.dim_out,
-                              lambda b: calls.append((name, len(b))) or op.fn(b))
+                              lambda b: calls.append((name, b.copy(order="K"))) or op.fn(b))
     samples = np.random.default_rng(3).normal(scale=2.0, size=(16, 2))
     reports = check_pseudo_inverse(counted(cas.cascade, "T"), counted(cas.pseudo_inverse, "G"),
                                    samples, [(-2.5, 2.5)] * 2, 0.02)
-    assert calls == [("T", 251 ** 2), ("G", 16), ("T", 16), ("G", 16), ("T", 16)]
+    # G and T on the samples, four calls, then T once on each block of the grid
+    chunk = pseudo_inverse.GRID_CHUNK
+    full, rest = divmod(251 ** 2, chunk)
+    assert [(name, len(b)) for name, b in calls] == (
+        [("G", 16), ("T", 16), ("G", 16), ("T", 16)] + [("T", chunk)] * full + [("T", rest)])
+    blocks = [b for _, b in calls[4:]]
+    assert all(b.flags.f_contiguous for b in blocks)
+    assert bits(np.concatenate(blocks)) == bits(grid_dense(cas.cascade, [(-2.5, 2.5)] * 2,
+                                                           0.02)[0])
     assert all(r.bas_ok and r.mp2_ok for r in reports)
 
 
 def test_certificate_peak_memory_on_the_bench_cascade():
-    # the 251^2-point grid as two coordinate columns (1 MB), its values and
-    # norms, and the projections' transients: 6.86 MB with C-ordered rows
+    # one block of GRID_CHUNK points at a time: its two coordinate columns,
+    # values, norms, one residual column and the projections' transients,
+    # 1.87 MB; 4.10 MB with the whole 251^2-point grid held
     cas = bench_cascade()
     samples = np.random.default_rng(3).normal(scale=2.0, size=(16, 2))
     reports, peak = traced_peak(lambda: check_pseudo_inverse(
         cas.cascade, cas.pseudo_inverse, samples, [(-2.5, 2.5)] * 2, 0.02))
-    assert len(reports) == 16 and peak < 5 * 2 ** 20
+    assert len(reports) == 16 and peak < 2 * 2 ** 20
+
+
+def test_certificate_peak_memory_on_a_three_dimensional_product():
+    # 161^3 = 4,173,281 points: 434 MB as one joint grid with its values
+    # and norms, 2.2 MB a block at a time
+    ops = [Scalar1DOperator(kind) for kind in ("relu", "tanh", "sine")]
+    T = product_operator([op.as_vector_operator() for op in ops])
+    G = product_operator([pinv1d_operator(op) for op in ops])
+    samples = np.random.default_rng(4).uniform(-0.9, 0.9, size=(4, 3))
+    reports, peak = traced_peak(lambda: check_pseudo_inverse(T, G, samples,
+                                                             [(-4.0, 4.0)] * 3, 0.05))
+    assert len(reports) == 4 and all(r.bas_ok and r.mp2_ok for r in reports)
+    assert peak < 16 * 2 ** 20
+
+
+def certificate_in_blocks(chunk, T, G, samples, box, step):
+    """check_pseudo_inverse with GRID_CHUNK set to `chunk`; None: one point
+    more than twice the last axis's length, so blocks end inside rows."""
+    if chunk is None:
+        chunk = 2 * len(Grid._axes(T, box, step)[-1]) + 1
+    with mock.patch.object(pseudo_inverse, "GRID_CHUNK", chunk):
+        return check_pseudo_inverse(T, G, samples, box, step)
+
+
+@given(st.lists(UNIQUE_PARTS, min_size=1, max_size=3), st.floats(0.5, 2.0),
+       st.sampled_from([1, 7, None]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_blockwise_certificate_matches_two_scans_on_products(parts, skew, chunk, seed):
+    step = {1: 0.05, 2: 0.25, 3: 0.5}[len(parts)]
+    ops = [Scalar1DOperator(kind, **params) for kind, params in parts]
+    if len(ops) == 1:                             # a scalar kind, not a product
+        T, G = ops[0].as_vector_operator(), pinv1d_operator(ops[0])
+    else:
+        T = product_operator([op.as_vector_operator() for op in ops])
+        G = product_operator([pinv1d_operator(op) for op in ops])
+    if skew != 1.0:                               # a wrong candidate too
+        G = G.scale(skew)
+    samples = np.random.default_rng(seed).uniform(-2.5, 2.5, size=(5, len(ops)))
+    box = [(-2.5, 2.5)] * len(ops)
+    assert_reports_equal(certificate_in_blocks(chunk, T, G, samples, box, step),
+                         check_pseudo_inverse_two_scan(T, G, samples, box, step))
+
+
+@given(st.floats(0.5, 2.0), st.floats(0.0, 1.0), st.floats(0.1, 1.0),
+       st.sampled_from([1, 7, None]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_blockwise_certificate_matches_two_scans_on_cascades(radius, margin, shrink, chunk,
+                                                             seed):
+    outer, inner = radius + margin, shrink * radius / 2.0   # box, ball, box, nested
+    sets = [Box(np.full(2, -outer), np.full(2, outer)), L2Ball(np.zeros(2), radius),
+            Box(np.full(2, -inner), np.full(2, inner))]
+    cas = cascade_pinv(sets)
+    samples = np.random.default_rng(seed).normal(scale=2.0, size=(6, 2))
+    box = [(-2.5, 2.5)] * 2
+    for G in (cas.pseudo_inverse, VectorOperator.identity(2)):
+        assert_reports_equal(certificate_in_blocks(chunk, cas.cascade, G, samples, box, 0.25),
+                             check_pseudo_inverse_two_scan(cas.cascade, G, samples, box, 0.25))

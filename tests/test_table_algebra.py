@@ -1,7 +1,9 @@
 """Differential tests: the array-native table algebra against per-id loops.
 
 `set_inverse` builds, checks and counts {1,2}-inverses with bincount,
-unique and searchsorted on int64 tables; the vanishing-polynomial
+running scans and `np.minimum.at` on int64 tables, in O(n + m) time; the
+sorting forms they replaced (`np.unique`, searchsorted) stay in helpers.py
+and must give the same specs, counts and images. The vanishing-polynomial
 inverses evaluate the coefficient tail once with `fp_apply_polynomial`
 and certify it by the table identity G T^(k+1) = T^k, which holds exactly
 when the polynomial vanishes. The loops they replaced live in helpers.py
@@ -17,15 +19,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from geninv import (FiniteOperator, power, OneTwoInverseSpec, InvalidSpec, default_spec,
+from geninv import (FiniteOperator, power, image, OneTwoInverseSpec, InvalidSpec, default_spec,
                     build_one_two_inverse, double_inverse, one_two_inverse_count,
                     FpVectorOperator, OperatorPolynomial, find_vanishing_poly,
                     poly_vanishes, poly_left_inverse, left_drazin_from_poly)
 
 from helpers import (one_two_spec_valid_loop, default_spec_loop, one_two_inverse_loop,
-                     double_inverse_loop, one_two_inverse_count_loop, tail_operator_loop)
+                     double_inverse_loop, one_two_inverse_count_loop, tail_operator_loop,
+                     image_unique, default_spec_unique, one_two_inverse_count_unique,
+                     is_surjective_unique)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -102,6 +106,45 @@ def test_one_two_inverse_matches_loops_at_size():
     assert_matches_loops(T, spec)
     assert_matches_loops(T, random_spec(T, rng))
     assert one_two_inverse_count(T) == one_two_inverse_count_loop(T)
+
+
+# maps with n, m <= 40, the domain possibly empty
+small_maps = st.integers(0, 40).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m - 1), max_size=40)
+                        if m else st.just([])))
+
+
+@given(small_maps)
+@example((0, []))
+@example((3, []))                               # empty domain: no retraction
+@example((1, [0]))                              # a single point
+@example((4, [2, 0, 3, 1]))                     # full image, a permutation
+@example((3, [2, 2, 0, 1, 0]))                  # full image, not injective
+@example((6, [4, 2, 2, 4]))                     # off-image ids at both ends and a tie
+def test_counting_kernels_match_np_unique(case):
+    codomain, t = case
+    T = FiniteOperator(len(t), codomain, tuple(t))
+    img, want = image(T), image_unique(T)
+    assert img.dtype == want.dtype and np.array_equal(img, want)
+    assert one_two_inverse_count(T) == one_two_inverse_count_unique(T)
+    if codomain and not t:
+        for spec in (default_spec, default_spec_unique):
+            with pytest.raises(ValueError):
+                spec(T)
+    else:
+        assert_spec_is(default_spec(T), *default_spec_unique(T))
+
+
+@given(st.sampled_from([(2, 1), (2, 3), (3, 2), (5, 1), (2, 5)]), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 3))
+def test_is_surjective_matches_np_unique(space, seed, kind):
+    p, n = space
+    rng = np.random.default_rng(seed)
+    table = {1: rng.integers(0, p ** n, p ** n),            # rarely onto
+             2: rng.permutation(p ** n),                    # onto
+             3: np.minimum(rng.permutation(p ** n), p ** n - 2)}[kind]   # one id missed
+    T = FpVectorOperator(p, n, table)
+    assert T.is_surjective() is is_surjective_unique(T)
 
 
 def test_count_with_empty_sides():
