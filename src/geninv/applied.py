@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_ops import VectorOperator
-from .numerics import mp_inverse
+from .core_ops import VectorOperator, as_vector
+from .numerics import integer_entries, mp_inverse
 from .pseudo_inverse import Scalar1DOperator, pinv_table
 
 QP_CAP = 500
@@ -338,7 +338,8 @@ _TANH, _RELU = Scalar1DOperator("tanh"), Scalar1DOperator("relu")
 
 @dataclass
 class NeuralLayer:
-    """One layer v -> sigma(A v) with full-rank A (m x n, m <= n)."""
+    """One layer v -> sigma(A v) with full-rank A (m x n, m <= n). A clip k,
+    when given, must pass numerics.integer_entries and exceed 1."""
 
     weights: np.ndarray
     activation: str
@@ -351,8 +352,10 @@ class NeuralLayer:
             raise ValueError("layer needs m <= n so that A maps onto R^m")
         if self.activation not in ("tanh", "relu"):
             raise ValueError("activation must be tanh or relu")
-        if self.clip is not None and not self.clip > 1:
-            raise ValueError("clip parameter must be an integer > 1")
+        if self.clip is not None:
+            integer_entries([self.clip], '"clip"')
+            if not self.clip > 1:
+                raise ValueError("clip parameter must be an integer > 1")
         s = np.linalg.svd(self.weights, compute_uv=False)
         if s[-1] <= RANK_TOL * s[0]:
             raise ValueError("weights are rank deficient; the layer is not onto")
@@ -378,7 +381,7 @@ def tanh_layer_pinv(layer, w):
     at some w_i (|w_i| >= 1); those targets have no nearest point in the
     open image (-1,1)^m.
     """
-    u, defined = pinv_table(_TANH, np.atleast_1d(w))
+    u, defined = pinv_table(_TANH, as_vector(w, layer.weights.shape[0]))
     if not defined.all():
         return None
     return mp_inverse(layer.weights) @ u
@@ -395,9 +398,8 @@ def clipped_tanh_layer_pinv(layer, w):
     k = layer.clip
     if k is None:
         raise ValueError("layer has no clip parameter")
-    w = np.atleast_1d(np.asarray(w, dtype=float))
     hi = 1.0 - 1.0 / k
-    wc = np.clip(w, -hi, hi)
+    wc = np.clip(as_vector(w, layer.weights.shape[0]), -hi, hi)
     A = layer.weights
     clamped = np.abs(wc) >= hi
     # -sign(w_i) (Av)_i <= -arctanh(hi): (Av)_i >= arctanh(hi) at w_i = hi
@@ -414,7 +416,7 @@ def clipped_tanh_layer_pinv(layer, w):
 def relu_layer_pinv(layer, w):
     """Pseudo-inverse of relu(A .): negative targets clamp to 0 first, then
     least-norm v with (Av)_i = w_i where w_i > 0 and (Av)_i <= 0 where w_i = 0."""
-    wc = pinv_table(_RELU, np.atleast_1d(w))[0]
+    wc = pinv_table(_RELU, as_vector(w, layer.weights.shape[0]))[0]
     A = layer.weights
     pos = wc > 0
     qp = LeastNormQP(A[pos], wc[pos], A[~pos], np.zeros(int(np.sum(~pos))))
@@ -446,18 +448,13 @@ class WaveletBasis:
     n: int
 
     def __post_init__(self):
+        integer_entries([self.n], '"n"')
         if self.n < 1 or self.n & (self.n - 1):
             raise ValueError("Haar basis needs a power-of-two length")
 
-    def _check_length(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.n,):
-            raise ValueError("signal length must match the basis size")
-        return x
-
     def forward(self, x):
         """Haar coefficients H x, certified by Parseval: ||H x|| = ||x||."""
-        x = self._check_length(x)
+        x = as_vector(x, self.n)
         out = np.empty(self.n)
         s, m = x, self.n
         while m > 1:
@@ -474,7 +471,7 @@ class WaveletBasis:
 
     def inverse(self, c):
         """Signal H^T c from Haar coefficients c."""
-        c = self._check_length(c)
+        c = as_vector(c, self.n)
         s, m = c[:1].copy(), 1
         while m < self.n:
             d = c[m:2 * m]

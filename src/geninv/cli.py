@@ -136,18 +136,14 @@ def load_vector_operator(obj):
         return core_ops.VectorOperator.from_matrix(numerics.matrix_from_json(obj))
     if kind == "layer":
         A = numerics.matrix_from_json(numerics.json_object(obj["weights"], '"weights"'))
-        if obj.get("clip") is not None:
-            numerics.integer_entries([obj["clip"]], '"clip"')
         return applied.NeuralLayer(A, obj["activation"], obj.get("clip")).operator()
     if kind == "componentwise":
         if not isinstance(obj["parts"], list):
             raise ValueError("\"parts\" must be a JSON list")
         return structured_inverse.product_operator(
             [load_vector_operator(p) for p in obj["parts"]])
-    params = {"a": obj.get("a", 0.0), "eps": obj.get("eps", 1.0), "c": obj.get("c", 1.0)}
-    for name, x in params.items():
-        numerics.real_entries([x], '"%s"' % name)
-    return pseudo_inverse.Scalar1DOperator(kind, **params).as_vector_operator()
+    return pseudo_inverse.Scalar1DOperator(kind, a=obj.get("a", 0.0), eps=obj.get("eps", 1.0),
+                                           c=obj.get("c", 1.0)).as_vector_operator()
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +163,6 @@ def cmd_pinv1d(args):
 def cmd_oracle(args):
     T = load_vector_operator(_read_json_file(args.op))
     w = np.array([float(x) for x in args.w.split(",")])
-    # GridOracle tests the target only after building its grids
-    if len(w) != T.dim_out:
-        raise ValueError("target has dim %d but operator maps to dim %d"
-                         % (len(w), T.dim_out))
     best = pseudo_inverse.grid_bas_oracle(T, w, [tuple(args.box)] * T.dim_in, args.step)
     _emit({"v": [float(x) for x in best.v], "residual": best.residual, "norm": best.norm})
     return EXIT_OK
@@ -180,9 +172,6 @@ def cmd_layer_pinv(args):
     A = numerics.matrix_from_json(_read_json_file(args.weights))
     layer = applied.NeuralLayer(A, args.act, args.clip)
     w = _read_csv_signal(args.w)
-    if len(w) != A.shape[0]:
-        raise ValueError("target length %d does not match %d weight rows"
-                         % (len(w), A.shape[0]))
     if args.act == "relu":
         v = applied.relu_layer_pinv(layer, w)
     elif args.clip is not None:

@@ -21,6 +21,16 @@ class DimensionMismatch(ValueError):
     """Raised when operator shapes are incompatible."""
 
 
+def as_vector(x, dim):
+    """x as a float array of shape (dim,), a scalar counting as a vector of
+    dim 1; DimensionMismatch otherwise. The one shape check of a caller's
+    vector in the real-valued layer."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (dim,):
+        raise DimensionMismatch("expected vector of dim %d, got shape %s" % (dim, x.shape))
+    return x
+
+
 # ---------------------------------------------------------------------------
 # finite operators
 # ---------------------------------------------------------------------------
@@ -230,11 +240,7 @@ class VectorOperator:
         return self._factors or (self,)
 
     def apply(self, v):
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        if v.shape != (self.dim_in,):
-            raise DimensionMismatch("expected vector of dim %d, got shape %s"
-                                    % (self.dim_in, v.shape))
-        return self.fn(v[None, :])[0]
+        return self.fn(as_vector(v, self.dim_in)[None, :])[0]
 
     def apply_batch(self, batch):
         batch = np.asarray(batch, dtype=float)
@@ -300,7 +306,7 @@ class VectorOperator:
     @staticmethod
     def affine_of(T, a, b, w0):
         """v -> a*T(b*v) + w0."""
-        w0 = np.asarray(w0, dtype=float)
+        w0 = as_vector(w0, T.dim_out)
         return VectorOperator(T.dim_in, T.dim_out,
                               lambda batch: a * T.fn(b * batch) + w0)
 
@@ -450,9 +456,8 @@ def apply_polynomial(p, T, v):
     """Evaluate p(T)(v) = sum_i a_i T^i(v) for a real vector operator."""
     if T.dim_in != T.dim_out:
         raise DimensionMismatch("polynomial application requires an endofunction")
-    v = np.atleast_1d(np.asarray(v, dtype=float))
     acc = np.zeros(T.dim_in)
-    iterate = v
+    iterate = as_vector(v, T.dim_in)
     for i, a in enumerate(p.coeffs):
         if i > 0:
             iterate = T.apply(iterate)

@@ -18,7 +18,8 @@ import math
 
 import numpy as np
 
-from .core_ops import VectorOperator, DimensionMismatch
+from .core_ops import VectorOperator, DimensionMismatch, as_vector
+from .numerics import real_entries
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,8 @@ UNIQUE_KINDS = frozenset(k for k, rec in _KINDS.items() if rec.unique)
 
 @dataclass(frozen=True)
 class Scalar1DOperator:
-    """Tagged real function: kind plus parameters, evaluable and invertible."""
+    """Tagged real function: kind plus parameters, evaluable and invertible;
+    a, eps and c must each pass numerics.real_entries and be finite."""
 
     kind: str
     a: float = 0.0
@@ -96,6 +98,8 @@ class Scalar1DOperator:
         object.__setattr__(self, "kind", kind)
         if kind not in KINDS:
             raise ValueError("unknown operator kind %r" % (self.kind,))
+        for name in ("a", "eps", "c"):
+            real_entries([getattr(self, name)], '"%s"' % name)
         if not all(map(math.isfinite, (self.a, self.eps, self.c))):
             raise ValueError("a, eps and c must be finite, got %r, %r and %r"
                              % (self.a, self.eps, self.c))
@@ -286,9 +290,7 @@ def _column_major(values):
 def _target(w, dim):
     """w as a finite target of dimension dim, else DimensionMismatch or
     ValueError."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.shape != (dim,):
-        raise DimensionMismatch("target of dim %d expected" % dim)
+    w = as_vector(w, dim)
     if not np.isfinite(w).all():
         raise ValueError("target must be finite, got %s" % w.tolist())
     return w
@@ -425,9 +427,7 @@ class GridOracle:
             start += part.dim_in
 
     def query(self, w):
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        if w.shape != (self.T.dim_out,):
-            raise DimensionMismatch("target of dim %d expected" % self.T.dim_out)
+        w = _target(w, self.T.dim_out)
         index, v, value, start = 0, [], [], 0
         for f in self.factors:
             stop = start + f.values.shape[1]
@@ -444,7 +444,9 @@ class GridOracle:
 
 
 def grid_bas_oracle(T, w, box, step):
-    """One-shot oracle call; see GridOracle."""
+    """One-shot oracle call; see GridOracle. The target is checked before
+    any grid is built."""
+    w = _target(w, T.dim_out)
     return GridOracle(T, box, step).query(w)
 
 
@@ -497,11 +499,11 @@ def check_pseudo_inverse(T, G, samples, box, step):
     W = np.asarray(samples, dtype=float)
     if W.ndim == 1:                               # scalar samples of a 1-D target
         W = W[:, None] if len(W) else W.reshape(0, G.dim_in)
+    targets = [_target(w, T.dim_out) for w in W]
     V = G.apply_batch(W)
     TV = T.apply_batch(V)
     GTV = G.apply_batch(TV)
     TGTV = T.apply_batch(GTV)
-    targets = [_target(w, T.dim_out) for w in W]
     residual = [float(np.linalg.norm(Tv - w)) for w, Tv in zip(W, TV)]
     bound = [r + RES_SLACK for r in residual]
     least_res = [np.inf] * len(W)
@@ -555,6 +557,7 @@ def expanding_domain_pinv(T, w, radius_schedule, stabilization_window, step):
         raise ValueError("radii must be strictly increasing")
     if stabilization_window < 2:
         raise ValueError("stabilization window must be at least 2")
+    w = _target(w, T.dim_out)
     dim = T.dim_in
     history = []
     for r in radii:
@@ -586,8 +589,7 @@ def finite_bas_set(points, values, w):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    res = np.linalg.norm(values - w[None, :], axis=1)
+    res = np.linalg.norm(values - as_vector(w, values.shape[1])[None, :], axis=1)
     cand = np.flatnonzero(res <= res.min() + FINITE_TIE_TOL)
     norms = np.linalg.norm(points[cand], axis=1)
     return cand[norms <= norms.min() + FINITE_TIE_TOL]

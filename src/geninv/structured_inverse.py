@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_ops import VectorOperator, DimensionMismatch
+from .core_ops import VectorOperator, DimensionMismatch, as_vector
 from .numerics import json_object
-from .pseudo_inverse import Grid, _residuals, _row_norms, _row_sum
+from .pseudo_inverse import Grid, _row_norms, _row_sum
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_CAP = 10_000
@@ -37,14 +37,11 @@ class ConvexSet:
         raise NotImplementedError
 
     def project(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise DimensionMismatch("point of dim %d expected" % self.dim)
-        return self.project_batch(x[None, :])[0]
+        return self.project_batch(as_vector(x, self.dim)[None, :])[0]
 
     def contains(self, x, tol=1e-9):
         """||P_C(x) - x|| <= tol; DimensionMismatch for a point of another dim."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = as_vector(x, self.dim)
         return bool(np.linalg.norm(self.project(x) - x) <= tol)
 
     def as_operator(self):
@@ -306,15 +303,15 @@ def cascade_pinv(sets):
 # ---------------------------------------------------------------------------
 
 def _axiom_spot_check(T, G, samples):
-    for w in samples:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        v = G.apply(w)
-        Tv = T.apply(v)
-        gtv = G.apply(Tv)
-        if np.linalg.norm(T.apply(gtv) - Tv) > SPOT_CHECK_TOL:
-            return "MP1"
-        if np.linalg.norm(gtv - v) > SPOT_CHECK_TOL:
-            return "MP2"
+    """"MP1" if some sample fails MP1, else "MP2" if some sample fails MP2,
+    else None; G and T are applied to all samples in one batch each."""
+    V = G.apply_batch(samples)
+    TV = T.apply_batch(V)
+    GTV = G.apply_batch(TV)
+    if (np.linalg.norm(T.apply_batch(GTV) - TV, axis=1) > SPOT_CHECK_TOL).any():
+        return "MP1"
+    if (np.linalg.norm(GTV - V, axis=1) > SPOT_CHECK_TOL).any():
+        return "MP2"
     return None
 
 
@@ -374,13 +371,11 @@ def sandwich_inverse(s1, s1_inv, T, s2, s2_inv, G):
     norm-monotone, which the caller asserts.
     """
     samples = np.random.default_rng(7).uniform(-2, 2, size=(16, max(s1.dim_in, s2.dim_in)))
-    for x in samples:
-        x1 = np.asarray(x[:s1.dim_in], dtype=float)
-        if np.linalg.norm(s1_inv.apply(s1.apply(x1)) - x1) > SPOT_CHECK_TOL:
-            raise ValueError("s1_inv fails the round-trip check")
-        x2 = np.asarray(x[:s2.dim_in], dtype=float)
-        if np.linalg.norm(s2_inv.apply(s2.apply(x2)) - x2) > SPOT_CHECK_TOL:
-            raise ValueError("s2_inv fails the round-trip check")
+    for name, s, s_inv in (("s1_inv", s1, s1_inv), ("s2_inv", s2, s2_inv)):
+        X = samples[:, :s.dim_in]
+        if (np.linalg.norm(s_inv.apply_batch(s.apply_batch(X)) - X, axis=1)
+                > SPOT_CHECK_TOL).any():
+            raise ValueError("%s fails the round-trip check" % name)
     return s2_inv.compose(G).compose(s1_inv)
 
 
@@ -388,7 +383,7 @@ def affine_pinv(G, a, b, w0):
     """Pseudo-inverse of v -> a T(b v) + w0 given a pseudo-inverse G of T."""
     if a == 0 or b == 0:
         raise ValueError("affine sandwich needs nonzero scalars")
-    w0 = np.asarray(w0, dtype=float)
+    w0 = as_vector(w0, G.dim_in)
     return VectorOperator(G.dim_in, G.dim_out,
                           lambda batch: G.fn((batch - w0) / a) / b,
                           name="affine_pinv")
@@ -416,14 +411,16 @@ def projection_after_operator_pinv(T, C, w, box, step, probes=None):
     image of T; they are spot-checked. Infeasibility within the search
     budget is reported, never silent.
     """
+    PT = C.as_operator().compose(T)
+    w = as_vector(w, C.dim)
     if probes is not None:
         for point, source in probes:
-            if np.linalg.norm(T.apply(source) - np.asarray(point, float)) > SPOT_CHECK_TOL:
+            point = as_vector(point, C.dim)
+            if np.linalg.norm(T.apply(source) - point) > SPOT_CHECK_TOL:
                 raise ValueError("probe source does not map to its point under T")
-    w = np.atleast_1d(np.asarray(w, dtype=float))
     target = C.project(w)
-    grid = Grid(T, box, step)
-    res = _residuals(C.project_batch(grid.values), target)
+    grid = Grid(PT, box, step)
+    res = grid.residuals(target)
     j = grid.least_norm(res, step * np.sqrt(T.dim_in))
     if j is None:
         return ConstrainedSearchResult(None, False, target, float(res.min()))

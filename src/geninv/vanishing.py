@@ -21,9 +21,12 @@ SPACE_CAP = 100_000
 
 @lru_cache(maxsize=32)
 def _space(p, n):
-    """All p^n vectors of F_p^n, row i = digits of i base p (low axis first)."""
+    """All p^n vectors of F_p^n, row i = digits of i base p (low axis first);
+    read-only, as every caller shares the cached array."""
     idx = np.arange(p ** n, dtype=np.int64)
-    return (idx[:, None] // p ** np.arange(n, dtype=np.int64)[None, :]) % p
+    space = (idx[:, None] // p ** np.arange(n, dtype=np.int64)[None, :]) % p
+    space.flags.writeable = False
+    return space
 
 
 def _checked_space(p, n):
@@ -266,8 +269,9 @@ def reciprocal_poly(poly):
 def power_vanishing_poly(poly, k, l):
     """Vanishing polynomial for any T1 with T1^l = T^k, of degree <= deg(p)*l.
 
-    Reduces x^(jk) mod p for j = 0..deg(p), takes an exact linear
-    dependence among the remainders, and substitutes x^l for x^k.
+    Reduces x^(jk) mod p for j = 0..deg(p) as the rows of one division,
+    takes an exact linear dependence among the remainders, and substitutes
+    x^l for x^k.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("need a vanishing polynomial of degree >= 1")
@@ -275,10 +279,9 @@ def power_vanishing_poly(poly, k, l):
         raise ValueError("need l >= 1 and k >= 0")
     p = poly.prime
     m = poly.degree
-    rem = np.zeros((m + 1, m), dtype=np.int64)
-    for j in range(m + 1):
-        r = OperatorPolynomial([1], p).shift(j * k).divmod(poly)[1]      # x^(jk) mod poly
-        rem[j, :r.coeffs.size] = r.coeffs
+    powers = np.zeros((m + 1, max(m * k + 1, m)), dtype=np.int64)     # row j: x^(jk)
+    powers[np.arange(m + 1), np.arange(m + 1) * k] = 1
+    rem = fp_poly_divmod(powers, poly.coeffs, p)[1]
     alphas = fp_solve_kernel(rem.T, p)
     if not alphas:
         raise AssertionError("remainders must be dependent: m+1 vectors in dimension m")
@@ -310,7 +313,8 @@ def affine_vanishing_poly(poly, A, p):
 
 
 def product_operator_fp(parts):
-    """Componentwise operator on F_p^(n1+...+nk) from per-factor operators."""
+    """Componentwise operator on F_p^(n1+...+nk) from per-factor operators:
+    factor t maps the id block id // scale % t.size, its digits, in place."""
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one factor")
@@ -320,14 +324,13 @@ def product_operator_fp(parts):
     ntot = sum(t.n for t in parts)
     if p ** ntot > SPACE_CAP:
         raise ValueError("product space exceeds the enumeration cap")
-    vecs = _space(p, ntot)
-    out = np.empty_like(vecs)
-    ofs = 0
+    ids = np.arange(p ** ntot, dtype=np.int64)
+    out = np.zeros_like(ids)
+    scale = 1
     for t in parts:
-        sub = vecs[:, ofs:ofs + t.n]
-        out[:, ofs:ofs + t.n] = t.space()[t.table[encode(sub, p)]]
-        ofs += t.n
-    return FpVectorOperator(p, ntot, encode(out, p))
+        out += t.table[ids // scale % t.size] * scale
+        scale *= t.size
+    return FpVectorOperator(p, ntot, out)
 
 
 def product_vanishing_poly(parts):

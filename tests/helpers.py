@@ -14,6 +14,7 @@ import numpy as np
 
 from geninv import cli
 from geninv.applied import QP_CAP, LeastNormQP, QPResult, _kkt_residuals
+from geninv.core_ops import OperatorPolynomial
 from geninv.pseudo_inverse import Pinv1D, UNDEFINED
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -803,6 +804,35 @@ def tail_operator_loop(poly, k, T):
     return encode(acc * scale % p, p)
 
 
+def power_vanishing_poly_loop(poly, k, l):
+    """power_vanishing_poly with one long division of x^(jk) per j, on the
+    polynomial type, before the divisions ran as one batch of rows."""
+    from geninv.numerics import fp_solve_kernel
+    p, m = poly.prime, poly.degree
+    rem = np.zeros((m + 1, m), dtype=np.int64)
+    for j in range(m + 1):
+        r = OperatorPolynomial([1], p).shift(j * k).divmod(poly)[1]
+        rem[j, :r.coeffs.size] = r.coeffs
+    out = np.zeros(m * l + 1, dtype=np.int64)
+    out[::l] = fp_solve_kernel(rem.T, p)[0]
+    return OperatorPolynomial(out, p)
+
+
+def product_operator_fp_digits(parts):
+    """product_operator_fp through the whole p^N x N digit table: each
+    factor's digit block is re-encoded, mapped and written back as digits."""
+    from geninv.vanishing import FpVectorOperator, encode
+    p, ntot = parts[0].p, sum(t.n for t in parts)
+    vecs = FpVectorOperator.identity(p, ntot).space()
+    out = np.empty_like(vecs)
+    ofs = 0
+    for t in parts:
+        sub = vecs[:, ofs:ofs + t.n]
+        out[:, ofs:ofs + t.n] = t.space()[t.table[encode(sub, p)]]
+        ofs += t.n
+    return FpVectorOperator(p, ntot, encode(out, p))
+
+
 def companion_blocks_loop(T, C):
     """(ok, violations) of phi(T(v)) = C^T phi(v) for every v, compared
     block by block over the stored iterates T^0(v), ..., T^d(v): each
@@ -830,6 +860,20 @@ def companion_blocks_loop(T, C):
 # ---------------------------------------------------------------------------
 # joint-grid scans, plain Dykstra and the per-scalar homogeneity loop
 # ---------------------------------------------------------------------------
+
+def projection_after_operator_two_step(T, C, w, box, step):
+    """(v, feasible, target, residual) of projection_after_operator_pinv as
+    it was before it searched the grid of P_C o T: T's grid, with P_C then
+    applied to the grid's values."""
+    from geninv.pseudo_inverse import Grid, _residuals
+    target = C.project(w)
+    grid = Grid(T, box, step)
+    res = _residuals(C.project_batch(grid.values), target)
+    j = grid.least_norm(res, step * np.sqrt(T.dim_in))
+    if j is None:
+        return None, False, target, float(res.min())
+    return grid.points[j].copy(), True, target, float(res[j])
+
 
 def grid_dense(T, box, step):
     """(points, values, norms) of T on the joint row-major box grid."""

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from geninv import (Box, L2Ball, Halfspace, Intersection, project,
                     cascade_pinv, product_inverse,
@@ -13,7 +13,7 @@ from geninv import (Box, L2Ball, Halfspace, Intersection, project,
 from geninv import structured_inverse
 from geninv.structured_inverse import convex_set_from_json
 
-from helpers import halfspace_projection_unscaled
+from helpers import halfspace_projection_unscaled, projection_after_operator_two_step
 
 
 def test_box_projection_is_relu():
@@ -391,6 +391,27 @@ def test_projection_after_operator_reports_an_unreachable_target():
                                          [(-1.0, 1.0)], 0.1)
     assert not res.feasible and res.v is None
     assert np.array_equal(res.target, [5.5]) and res.residual == 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["matrix", "tanh", "soft"]), st.sampled_from(["box", "ball", "halfspace"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_projection_after_operator_matches_projecting_the_values_of_t(op, kind, seed):
+    rng = np.random.default_rng(seed)
+    if op == "matrix":
+        T = VectorOperator.from_matrix(rng.normal(size=(2, 2)))
+    else:
+        T = Scalar1DOperator(op, a=0.5).as_vector_operator()
+    dim = T.dim_out
+    C = {"box": lambda: Box(-rng.uniform(0.1, 1, dim), rng.uniform(0.1, 1, dim)),
+         "ball": lambda: L2Ball(rng.normal(scale=0.2, size=dim), rng.uniform(0.2, 1)),
+         "halfspace": lambda: Halfspace(rng.normal(size=dim), rng.uniform(-0.5, 0.5))}[kind]()
+    w, box, step = rng.normal(size=dim), [(-1.5, 1.5)] * T.dim_in, 0.1
+    res = projection_after_operator_pinv(T, C, w, box, step)
+    v, feasible, target, residual = projection_after_operator_two_step(T, C, w, box, step)
+    assert res.feasible == feasible and np.array_equal(res.target, target)
+    assert np.array_equal(res.v, v) if feasible else res.v is None
+    assert res.residual == residual
 
 
 def test_projection_after_operator_rejects_bad_probe():

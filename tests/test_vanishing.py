@@ -14,7 +14,8 @@ from geninv import (OperatorPolynomial, FiniteOperator, power, image_chain,
 from geninv import vanishing
 from geninv.vanishing import encode
 
-from helpers import companion_blocks_loop, run_optimized, traced_peak
+from helpers import (companion_blocks_loop, power_vanishing_poly_loop,
+                     product_operator_fp_digits, run_optimized, traced_peak)
 
 
 def random_fp_operator(rng, p, n):
@@ -33,6 +34,20 @@ def test_from_callable_checks_the_space_before_calling_f(p, n):
     assert called == []
     with pytest.raises(ValueError):
         FpVectorOperator(p, n, [])
+
+
+def test_the_shared_digit_table_is_read_only():
+    space = FpVectorOperator.identity(2, 3).space()
+    with pytest.raises(ValueError, match="read-only"):
+        space[0, 0] = 1
+
+    def writes_into_its_argument(V):
+        V[:, 0] = 1
+        return V
+    with pytest.raises(ValueError, match="read-only"):
+        FpVectorOperator.from_callable(2, 3, writes_into_its_argument)
+    assert FpVectorOperator.identity(2, 3).space()[0].tolist() == [0, 0, 0]
+    assert np.array_equal(encode(FpVectorOperator.identity(2, 3).space(), 2), np.arange(8))
 
 
 def test_find_vanishing_idempotent_divisible_by_x2_minus_x():
@@ -225,6 +240,27 @@ def test_power_vanishing_poly_square_root_of_identity():
         [[0, 0], [0, 1], [1, 0], [1, 1]])[:, ::-1]), 2))
     assert reflect.power(2) == FpVectorOperator.identity(2, 2)
     assert poly_vanishes(q, reflect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 31]), st.integers(1, 12), st.integers(0, 9),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_power_vanishing_poly_matches_one_division_per_power(p, m, k, l, seed):
+    coeffs = np.random.default_rng(seed).integers(0, p, size=m + 1)
+    coeffs[-1] = coeffs[-1] or 1
+    poly = OperatorPolynomial(coeffs, p)
+    assert power_vanishing_poly(poly, k, l) == power_vanishing_poly_loop(poly, k, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_product_operator_fp_matches_the_digit_table(p, dims, seed):
+    rng = np.random.default_rng(seed)
+    while p ** sum(dims) > 4096:
+        dims = dims[:-1] or [0]
+    parts = [random_fp_operator(rng, p, n) for n in dims]      # n = 0 included
+    assert product_operator_fp(parts) == product_operator_fp_digits(parts)
 
 
 def test_affine_vanishing_identity_plus_shift():
