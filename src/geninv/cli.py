@@ -130,8 +130,6 @@ def load_vector_operator(obj):
     """Operator JSON -> VectorOperator. Kinds: scalar table entries,
     "matrix", "layer", and "componentwise" products of scalar kinds."""
     kind = numerics.json_object(obj, "operator")["kind"]
-    if not isinstance(kind, str):
-        raise ValueError("operator \"kind\" must be a string")
     if kind == "matrix":
         return core_ops.VectorOperator.from_matrix(numerics.matrix_from_json(obj))
     if kind == "layer":

@@ -110,15 +110,19 @@ def matrix_from_json(text):
 # ---------------------------------------------------------------------------
 
 def _entries(values, dtype_kinds, types, what, allowed):
+    """The set of the entries' types (empty for an array), once each passes."""
+    kinds = set()
     if isinstance(values, np.ndarray):
         ok = values.dtype.kind in dtype_kinds or not values.size
     else:                                       # bool is an int subclass
         try:
-            ok = all(issubclass(k, types) and k is not bool for k in set(map(type, values)))
+            kinds = set(map(type, values))
+            ok = all(issubclass(k, types) and k is not bool for k in kinds)
         except TypeError:                       # not a sequence at all
             ok = False
     if not ok:
         raise ValueError("%s must be %s" % (what, allowed))
+    return kinds
 
 
 def integer_entries(values, what="entries"):
@@ -129,9 +133,15 @@ def integer_entries(values, what="entries"):
 
 def real_entries(values, what="entries"):
     """ValueError, naming `what`, unless each entry of `values` is an integer or
-    a float, not a boolean, a string or a list."""
-    _entries(values, "iuf", (int, float, np.integer, np.floating), what,
-             "numbers, not booleans, strings or lists")
+    a float, not a boolean, a string or a list, and float() can hold it."""
+    kinds = _entries(values, "iuf", (int, float, np.integer, np.floating), what,
+                     "numbers, not booleans, strings or lists")
+    if any(issubclass(k, int) for k in kinds):  # a Python int may be past the float range
+        try:
+            for x in values:
+                float(x)
+        except OverflowError:
+            raise ValueError("%s must be numbers within the float range" % what) from None
 
 
 def is_prime(p):

@@ -4,16 +4,15 @@ A pseudo-inverse G of T must satisfy BAS -- G(w) minimizes ||T(v) - w||
 and, among minimizers, has minimal ||v|| -- together with MP2. This module
 describes each named one-dimensional operator kind once (`_KINDS`: its
 map, its closed form on whole arrays, the interval where that is defined
-and whether it is unique), read by `pinv_table`; a grid search oracle
-realizing BAS directly, report-producing verifiers, and the
-expanding-domain limit construction.
+and whether it is unique), read by `pinv_table`; one streamed grid scan
+realizing BAS directly (`Grid.scan`), and the oracle, the verifier and
+the expanding-domain limit built on it.
 
 Closed forms return "undefined at w" as a value (not an error) wherever
 the nearest-point problem has no solution, e.g. exp at w <= 0.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 import math
 
 import numpy as np
@@ -85,7 +84,8 @@ UNIQUE_KINDS = frozenset(k for k, rec in _KINDS.items() if rec.unique)
 @dataclass(frozen=True)
 class Scalar1DOperator:
     """Tagged real function: kind plus parameters, evaluable and invertible;
-    a, eps and c must each pass numerics.real_entries and be finite."""
+    kind must be a str, and a, eps and c must each pass
+    numerics.real_entries and be finite."""
 
     kind: str
     a: float = 0.0
@@ -94,6 +94,8 @@ class Scalar1DOperator:
     fn: object = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ValueError("operator \"kind\" must be a string, got %r" % (self.kind,))
         kind = KIND_ALIASES.get(self.kind, self.kind)
         object.__setattr__(self, "kind", kind)
         if kind not in KINDS:
@@ -214,6 +216,7 @@ def pinv1d_operator(op):
 MAX_GRID_POINTS = 20_000_000
 GRID_CHUNK = 2 ** 14          # points per block of a grid scan
 AXIS_COUNT_SLACK = 1e-9       # an axis ending within this many steps of hi keeps hi
+BALL_SLACK = 1e-12            # grid points this far past a scan's radius count as in the ball
 
 
 def _axis(lo, hi, step):
@@ -281,12 +284,6 @@ def _box(box, dim):
     return box
 
 
-def _column_major(values):
-    """An (N, d) batch as `_row_sum` reads it fastest when one batch serves
-    many targets: Fortran-ordered below 8 columns, as it is from 8 on."""
-    return np.asfortranarray(values) if values.shape[1] < 8 else values
-
-
 def _target(w, dim):
     """w as a finite target of dimension dim, else DimensionMismatch or
     ValueError."""
@@ -296,47 +293,29 @@ def _target(w, dim):
     return w
 
 
-def _checked_values(T, points):
-    values = T.apply_batch(points)
-    if np.isnan(values).any():
-        raise ValueError("T is NaN at a grid point")
-    return values
-
-
 class Grid:
-    """The joint box grid of T in row-major order, with T and the norm at
-    every point. ValueError where T is NaN, which no residual bound could
-    admit, and for a grid past MAX_GRID_POINTS, refused before it is
-    allocated.
+    """T's box grid in row-major order, read a block at a time by `scan`.
 
-    The points are the whole grid as one block of `_blocks`, written as d
-    coordinate columns, so `points` is a Fortran-ordered (N, d) array, and
-    T is applied to it once. Elementwise kernels and `_row_sum` give each
+    A grid keeps T and its axes only; ValueError for a bad step or box and
+    for a grid past MAX_GRID_POINTS, refused before any axis is allocated.
+    `scan` is the one BAS reduction of the library: it cuts the grid into
+    blocks of GRID_CHUNK points, each written as d coordinate columns (a
+    Fortran-ordered (n, d) batch), and applies T once per block, so no
+    grid is ever held whole. Elementwise kernels and `_row_sum` give each
     point its bits in a C-ordered batch; an operator that keeps its
     input's layout (the projections and `product_operator` do) leaves its
-    values in columns too. `check_pseudo_inverse` reads the grid in
-    smaller blocks from the same generator and never holds it; a matrix
-    or layer operator may round a row differently in a block than in the
-    whole batch, as GridOracle's caveat (a) says.
+    values in columns too. A matrix or layer operator may round a row
+    differently in a block than alone, as GridOracle's caveat (a) says.
     """
 
     def __init__(self, T, box, step):
-        axes = self._axes(T, box, step)
-        (self.points,) = self._blocks(axes, math.prod(map(len, axes)))
-        self.values = _checked_values(T, self.points)
-        self.norms = _row_norms(self.points)
-
-    @staticmethod
-    def _axes(T, box, step):
-        """The coordinates along each axis of T's box grid; ValueError for a
-        bad step or box and for a grid past MAX_GRID_POINTS."""
         if not (np.isfinite(step) and step > 0):
             raise ValueError("step must be positive and finite, got %r" % (step,))
-        axes = [_axis(lo, hi, step) for lo, hi in _box(box, T.dim_in)]
-        total = math.prod(map(len, axes))
+        self.T = T
+        self.axes = [_axis(lo, hi, step) for lo, hi in _box(box, T.dim_in)]
+        total = math.prod(map(len, self.axes))
         if total > MAX_GRID_POINTS:
             raise ValueError("grid of %d points is too large" % total)
-        return axes
 
     @staticmethod
     def _blocks(axes, size):
@@ -346,8 +325,7 @@ class Grid:
         A row is a run of points over which only the last axes vary,
         taking as many last axes as fit in one block. A block is cut from
         the whole rows it meets, filled by broadcasting: per row for the
-        first axes, per point for the last ones. So a block of the whole
-        grid is one broadcast per axis and no cut.
+        first axes, per point for the last ones.
         """
         d = len(axes)
         shape = tuple(map(len, axes))
@@ -368,54 +346,81 @@ class Grid:
             cut = rows.reshape(d, (last - first) * row)[:, start - first * row:stop - first * row]
             yield np.ascontiguousarray(cut).T
 
-    @cached_property
-    def _columns(self):
-        return _column_major(self.values)
+    def point(self, index):
+        """The grid point at row-major position `index`."""
+        at = np.unravel_index(index, tuple(map(len, self.axes)))
+        return np.array([axis[i] for axis, i in zip(self.axes, at)])
 
-    def residuals(self, w):
-        """||T(p) - w|| at every grid point p, in one scan of the values; w
-        must be a finite target of T's output dimension."""
-        return _residuals(self._columns, _target(w, self.values.shape[1]))
+    def scan(self, targets, bounds=None, radius=np.inf):
+        """One pass over the grid for all targets, each a finite vector of
+        T's output dimension (checked before T is applied).
 
-    def least_norm(self, res, bound):
-        """Index of the least-norm point whose residual in `res` is <= bound,
-        the first in grid order among equal norms; None if none qualifies."""
-        hit = np.flatnonzero(res <= bound)
-        if hit.size == 0:
-            return None
-        return int(hit[np.argmin(self.norms[hit])])
-
-    def within(self, w, res_bound):
-        """`least_norm` at res_bound for target w; None if none qualifies."""
-        res = self.residuals(w)
-        j = self.least_norm(res, res_bound)
-        return None if j is None else OracleBest(self.points[j].copy(), float(res[j]),
-                                                 float(self.norms[j]), j)
+        For each target w: the least residual ||T(p) - w|| over the grid,
+        and the least-norm point p whose residual is within w's bound, the
+        first in row-major order among equal norms. With no bounds the
+        bound is the least residual (BAS on the grid). Points with ||p|| >
+        radius + BALL_SLACK do not count. Returns arrays (least, norm,
+        index, residual, value): that point's norm (+inf where no point
+        qualifies), row-major index (-1 then), residual and T value (NaN
+        then). ValueError where T is NaN at a grid point, which no bound
+        could admit.
+        """
+        W = [_target(w, self.T.dim_out) for w in targets]
+        n = len(W)
+        least, norm, index = [np.inf] * n, [np.inf] * n, [-1] * n
+        residual, value = np.full(n, np.nan), np.full((n, self.T.dim_out), np.nan)
+        start = 0
+        for P in self._blocks(self.axes, GRID_CHUNK):
+            values = self.T.apply_batch(P)
+            if np.isnan(values).any():
+                raise ValueError("T is NaN at a grid point")
+            if values.shape[1] < 8:             # `_row_sum` reads columns fastest
+                values = np.asfortranarray(values)
+            norms = _row_norms(P)
+            for i, w in enumerate(W):
+                res = _residuals(values, w)
+                if radius < np.inf:
+                    res[norms > radius + BALL_SLACK] = np.inf
+                low = res.min()
+                if low < least[i]:
+                    least[i] = low
+                    if bounds is None:          # the bound fell: earlier points no longer count
+                        norm[i] = np.inf
+                hit = res <= (least[i] if bounds is None else bounds[i])
+                within = norms[hit]
+                best = within.min(initial=np.inf)
+                if best < norm[i]:              # located only when the block improves
+                    j = np.flatnonzero(hit)[within.argmin()]
+                    norm[i], index[i], residual[i] = best, start + j, res[j]
+                    value[i] = values[j]        # a copy: a view would pin the block
+            start += len(P)
+        return np.array(least), np.array(norm), np.array(index), residual, value
 
 
 class GridOracle:
     """Exhaustive BAS search over a fixed box grid, one factor at a time.
 
-    `query(w)` applies `Grid.least_norm` at the least residual: the least
-    norm among the points of least residual, then the first in row-major
-    grid order (BAS on the grid).
+    `query(w)` is `Grid.scan` at the least residual: the least norm among
+    the points of least residual, then the first in row-major grid order
+    (BAS on the grid).
 
     The oracle holds one `Grid` per factor of T (`T.factors`: the parts of
-    a componentwise product, or T itself). The residual and the norm of a
-    product are both sums of squares over its factors, so the BAS rule
-    picks each factor's point on its own: `query` searches d grids of n
-    points in place of one of n^d.
+    a componentwise product, or T itself) and scans each once per query,
+    so T's values are never held. The residual and the norm of a product
+    are both sums of squares over its factors, so the BAS rule picks each
+    factor's point on its own: `query` searches d grids of n points in
+    place of one of n^d. ValueError from `query` where T is NaN.
 
     In floats the per-factor answer can differ from a scan of the joint
     grid in two ways. (a) Where a factor has several coordinates, its
-    values come from the factor grid, not from the joint batch, and
-    batched matrix products may round those differently: `X @ A.T` can
-    round a row differently alone than inside a batch, and differently in
-    a Fortran-ordered batch than in a C-ordered one. (b) Where one
-    factor's residuals differ by less than an ulp of the joint sum of
-    squares, the joint scan sees a tie and breaks it by norm; the
-    per-factor search does not. `residual` and `norm` are computed at the
-    chosen point by the joint scan's expression.
+    values come from the factor grid's blocks, not from the joint batch,
+    and batched matrix products may round those differently: `X @ A.T`
+    can round a row differently alone than inside a batch of another
+    size, and differently in a Fortran-ordered batch than in a C-ordered
+    one. (b) Where one factor's residuals differ by less than an ulp of
+    the joint sum of squares, the joint scan sees a tie and breaks it by
+    norm; the per-factor search does not. `residual` and `norm` are
+    computed at the chosen point by the joint scan's expression.
     """
 
     def __init__(self, T, box, step):
@@ -430,12 +435,11 @@ class GridOracle:
         w = _target(w, self.T.dim_out)
         index, v, value, start = 0, [], [], 0
         for f in self.factors:
-            stop = start + f.values.shape[1]
-            res = f.residuals(w[start:stop])
-            j = f.least_norm(res, res.min())
-            index = index * len(f.points) + j
-            v.append(f.points[j])
-            value.append(f.values[j])
+            stop = start + f.T.dim_out
+            _, _, (j,), _, (fv,) = f.scan([w[start:stop]])
+            index = index * math.prod(map(len, f.axes)) + int(j)
+            v.append(f.point(j))
+            value.append(fv)
             start = stop
         v = np.concatenate(v)
         residual = _residuals(np.concatenate(value)[None, :], w)[0]
@@ -477,25 +481,23 @@ def check_pseudo_inverse(T, G, samples, box, step):
 
     For each sample w: MP1 residual ||T G T(v) - T(v)|| at v = G(w), MP2
     residual ||G T G(w) - G(w)|| (mp2_ok: at most MP2_TOL), and the BAS
-    certificate against the points p of the box grid that
-    `Grid(T, box, step)` would hold: residual_gap is ||T(v) - w|| minus
-    the least ||T(p) - w||, and norm_gap is ||v|| minus the least ||p||
-    among the p with ||T(p) - w|| <= ||T(v) - w|| + RES_SLACK (-inf: there
-    is none). bas_ok unless residual_gap exceeds RES_SLACK or norm_gap two
-    grid diagonals, 2 * step * sqrt(dim).
+    certificate against the points p of the box grid `Grid(T, box, step)`:
+    residual_gap is ||T(v) - w|| minus the least ||T(p) - w||, and
+    norm_gap is ||v|| minus the least ||p|| among the p with ||T(p) - w||
+    <= ||T(v) - w|| + RES_SLACK (-inf: there is none). bas_ok unless
+    residual_gap exceeds RES_SLACK or norm_gap two grid diagonals,
+    2 * step * sqrt(dim).
 
     G and T are applied to all samples in one batch each, four calls in
-    all. Then the grid is read in row-major blocks of GRID_CHUNK points,
-    never held whole: T is applied to each block once, and each sample
-    keeps its least residual and its least norm within its bound, which is
-    known before the scan. MAX_GRID_POINTS bounds the scan's time. A row
-    of a batch has its single-point bits for the scalar kinds, the
-    projections and their products, but not for every operator: a matrix
-    or layer operator may round a row differently in a block, in the
-    sample batch or alone; see GridOracle's (a).
+    all. Then one `Grid.scan` with those bounds reads the grid a block at
+    a time, T applied to each block once; MAX_GRID_POINTS bounds its
+    time. A row of a batch has its single-point bits for the scalar
+    kinds, the projections and their products, but not for every
+    operator: a matrix or layer operator may round a row differently in
+    a block, in the sample batch or alone; see GridOracle's (a).
     """
     norm_slack = 2.0 * step * np.sqrt(T.dim_in)
-    axes = Grid._axes(T, box, step)
+    grid = Grid(T, box, step)
     W = np.asarray(samples, dtype=float)
     if W.ndim == 1:                               # scalar samples of a 1-D target
         W = W[:, None] if len(W) else W.reshape(0, G.dim_in)
@@ -505,24 +507,14 @@ def check_pseudo_inverse(T, G, samples, box, step):
     GTV = G.apply_batch(TV)
     TGTV = T.apply_batch(GTV)
     residual = [float(np.linalg.norm(Tv - w)) for w, Tv in zip(W, TV)]
-    bound = [r + RES_SLACK for r in residual]
-    least_res = [np.inf] * len(W)
-    least_norm = [np.inf] * len(W)
-    for P in Grid._blocks(axes, GRID_CHUNK):
-        values = _column_major(_checked_values(T, P))
-        norms = _row_norms(P)
-        for i, w in enumerate(targets):
-            res = _residuals(values, w)
-            least_res[i] = min(least_res[i], res.min())
-            least_norm[i] = min(least_norm[i], norms[res <= bound[i]].min(initial=np.inf))
+    least_res, least_norm, _, _, _ = grid.scan(targets, [r + RES_SLACK for r in residual])
     reports = []
     for i, (w, v, gtv) in enumerate(zip(W, V, GTV)):
         norm = float(np.linalg.norm(v))
         mp1 = float(np.linalg.norm(TGTV[i] - TV[i]))
         mp2 = float(np.linalg.norm(gtv - v))
         residual_gap = residual[i] - float(least_res[i])
-        # a point is within the bound exactly when the least residual is
-        norm_gap = norm - float(least_norm[i]) if least_res[i] <= bound[i] else -np.inf
+        norm_gap = norm - float(least_norm[i])          # -inf: no point within the bound
         bas_ok = residual_gap <= RES_SLACK and norm_gap <= norm_slack
         reports.append(PseudoInverseReport(w, v, residual[i], norm, mp1, mp2,
                                            bool(bas_ok), bool(mp2 <= MP2_TOL),
@@ -533,9 +525,6 @@ def check_pseudo_inverse(T, G, samples, box, step):
 # ---------------------------------------------------------------------------
 # expanding-domain limit
 # ---------------------------------------------------------------------------
-
-BALL_SLACK = 1e-12         # grid points this far past the radius count as in the ball
-
 
 @dataclass
 class ExpandingDomainResult:
@@ -548,7 +537,7 @@ def expanding_domain_pinv(T, w, radius_schedule, stabilization_window, step):
     """Grid pseudo-inverse restricted to balls B(0, r) over growing radii.
 
     The search box is the cube [-r, r]^dim intersected with the ball; its
-    BAS point is `Grid.least_norm` at the least residual. Reports the value
+    BAS point is `Grid.scan` at the least residual with radius r. Reports the value
     once it repeats, within 2*step per coordinate, across
     `stabilization_window` consecutive radii.
     """
@@ -562,8 +551,8 @@ def expanding_domain_pinv(T, w, radius_schedule, stabilization_window, step):
     history = []
     for r in radii:
         grid = Grid(T, [(-r, r)] * dim, step)
-        res = np.where(grid.norms <= r + BALL_SLACK, grid.residuals(w), np.inf)
-        history.append(grid.points[grid.least_norm(res, res.min())].copy())
+        _, _, (j,), _, _ = grid.scan([w], radius=r)
+        history.append(grid.point(j))
         k = stabilization_window
         if len(history) >= k:
             run = history[-k:]

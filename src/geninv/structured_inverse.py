@@ -420,8 +420,7 @@ def projection_after_operator_pinv(T, C, w, box, step, probes=None):
                 raise ValueError("probe source does not map to its point under T")
     target = C.project(w)
     grid = Grid(PT, box, step)
-    res = grid.residuals(target)
-    j = grid.least_norm(res, step * np.sqrt(T.dim_in))
-    if j is None:
-        return ConstrainedSearchResult(None, False, target, float(res.min()))
-    return ConstrainedSearchResult(grid.points[j].copy(), True, target, float(res[j]))
+    least, _, (j,), (residual,), _ = grid.scan([target], [step * np.sqrt(T.dim_in)])
+    if j < 0:
+        return ConstrainedSearchResult(None, False, target, float(least[0]))
+    return ConstrainedSearchResult(grid.point(j), True, target, float(residual))

@@ -858,22 +858,9 @@ def companion_blocks_loop(T, C):
 
 
 # ---------------------------------------------------------------------------
-# joint-grid scans, plain Dykstra and the per-scalar homogeneity loop
+# joint-grid scans, held whole (the references of Grid.scan and the
+# searches built on it), plain Dykstra and the per-scalar homogeneity loop
 # ---------------------------------------------------------------------------
-
-def projection_after_operator_two_step(T, C, w, box, step):
-    """(v, feasible, target, residual) of projection_after_operator_pinv as
-    it was before it searched the grid of P_C o T: T's grid, with P_C then
-    applied to the grid's values."""
-    from geninv.pseudo_inverse import Grid, _residuals
-    target = C.project(w)
-    grid = Grid(T, box, step)
-    res = _residuals(C.project_batch(grid.values), target)
-    j = grid.least_norm(res, step * np.sqrt(T.dim_in))
-    if j is None:
-        return None, False, target, float(res.min())
-    return grid.points[j].copy(), True, target, float(res[j])
-
 
 def grid_dense(T, box, step):
     """(points, values, norms) of T on the joint row-major box grid."""
@@ -894,6 +881,37 @@ def grid_query_dense(T, box, step, w):
     tie = np.flatnonzero(res <= res.min())
     j = tie[np.argmin(norms[tie])]
     return points[j].copy(), float(res[j]), float(norms[j]), int(j), res, norms
+
+
+def projection_after_operator_two_step(T, C, w, box, step):
+    """(v, feasible, target, residual) of projection_after_operator_pinv by
+    one scan of T's joint grid, with P_C applied to the grid's values."""
+    target = C.project(w)
+    points, values, norms = grid_dense(T, box, step)
+    res = np.linalg.norm(C.project_batch(values) - target[None, :], axis=1)
+    hit = np.flatnonzero(res <= step * np.sqrt(T.dim_in))
+    if hit.size == 0:
+        return None, False, target, float(res.min())
+    j = hit[np.argmin(norms[hit])]
+    return points[j].copy(), True, target, float(res[j])
+
+
+def expanding_domain_dense(T, w, radii, window, step, ball_slack=1e-12):
+    """(value, stabilized, history) of expanding_domain_pinv by one scan of
+    each radius's joint grid, the points past the radius masked out."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    history = []
+    for r in radii:
+        points, values, norms = grid_dense(T, [(-r, r)] * T.dim_in, step)
+        res = np.where(norms <= r + ball_slack, np.linalg.norm(values - w[None, :], axis=1),
+                       np.inf)
+        tie = np.flatnonzero(res <= res.min())
+        history.append(points[tie[np.argmin(norms[tie])]].copy())
+        run = history[-window:]
+        if len(history) >= window and all(np.max(np.abs(u - run[0])) <= 2.0 * step
+                                           for u in run):
+            return run[-1], True, history
+    return None, False, history
 
 
 def check_pseudo_inverse_two_scan(T, G, samples, box, step, res_slack=1e-9,

@@ -226,8 +226,9 @@ def test_criterion_5_neural_layers():
             assert np.linalg.norm(g.tanh_layer_pinv(layer, Tv) - v) <= 1e-8  # MP2
             best = oracle.query(np.array([w]))
             assert np.linalg.norm(Tv - [w]) <= best.residual + 1e-9
-            tie_norm = oracle.factors[0].within(np.array([w]), np.linalg.norm(A) * 0.01).norm
-            assert np.linalg.norm(v) <= tie_norm + 0.05
+            _, (tie_norm,), (j,), _, _ = oracle.factors[0].scan([[w]],
+                                                                [np.linalg.norm(A) * 0.01])
+            assert j >= 0 and np.linalg.norm(v) <= tie_norm + 0.05
             assert tie_norm <= np.linalg.norm(v) + 0.1
 
     # relu layers against exhaustive active-set enumeration

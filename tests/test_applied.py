@@ -98,8 +98,8 @@ def test_tanh_layer_axioms_and_oracle():
         assert np.linalg.norm(gtv - v) <= 1e-8          # MP2 at sampled targets
         # grid oracle: no grid point may undercut the norm among residual ties
         oracle = GridOracle(T, [(-3.0, 3.0)] * 2, 0.01)
-        tie_norm = oracle.factors[0].within(np.array([w]), np.linalg.norm(A) * 0.01).norm
-        assert np.linalg.norm(v) <= tie_norm + 0.03
+        _, (tie_norm,), (j,), _, _ = oracle.factors[0].scan([[w]], [np.linalg.norm(A) * 0.01])
+        assert j >= 0 and np.linalg.norm(v) <= tie_norm + 0.03
 
 
 def test_clipped_tanh_interior_matches_unclipped():
@@ -266,6 +266,6 @@ def test_tanh_layer_oracle_three_dims():
         v = tanh_layer_pinv(layer, w)
         best = oracle.query(w)
         assert np.linalg.norm(T.apply(v) - w) <= best.residual + 1e-9
-        tie = oracle.factors[0].within(w, np.linalg.norm(A) * 0.05).norm
-        assert np.linalg.norm(v) <= tie + 0.15
+        _, (tie,), (j,), _, _ = oracle.factors[0].scan([w], [np.linalg.norm(A) * 0.05])
+        assert j >= 0 and np.linalg.norm(v) <= tie + 0.15
         assert tie <= np.linalg.norm(v) + 0.25

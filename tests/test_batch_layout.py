@@ -1,18 +1,21 @@
 """The row rule of the real-valued batch kernels: no layout changes a bit.
 
-`Grid` writes its points as coordinate columns (a Fortran-ordered batch),
-and Box, L2Ball, Halfspace and `product_operator` keep their input's
-memory order. A row must
+`Grid` writes each block of its points as coordinate columns (a
+Fortran-ordered batch), and Box, L2Ball, Halfspace and `product_operator`
+keep their input's memory order. A row must
 get the same bits in a C-ordered batch, in a Fortran-ordered one and alone,
 at every width; from 8 columns on the row sums take numpy's pairwise
 branch, so widths up to 10 run both branches.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from geninv import (Box, Grid, L2Ball, Halfspace, Intersection, Scalar1DOperator,
                     cascade_pinv, product_operator)
+from geninv.pseudo_inverse import GRID_CHUNK, _row_norms
 
 from helpers import grid_dense
 from test_dykstra import FAR_POINT
@@ -75,21 +78,25 @@ def test_ball_projects_its_center_and_onto_a_zero_radius_ball_without_warnings()
     assert bits(point.project_batch(np.vstack([c, c + 1.0, -c]))) == bits(np.vstack([c] * 3))
 
 
-def assert_grid_is_dense(T, box, step):
+def assert_grid_is_dense(T, box, step, chunk=GRID_CHUNK):
+    """The blocks of T's grid, each F-ordered, concatenated give the points,
+    values and norms of the dense grid; returns the values of each block."""
     grid = Grid(T, box, step)
     points, values, norms = grid_dense(T, box, step)
-    assert bits(grid.points) == bits(points)
-    assert bits(grid.values) == bits(values)
-    assert bits(grid.norms) == bits(norms)
-    assert grid.points.flags.f_contiguous
-    return grid
+    blocks = list(Grid._blocks(grid.axes, chunk))
+    assert all(P.flags.f_contiguous for P in blocks)
+    block_values = [T.apply_batch(P) for P in blocks]
+    assert bits(np.concatenate(blocks)) == bits(points)
+    assert bits(np.concatenate(block_values)) == bits(values)
+    assert bits(np.concatenate([_row_norms(P) for P in blocks])) == bits(norms)
+    return block_values
 
 
-@given(st.lists(FLOAT_PARTS, min_size=1, max_size=3))
+@given(st.lists(FLOAT_PARTS, min_size=1, max_size=3), st.sampled_from([GRID_CHUNK, 7]))
 @settings(max_examples=30, deadline=None)
-def test_grid_of_a_product_is_the_dense_grid(parts):
+def test_grid_of_a_product_is_the_dense_grid(parts, chunk):
     step = {1: 0.01, 2: 0.05, 3: 0.25}[len(parts)]
-    assert_grid_is_dense(product_of(parts), [(-2.0, 1.5)] * len(parts), step)
+    assert_grid_is_dense(product_of(parts), [(-2.0, 1.5)] * len(parts), step, chunk)
 
 
 @given(st.floats(0.5, 2.0), st.floats(0.0, 1.0), st.floats(0.1, 1.0),
@@ -101,8 +108,8 @@ def test_grid_of_a_cascade_is_the_dense_grid_and_keeps_its_columns(radius, margi
     cas = cascade_pinv([Box(np.full(2, -outer), np.full(2, outer)),
                         L2Ball(np.zeros(2), radius),
                         Box(np.full(2, -inner), np.full(2, inner))])
-    grid = assert_grid_is_dense(cas.cascade, [(-2.5, 2.5)] * 2, step)
-    assert grid.values.flags.f_contiguous and grid._columns is grid.values
+    for values in assert_grid_is_dense(cas.cascade, [(-2.5, 2.5)] * 2, step):
+        assert values.flags.f_contiguous
 
 
 @given(st.lists(FLOAT_PARTS, min_size=1, max_size=4), st.integers(1, 30),
@@ -119,9 +126,14 @@ def test_product_keeps_its_batch_order_and_the_bits_of_its_joined_parts(parts, r
 
 
 def test_grid_of_a_product_holds_its_values_once():
-    grid = Grid(product_of([("relu", {}), ("tanh", {})]), [(-2.5, 2.5)] * 2, 0.01)
-    assert len(grid.points) == 251_001
-    assert grid.values.flags.f_contiguous and grid._columns is grid.values
+    # a product's values on a block are in columns already, so the scan
+    # reads them without a column-major copy
+    T = product_of([("relu", {}), ("tanh", {})])
+    grid = Grid(T, [(-2.5, 2.5)] * 2, 0.01)
+    assert math.prod(map(len, grid.axes)) == 251_001
+    for P in Grid._blocks(grid.axes, GRID_CHUNK):
+        values = T.apply_batch(P)
+        assert values.flags.f_contiguous and np.asfortranarray(values) is values
 
 
 def test_grid_of_a_nine_dimensional_product_is_the_dense_grid():
@@ -129,5 +141,5 @@ def test_grid_of_a_nine_dimensional_product_is_the_dense_grid():
     T = product_operator([Scalar1DOperator(k).as_vector_operator() for k in kinds])
     # 2 or 3 points per axis: 2^5 3^4 = 2592 points of 9 coordinates
     box = [(-1.0, 1.0 if i % 2 else 0.0) for i in range(9)]
-    grid = assert_grid_is_dense(T, box, 1.0)
-    assert grid.points.shape == (2 ** 5 * 3 ** 4, 9)
+    values = assert_grid_is_dense(T, box, 1.0)
+    assert [v.shape for v in values] == [(2 ** 5 * 3 ** 4, 9)]

@@ -585,6 +585,9 @@ MALFORMED = [
     oracle_case("a-null", {"kind": "soft", "a": None}),
     oracle_case("a-string", {"kind": "relu", "a": "x"}),
     oracle_case("eps-boolean", {"kind": "sign_eps", "eps": True}),
+    oracle_case("a-past-float", {"kind": "soft", "a": 10 ** 400}),
+    oracle_case("data-past-float", {"kind": "matrix", "rows": 1, "cols": 1,
+                                    "data": [-10 ** 400]}),
     oracle_case("weights-list", {"kind": "layer", "weights": [1.0], "activation": "relu"}),
     oracle_case("weights-string", {"kind": "layer", "activation": "relu",
                                    "weights": json.dumps(GOOD_WEIGHTS)}),
@@ -637,6 +640,11 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
 @pytest.mark.parametrize("argv, op, field", [
     pytest.param(["oracle", "--w", "1", "--box", "-1", "1", "--step", "0.5"],
                  {"kind": "soft", "a": None}, '"a"', id="oracle-a-null"),
+    pytest.param(["oracle", "--w", "1", "--box", "-1", "1", "--step", "0.5"],
+                 {"kind": "soft", "a": 10 ** 400}, '"a" must be numbers within the float range',
+                 id="oracle-a-past-float"),
+    pytest.param(["oracle", "--w", "1", "--box", "-1", "1", "--step", "0.5"],
+                 {"kind": ["relu"]}, 'operator "kind" must be a string', id="oracle-kind-list"),
     pytest.param(["drazin"], {"domain": 2.9, "codomain": 2, "table": [1, 0]}, '"domain"',
                  id="drazin-float-domain"),
     pytest.param(["oracle", "--w", "1", "--box", "-1", "1", "--step", "nan"],

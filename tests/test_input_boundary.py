@@ -11,6 +11,7 @@ from geninv import (Box, Grid, GridOracle, NeuralLayer, OperatorPolynomial, Scal
                     expanding_domain_pinv, finite_bas_set, grid_bas_oracle, haar_basis, projection_after_operator_pinv,
                     relu_layer_pinv, tanh_layer_pinv)
 from geninv.core_ops import DimensionMismatch, as_vector
+from geninv.numerics import matrix_from_json
 
 
 class Spy:
@@ -37,9 +38,9 @@ class Spy:
 LAYER = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
 
-def _grid_residuals(spy):
+def _grid_scan(spy):
     grid = Grid(spy.operator(1, 2), [(-1.0, 1.0)], 0.5)
-    return lambda: grid.residuals([0.5])
+    return lambda: grid.scan([[0.0, 0.5], [0.5]])
 
 
 def _oracle_query(spy):
@@ -56,7 +57,7 @@ ENTRIES = {
     "VectorOperator.affine_of": lambda spy: lambda: VectorOperator.affine_of(
         spy.operator(2, 2), 2.0, 3.0, [1.0]),
     "affine_pinv": lambda spy: lambda: affine_pinv(spy.operator(2, 2), 2.0, 3.0, [1.0]),
-    "Grid.residuals": _grid_residuals,
+    "Grid.scan": _grid_scan,
     "GridOracle.query": _oracle_query,
     "grid_bas_oracle": lambda spy: lambda: grid_bas_oracle(
         spy.operator(1, 2), [0.5], [(-1.0, 1.0)], 0.5),
@@ -122,3 +123,24 @@ MAKERS = {"a": lambda a: Scalar1DOperator("soft", a=a),
 def test_a_parameter_of_the_wrong_type_is_refused_by_name(make, field, value):
     with pytest.raises(ValueError, match='"%s"' % field):
         make(value)
+
+
+BEYOND_FLOAT = 10 ** 400                  # a JSON integer that float() cannot hold
+
+
+@pytest.mark.parametrize("make, field", [
+    pytest.param(lambda: Scalar1DOperator("soft", a=BEYOND_FLOAT), '"a"', id="a"),
+    pytest.param(lambda: Scalar1DOperator("linear", c=-BEYOND_FLOAT), '"c"', id="c"),
+    pytest.param(lambda: matrix_from_json({"rows": 1, "cols": 2, "data": [1.0, BEYOND_FLOAT]}),
+                 '"data"', id="data"),
+    pytest.param(lambda: OperatorPolynomial([1.0, BEYOND_FLOAT]), "coefficients",
+                 id="coefficients")])
+def test_an_integer_past_the_float_range_is_refused_by_name(make, field):
+    with pytest.raises(ValueError, match=field + " must be numbers within the float range"):
+        make()
+
+
+@pytest.mark.parametrize("kind", [["relu"], {"kind": "relu"}, 5, None])
+def test_a_kind_that_is_not_a_string_is_refused(kind):
+    with pytest.raises(ValueError, match='operator "kind" must be a string'):
+        Scalar1DOperator(kind)

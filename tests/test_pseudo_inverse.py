@@ -310,7 +310,9 @@ def test_discontinuity_of_unique_pseudo_inverse():
         # three sources tie the residual exactly; group grid near-ties so
         # the norm tie-break picks among all of them
         w = np.array([w])
-        return oracle.factors[0].within(w, oracle.query(w).residual + 5 * STEP).v[0]
+        grid = oracle.factors[0]
+        _, _, (j,), _, _ = grid.scan([w], [oracle.query(w).residual + 5 * STEP])
+        return grid.point(j)[0]
 
     lo, hi = 0.2, 0.6
     assert pinv(lo) < 2.0 < pinv(hi)
