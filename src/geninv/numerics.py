@@ -3,7 +3,12 @@
 Real matrices are plain float ndarrays. Prime-field matrices are int64
 ndarrays reduced mod p, a prime below 2^31, so one product of two entries
 fits in int64; sums of products go through fp_matmul, and every F_p
-routine, the characteristic polynomial included, is O(n^3).
+routine, the characteristic polynomial included, is O(n^3). Gauss-Jordan
+elimination (fp_rref, behind fp_rank, fp_solve_kernel and fp_invert)
+updates only the live columns of the rows it changes and leaves them
+unreduced until `room` = (2^63 - 1 - p) // (p-1)^2 updates are pending, the
+most int64 can hold: over 2*10^9 below p = 2^16, so it reduces only at the
+end, and 2 at p = 2^31 - 1, so it reduces every second pivot.
 """
 
 from dataclasses import dataclass
@@ -277,28 +282,74 @@ def fp_poly_gcd(a, b, p):
 
 
 def fp_rref(A, p):
-    """Reduced row echelon form over F_p; returns (R, pivot_cols, rank)."""
+    """Reduced row echelon form over F_p; returns (R, pivot_cols, rank).
+
+    Gauss-Jordan with delayed reduction (Dumas, Giorgi & Pernet, "Dense
+    linear algebra over word-size prime fields", ACM TOMS 35(3), 2008). At
+    pivot column c only the pivot column, once for the pivot search and the
+    multipliers, and the scaled pivot row are reduced mod p. Every other row
+    with a nonzero multiplier m subtracts m times the pivot row on the live
+    columns alone: from c, since the pivot row is 0 mod p to the left of c,
+    up to the pivot row's last nonzero entry. Rows whose multiplier is 0 are
+    skipped; when no row but the pivot row is, the block is updated in
+    place. An update subtracts at most (p-1)^2 from an entry, so the updated
+    entries stay unreduced while at most room = (2^63 - 1 - p) // (p-1)^2
+    updates are pending. When the count reaches room, the rows updated since
+    the last reduction are reduced on the live columns; every entry is
+    reduced once at the end. room exceeds 10^9 for p below 2^16 and is 2 at
+    p = 2^31 - 1.
+    """
     fp_check(p)
-    R = fp_asarray(A, p).copy()
+    p = int(p)
+    R = fp_asarray(A, p)
     rows, cols = R.shape
+    room = (INT64_LIMIT - 1 - p) // (p - 1) ** 2    # updates addable after a reduction
+    dirty = np.zeros(rows, dtype=bool)              # rows updated since the last reduction
+    pending = 0                                     # updates since the last reduction
+    reach = 0                                       # those updates end before column reach
+    updated = False
     pivots = []
     r = 0
     for c in range(cols):
-        if r >= rows:
+        if r == rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        col = R[:, c] % p if pending else R[:, c].copy()
+        nz = col[r:].nonzero()[0]
+        if not nz.size:
             continue
-        i = r + nz[0]
+        i = r + int(nz[0])
         if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = R[r] * pow(int(R[r, c]), -1, int(p)) % p
-        mask = np.nonzero(R[:, c])[0]
-        mask = mask[mask != r]
-        if mask.size:
-            R[mask] = (R[mask] - np.outer(R[mask, c], R[r])) % p
+            R[r], R[i] = R[i].copy(), R[r].copy()
+            col[r], col[i] = col[i], col[r]
+            dirty[r], dirty[i] = dirty[i], dirty[r]
+        row = R[r, c:]
+        if pending:
+            row %= p
+        if col[r] != 1:
+            row *= pow(int(col[r]), -1, p)
+            row %= p
+        end = c + 1 + int(row.nonzero()[0][-1])  # the pivot row is 0 from here on
+        row = row[:end - c]
+        col[r] = 0
+        live = col.nonzero()[0]
+        if live.size:
+            if live.size == rows - 1:               # dense: a view, no gather and scatter
+                R[:, c:end] -= np.multiply.outer(col, row)
+            else:
+                R[live, c:end] -= np.multiply.outer(col[live], row)
+            dirty[live] = True
+            updated = True
+            pending += 1
+            reach = max(reach, end)
+            if pending == room:
+                stale = dirty.nonzero()[0]
+                R[stale, c + 1:reach] %= p
+                dirty[:] = False
+                pending = reach = 0
         pivots.append(c)
         r += 1
+    if updated:                                     # frozen columns may hold multiples of p
+        R %= p
     return R, pivots, r
 
 
@@ -315,15 +366,11 @@ def fp_solve_kernel(A, p):
     """
     R, pivots, rank = fp_rref(A, p)
     cols = R.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-R[r, f]) % p
-        basis.append(v)
-    return basis
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -R[:rank, free].T % p
+    return list(basis)
 
 
 def fp_invert(A, p):

@@ -165,6 +165,11 @@ class Intersection(ConvexSet):
     again, so each row of a batch gets the bits of its own single-point
     projection. A point that has not settled after DYKSTRA_CAP sweeps
     raises ArithmeticError instead of returning its last iterate.
+
+    Box parts are merged into one Box, with the largest lower and the least
+    upper bounds, at the first box's place in `parts`: with two boxes whose
+    faces nearly coincide, the corrections trade mass between those faces
+    sweep after sweep while x stands still, and the cap is reached.
     """
 
     kind = "intersection"
@@ -180,6 +185,12 @@ class Intersection(ConvexSet):
         for p in parts:
             if not p.contains(feasible_point, tol=SPOT_CHECK_TOL):
                 raise ValueError("feasible point is not inside every part")
+        boxes = [p for p in parts if isinstance(p, Box)]
+        if len(boxes) > 1:                      # one Box, at the first box's place
+            merged = Box(np.max([b.lo for b in boxes], axis=0),
+                         np.min([b.hi for b in boxes], axis=0))
+            parts = [merged if p is boxes[0] else p for p in parts
+                     if p is boxes[0] or not isinstance(p, Box)]
         super().__init__(dim)
         self.parts = parts
         self.feasible_point = feasible_point

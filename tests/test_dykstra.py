@@ -97,7 +97,7 @@ def test_a_point_settles_on_the_first_plain_sweep_that_moves_nothing():
     # so a sweep's residual G(c) - c is the iterate's move at each later
     # part and can be read off the calls: the projection must return the
     # output of the first sweep whose moves are all within DYKSTRA_TOL.
-    C = Intersection([Box(np.full(DIM, -1e6), np.full(DIM, 1e6)),
+    C = Intersection([Halfspace(np.eye(DIM)[0], 1e6),
                       *(convex_set_from_json(p.to_json()) for p in BOX_BALL_HALF.parts)],
                      np.zeros(DIM))
     calls = []
@@ -116,6 +116,25 @@ def test_a_point_settles_on_the_first_plain_sweep_that_moves_nothing():
         assert moves[-1] <= DYKSTRA_TOL + 1e-14
         assert np.all(moves[:-1] > DYKSTRA_TOL - 1e-14)
         assert np.array_equal(x, sweeps[-1, -1])
+
+
+def test_boxes_merge_into_one_box_at_the_first_box_place():
+    # two boxes whose x faces lie 5.8e-4 apart: with the looser box first,
+    # Dykstra's corrections traded mass between those faces until the cap
+    lo, hi = np.array([-1.0, -2.0, -1.5]), np.array([2.0, 1.0, 1.5])
+    tight = hi - 5.8e-4 * np.eye(DIM)[0]
+    y = np.array([11.0, -3.80, -1.87])
+    for boxes in ([Box(lo, hi), Box(lo, tight)], [Box(lo, tight), Box(lo, hi)]):
+        C = Intersection(boxes, np.zeros(DIM))
+        assert len(C.parts) == 1
+        assert np.array_equal(C.project(y), np.clip(y, lo, tight))
+    ball, half = L2Ball(np.zeros(DIM), 5.0), Halfspace(np.ones(DIM), 2.0)
+    C = Intersection([ball, Box(lo, hi), half, Box(-hi, -lo)], np.zeros(DIM))
+    assert C.parts[0] is ball and C.parts[2] is half and len(C.parts) == 3
+    assert np.array_equal(C.parts[1].lo, np.maximum(lo, -hi))
+    assert np.array_equal(C.parts[1].hi, np.minimum(hi, -lo))
+    assert all(a is b for a, b in zip(BOX_BALL_HALF.parts,
+                                      Intersection(BOX_BALL_HALF.parts, np.zeros(DIM)).parts))
 
 
 # ---------------------------------------------------------------------------

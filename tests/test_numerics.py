@@ -249,6 +249,84 @@ def test_fp_invert_matches_object_oracle(case):
         assert np.array_equal(fp_matmul_object(A, got, p), np.eye(len(A), dtype=np.int64))
 
 
+WIDE_PRIMES = [2, 3, 65521, 65537, 268435399, P31]
+
+
+@st.composite
+def wide_fp_matrices(draw):
+    """(A, p) up to 16 x 32: dense, 10 %-dense, of rank at most 3, or with
+    entries from {0, 1, p-1, p-2} only; some unreduced."""
+    p = draw(st.sampled_from(WIDE_PRIMES))
+    rows, cols = draw(st.integers(0, 16)), draw(st.integers(0, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "sparse", "low rank", "extreme"]))
+    if kind == "low rank":
+        k = min(rows, cols, 3)
+        A = fp_matmul_object(rng.integers(0, p, (rows, k)), rng.integers(0, p, (k, cols)), p)
+    elif kind == "extreme":
+        A = np.array([0, 1, p - 1, p - 2])[rng.integers(0, 4, (rows, cols))]
+    else:
+        A = rng.integers(-p, 2 * p, (rows, cols))
+        if kind == "sparse":
+            A *= rng.random((rows, cols)) < 0.1
+    return A.astype(np.int64), p
+
+
+def _with_zero(A, row=None, col=None):
+    A = A.copy()
+    if row is not None:
+        A[row] = 0
+    if col is not None:
+        A[:, col] = 0
+    return A
+
+
+_DENSE = np.random.default_rng(29).integers(0, P31, (16, 32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_fp_matrices())
+@example((np.full((16, 32), P31 - 1), P31))
+@example((np.full((16, 16), 65536), 65537))
+@example((np.full((9, 9), 1), 2))
+@example((_with_zero(_DENSE, col=0), P31))
+@example((_with_zero(_DENSE % 268435399, col=5), 268435399))
+@example((_with_zero(_DENSE % 65521, row=0), 65521))
+@example((_with_zero(_DENSE[:, :16], row=7), P31))
+@example((np.eye(16, dtype=np.int64), P31))
+@example((np.eye(16, dtype=np.int64)[np.random.default_rng(3).permutation(16)], 268435399))
+@example((np.eye(16, dtype=np.int64)[::-1], 3))
+def test_fp_elimination_matches_object_oracles_up_to_16x32(case):
+    A, p = case
+    R, pivots, rank = fp_rref(A, p)
+    want_R, want_pivots, want_rank = fp_rref_object(A, p)
+    assert np.array_equal(R, want_R) and (pivots, rank) == (want_pivots, want_rank)
+    assert fp_rank(A, p) == rank
+    assert [v.tolist() for v in fp_solve_kernel(A, p)] == fp_kernel_object(A, p)
+    k = min(A.shape)
+    got, want = fp_invert(A[:k, :k], p), fp_invert_object(A[:k, :k], p)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+
+
+def test_fp_rref_reduces_when_the_pending_updates_reach_room():
+    # At p = 2^31 - 1 room is 2: the elimination of this [A | I] subtracts a
+    # third product near (p-1)^2 from entries that went unreduced, past -2^63,
+    # if the reduction due after two updates is skipped or made one pivot late.
+    A = P31 - np.array([[1, 1, 1, 1], [2, 1, 2, 1], [2, 2, 1, 1], [1, 2, 2, 2]])
+    aug = np.concatenate([A, np.eye(4, dtype=np.int64)], axis=1)
+    # Here the row swapped out of the pivot place has updates pending and a
+    # zero multiplier: it must still be reduced with the rows updated before.
+    swapped = np.array([[-1, -2, 1], [-1, -2, -2], [0, -2, 1], [-1, 1, -2], [0, 1, 1],
+                        [-2, 1, -1]])
+    for M in (aug, swapped):
+        R, pivots, rank = fp_rref(M, P31)
+        want_R, want_pivots, want_rank = fp_rref_object(M, P31)
+        assert np.array_equal(R, want_R) and (pivots, rank) == (want_pivots, want_rank)
+    assert np.array_equal(fp_invert(A, P31), fp_invert_object(A, P31))
+
+
 SWAP = np.array([[1, 2, 3], [0, 4, 5], [6, 0, 7]])         # H[1, 0] = 0 < H[2, 0]
 SKIP = np.array([[1, 2, 0, 3], [4, 5, 6, 0], [0, 0, 7, 8],  # column 1 below row 2 is zero
                  [0, 0, 9, 1]])
