@@ -338,7 +338,7 @@ _TANH, _RELU = Scalar1DOperator("tanh"), Scalar1DOperator("relu")
 
 @dataclass
 class NeuralLayer:
-    """One layer v -> sigma(A v) with full-rank A (m x n, m <= n). A clip k,
+    """One layer v -> sigma(A v) with full-rank A (m x n, 0 < m <= n). A clip k,
     when given, must pass numerics.integer_entries and exceed 1."""
 
     weights: np.ndarray
@@ -348,8 +348,9 @@ class NeuralLayer:
     def __post_init__(self):
         self.weights = np.atleast_2d(np.asarray(self.weights, dtype=float))
         m, n = self.weights.shape
-        if m > n:
-            raise ValueError("layer needs m <= n so that A maps onto R^m")
+        if not 0 < m <= n:
+            raise ValueError("layer needs 0 < m <= n so that A maps onto R^m, got %d x %d"
+                             % (m, n))
         if self.activation not in ("tanh", "relu"):
             raise ValueError("activation must be tanh or relu")
         if self.clip is not None:

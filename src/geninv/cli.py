@@ -95,6 +95,8 @@ def _read_json_file(path):
     except json.JSONDecodeError as e:
         raise ValueError("malformed JSON in %s at line %d column %d"
                          % (path, e.lineno, e.colno))
+    except RecursionError:
+        raise ValueError("JSON in %s is nested too deeply" % path) from None
     return numerics.json_object(obj, path)
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (fp_check, fp_convolve, fp_poly_divmod, fp_poly_gcd,
+from .numerics import (fp_array, fp_convolve, fp_poly_divmod, fp_poly_gcd,
                        integer_entries, parse_json_object, real_entries, trimmed)
 
 
@@ -319,7 +319,7 @@ class OperatorPolynomial:
     """Polynomial with low-degree-first coefficients over the reals or F_p.
 
     prime=None means real coefficients, which must pass real_entries; over
-    F_p the prime must pass fp_check and the coefficients integer_entries.
+    F_p the prime and the coefficients are read by numerics.fp_array.
     `coeffs` is the one stored form: a read-only array without trailing
     zeros, float64 over the reals and int64 reduced mod p over F_p. Binary
     operations need both operands over one field. Equal fields and
@@ -333,13 +333,7 @@ class OperatorPolynomial:
             real_entries(coeffs, "coefficients")
             c = np.array(coeffs, dtype=np.float64)
         else:
-            fp_check(prime)
-            integer_entries(coeffs, "coefficients")
-            prime = int(prime)
-            try:
-                c = np.mod(np.asarray(coeffs, dtype=np.int64), prime)   # a new array
-            except OverflowError:                   # Python ints past int64
-                c = np.array([int(x) % prime for x in coeffs], dtype=np.int64)
+            c, prime = fp_array(coeffs, prime, "coefficients")
         if c.ndim != 1:
             raise ValueError("coefficients must be a flat sequence")
         c = trimmed(c)

@@ -1,9 +1,9 @@
 """Dense real linear algebra (SVD, Moore-Penrose inverse) and exact F_p algebra.
 
 Real matrices are plain float ndarrays. Prime-field matrices are int64
-ndarrays reduced mod p, a prime below 2^31, so one product of two entries
-fits in int64; sums of products go through fp_matmul, and every F_p
-routine, the characteristic polynomial included, is O(n^3). Gauss-Jordan
+ndarrays read by fp_array, reduced mod p, a prime below 2^31, so one product
+of two entries fits in int64; sums of products go through fp_matmul, and every
+F_p routine, the characteristic polynomial included, is O(n^3). Gauss-Jordan
 elimination (fp_rref, behind fp_rank, fp_solve_kernel and fp_invert)
 updates only the live columns of the rows it changes and leaves them
 unreduced until `room` = (2^63 - 1 - p) // (p-1)^2 updates are pending, the
@@ -12,6 +12,7 @@ end, and 2 at p = 2^31 - 1, so it reduces every second pivot.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import json
 
 import numpy as np
@@ -91,8 +92,12 @@ def json_object(obj, what="JSON value"):
 
 def parse_json_object(text):
     """The JSON object `text`, parsed first when it is a str; ValueError when
-    it is not an object. The one entry check of the library's JSON readers."""
-    return json_object(json.loads(text) if isinstance(text, str) else text)
+    it is not an object or is nested too deeply to parse. The one entry check
+    of the library's JSON readers."""
+    try:
+        return json_object(json.loads(text) if isinstance(text, str) else text)
+    except RecursionError:
+        raise ValueError("JSON text is nested too deeply") from None
 
 
 def matrix_from_json(text):
@@ -149,6 +154,7 @@ def real_entries(values, what="entries"):
             raise ValueError("%s must be numbers within the float range" % what) from None
 
 
+@lru_cache
 def is_prime(p):
     """Deterministic Miller-Rabin on bases 2, 3, 5 and 7: exact below 3,215,031,751."""
     p = int(p)
@@ -172,9 +178,20 @@ def fp_check(p):
         raise ValueError("field size must be a prime below 2^31, got %r" % (p,))
 
 
-def fp_asarray(A, p):
-    A = np.asarray(A, dtype=np.int64)
-    return np.mod(A, p)
+def fp_array(A, p, what="entries"):
+    """(A as a new int64 array reduced mod p, int(p)), the one input boundary of
+    the F_p routines: ValueError naming `what` unless p passes fp_check and each
+    entry is an integer, not a float, boolean or string. Ints past int64 reduce exactly."""
+    fp_check(p)
+    p = int(p)
+    if isinstance(A, np.ndarray) and A.dtype.kind in "iu" and A.dtype != np.uint64:
+        return np.mod(A, p, dtype=np.int64), p
+    try:                                        # object dtype keeps each entry's type,
+        A = np.array(A, dtype=object)           # where np.asarray([1, True]) is int64
+    except ValueError:                          # arrays of different shapes nested in A
+        raise ValueError("%s must be integers, not floats or booleans" % what) from None
+    integer_entries(A.flat, what)
+    return np.array([int(x) % p for x in A.flat], dtype=np.int64).reshape(A.shape), p
 
 
 INT64_LIMIT = 2**63
@@ -189,8 +206,7 @@ def fp_matmul(A, B, p):
     dimension into chunks, so every partial sum stays below 2^63, and each
     partial product is reduced mod p before the limbs are recombined.
     """
-    p = int(p)
-    A, B = fp_asarray(A, p), fp_asarray(B, p)
+    (A, p), (B, _) = fp_array(A, p, "A"), fp_array(B, p, "B")
     k = A.shape[-1]
     if k * (p - 1) ** 2 < INT64_LIMIT:
         return np.mod(A @ B, p)
@@ -214,8 +230,7 @@ def fp_convolve(a, b, p):
     shorter length. Otherwise both arrays are split into 16-bit limbs, as
     in fp_matmul, so each convolution of two limbs sums k terms below 2^32.
     """
-    p = int(p)
-    a, b = fp_asarray(a, p), fp_asarray(b, p)
+    (a, p), (b, _) = fp_array(a, p, "a"), fp_array(b, p, "b")
     if not (a.size and b.size):
         return np.zeros(0, dtype=np.int64)
     if min(a.size, b.size) * (p - 1) ** 2 < INT64_LIMIT:
@@ -236,8 +251,7 @@ def fp_poly_divmod(A, b, p):
     Long division with one vectorized row operation per quotient term; the
     remainders have len(b) - 1 columns.
     """
-    p = int(p)
-    R, b = fp_asarray(A, p), fp_asarray(b, p)
+    (R, p), (b, _) = fp_array(A, p, "A"), fp_array(b, p, "b")
     d = b.size - 1
     inv = pow(int(b[-1]), -1, p)
     if d == 0:                                  # division by a constant
@@ -264,8 +278,8 @@ def trimmed(c):
 def fp_poly_gcd(a, b, p):
     """Monic gcd over F_p of two coefficient arrays (low degree first) by Euclid,
     one vectorized row operation per eliminated leading term; empty for two zeros."""
-    p = int(p)
-    a, b = trimmed(fp_asarray(a, p)), trimmed(fp_asarray(b, p))     # new arrays
+    (a, p), (b, _) = fp_array(a, p, "a"), fp_array(b, p, "b")
+    a, b = trimmed(a), trimmed(b)
     while b.size > 1:
         inv = pow(int(b[-1]), -1, p)
         while a.size >= b.size:                   # a <- a mod b
@@ -299,9 +313,7 @@ def fp_rref(A, p):
     reduced once at the end. room exceeds 10^9 for p below 2^16 and is 2 at
     p = 2^31 - 1.
     """
-    fp_check(p)
-    p = int(p)
-    R = fp_asarray(A, p)
+    R, p = fp_array(A, p, "A")
     rows, cols = R.shape
     room = (INT64_LIMIT - 1 - p) // (p - 1) ** 2    # updates addable after a reduction
     dirty = np.zeros(rows, dtype=bool)              # rows updated since the last reduction
@@ -375,8 +387,7 @@ def fp_solve_kernel(A, p):
 
 def fp_invert(A, p):
     """Exact inverse over F_p, or None when the matrix is singular."""
-    fp_check(p)
-    A = fp_asarray(A, p)
+    A, p = fp_array(A, p, "A")
     n, m = A.shape
     if n != m:
         raise ValueError("fp_invert requires a square matrix")
@@ -394,8 +405,7 @@ def fp_char_poly(A, p):
     similarity, and det(xI - H) follows by the recurrence on its leading
     blocks (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
     """
-    fp_check(p)
-    H = fp_asarray(A, p)
+    H, p = fp_array(A, p, "A")
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("fp_char_poly requires a square matrix")
     n = len(H)
@@ -405,8 +415,8 @@ def fp_char_poly(A, p):
             continue
         H[[m, i]] = H[[i, m]]
         H[:, [m, i]] = H[:, [i, m]]
-        u = H[m + 1:, m - 1] * pow(int(H[m, m - 1]), -1, int(p)) % p
-        H[m + 1:] = (H[m + 1:] - np.outer(u, H[m]) % p) % p
+        u = H[m + 1:, m - 1] * pow(int(H[m, m - 1]), -1, p) % p
+        H[m + 1:] = (H[m + 1:] - np.outer(u, H[m])) % p        # |u_i H[m, j]| < 2^62
         H[:, m] = (H[:, m] + fp_matmul(H[:, m + 1:], u, p)) % p   # an exact sum
     P = np.zeros((n + 1, n + 1), dtype=np.int64)    # P[k]: char poly of H[:k, :k]
     P[0, 0] = 1

@@ -13,8 +13,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .core_ops import FiniteOperator, OperatorPolynomial, table_power
-from .numerics import (INT64_LIMIT, fp_check, fp_solve_kernel, fp_char_poly, fp_matmul,
-                       fp_poly_divmod, fp_poly_gcd, integer_entries)
+from .numerics import (INT64_LIMIT, fp_array, fp_check, fp_solve_kernel, fp_char_poly,
+                       fp_matmul, fp_poly_divmod, fp_poly_gcd, integer_entries)
 
 SPACE_CAP = 100_000
 
@@ -43,7 +43,7 @@ def _checked_space(p, n):
 
 
 def encode(vecs, p):
-    vecs = np.atleast_2d(np.asarray(vecs, dtype=np.int64)) % p
+    vecs = np.atleast_2d(fp_array(vecs, p, "vectors")[0])
     n = vecs.shape[1]
     return vecs @ (p ** np.arange(n, dtype=np.int64))
 
@@ -87,20 +87,28 @@ class FpVectorOperator(FiniteOperator):
 
     @staticmethod
     def from_callable(p, n, f):
-        """Build the table from a vectorized rule on (N, n) digit arrays; p and
-        n are checked before f is called."""
+        """Build the table from a vectorized rule f on the (p^n, n) digit array
+        of the space; p and n are checked before f is called, and f's output
+        must be a (p^n, n) integer array."""
         p, n = _checked_space(p, n)
         vecs = _space(p, n)
-        out = np.asarray(f(vecs), dtype=np.int64) % p
+        out, _ = fp_array(f(vecs), p, "the output of f")
+        if out.shape != vecs.shape:
+            raise ValueError("f must return a %d x %d array, got shape %s"
+                             % (vecs.shape + (out.shape,)))
         return FpVectorOperator(p, n, encode(out, p))
 
     @staticmethod
     def from_matrix(A, p, b=None):
-        """Linear or affine operator v -> A v + b over F_p."""
-        A = np.asarray(A, dtype=np.int64) % p
-        n = A.shape[0]
-        off = np.zeros(n, dtype=np.int64) if b is None else np.asarray(b, dtype=np.int64) % p
-        return FpVectorOperator.from_callable(p, n, lambda V: (V @ A.T + off) % p)
+        """Linear or affine operator v -> A v + b over F_p, for an n x n
+        matrix A and n offsets b."""
+        A, p = fp_array(A, p, "A")
+        n = len(A) if A.ndim else 0
+        off = np.zeros(n, dtype=np.int64) if b is None else fp_array(b, p, "b")[0]
+        if A.shape != (n, n) or off.shape != (n,):
+            raise ValueError("from_matrix needs an n x n matrix A and n offsets b, got "
+                             "shapes %s and %s" % (A.shape, off.shape))
+        return FpVectorOperator.from_callable(p, n, lambda V: V @ A.T + off)
 
 
 def fp_apply_polynomial(poly, T):
@@ -251,7 +259,7 @@ def left_drazin_from_poly(poly, T):
     k = int(np.flatnonzero(poly.coeffs)[0])
     tail = fp_apply_polynomial(OperatorPolynomial(poly.coeffs[k + 1:], poly.prime), T)
     scale = (-pow(int(poly.coeff(k)), -1, T.p)) % T.p
-    G = FpVectorOperator(T.p, T.n, encode(tail * scale % T.p, T.p))
+    G = FpVectorOperator(T.p, T.n, encode(tail * scale, T.p))
     Tk = table_power(T.table, k)
     if not np.array_equal(G.table[T.table[Tk]], Tk):
         raise ValueError("polynomial does not vanish in T")
@@ -294,8 +302,7 @@ def power_vanishing_poly(poly, k, l):
 
 
 def _fp_matrix_poly(coeffs, A, p):
-    """sum_i c_i A^i over F_p for a square matrix A, by Horner's rule."""
-    A = np.asarray(A, dtype=np.int64) % p
+    """sum_i c_i A^i over F_p for a square matrix A reduced mod p, by Horner's rule."""
     eye = np.eye(A.shape[0], dtype=np.int64)
     acc = np.zeros_like(A)
     for c in reversed(coeffs):
@@ -307,6 +314,9 @@ def affine_vanishing_poly(poly, A, p):
     """p^2 - p(1) p, vanishing in every T(v) = A v + b when p vanishes in A."""
     if poly.prime != p:
         raise ValueError("polynomial and matrix fields differ")
+    A, p = fp_array(A, p, "A")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("affine_vanishing_poly requires a square matrix")
     if _fp_matrix_poly(poly.coeffs, A, p).any():
         raise ValueError("polynomial does not vanish in the matrix")
     return poly.mul(poly).add(poly.scale(-poly.eval_scalar(1)))
@@ -423,7 +433,7 @@ def eigen_root_check(T, poly):
     one_h = bool(homogeneous)
     if one_h:
         # T(g v) = g T(v) for one generator g of F_p^* gives every power of g
-        scaled = encode(T.space() * _generator(T.p) % T.p, T.p)
+        scaled = encode(T.space() * _generator(T.p), T.p)
         one_h = bool(np.array_equal(T.table[scaled], scaled[T.table]))
     p1 = poly.eval_scalar(1)
     p0 = poly.coeff(0)
@@ -435,12 +445,14 @@ def eigen_root_check(T, poly):
 
 def cayley_hamilton_inverse(A, p):
     """Matrix inverse over F_p through the characteristic polynomial:
-    A^-1 = -a0^-1 (a1 I + a2 A + ... + an A^(n-1)). None when singular."""
-    A = np.asarray(A, dtype=np.int64) % p
-    coeffs = fp_char_poly(A, p)                   # checks p
-    p = int(p)
+    A^-1 = -a0^-1 (a1 I + a2 A + ... + an A^(n-1)). None when singular.
+    The inverse is certified by A G = I before it is returned."""
+    A, p = fp_array(A, p, "A")
+    coeffs = fp_char_poly(A, p)
     a0 = coeffs[0]
     if a0 == 0:
         return None
-    scale = (-pow(int(a0), -1, p)) % p
-    return _fp_matrix_poly(coeffs[1:], A, p) * scale % p
+    G = _fp_matrix_poly(coeffs[1:], A, p) * (-pow(a0, -1, p) % p) % p
+    if not np.array_equal(fp_matmul(A, G, p), np.eye(len(A), dtype=np.int64)):
+        raise AssertionError("Cayley-Hamilton inverse fails its certificate A G = I")
+    return G

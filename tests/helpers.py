@@ -637,9 +637,7 @@ def fp_char_poly_cofactor(A, p):
     Cofactor expansion over the polynomial ring; exact, factorial time, so
     an oracle for n <= 7.
     """
-    from geninv.numerics import fp_asarray, fp_check
-    fp_check(p)
-    A = fp_asarray(A, p)
+    A = np.array(A, dtype=object) % p            # Python ints: no overflow to guard
     n = A.shape[0]
 
     def poly_add(a, b):

@@ -571,6 +571,7 @@ MALFORMED = [
     drazin_case("not-an-endofunction", {"domain": 2, "codomain": 3, "table": [0, 1]}),
     drazin_case("malformed-json", "{not json"),
     drazin_case("missing-file", None),
+    drazin_case("nested-2000-deep", "[" * 2000 + "]" * 2000),
     vanish_case("top-level-list", [1, 0]),
     vanish_case("table-int", {"domain": 2, "codomain": 2, "table": 5}),
     vanish_case("float-and-string-sizes", {"domain": 2.9, "codomain": "2", "table": [1, 0]}),
@@ -596,10 +597,14 @@ MALFORMED = [
     oracle_case("clip-float", {"kind": "layer", "weights": GOOD_WEIGHTS,
                                "activation": "tanh", "clip": 4.5}),
     oracle_case("target-dim", {"kind": "matrix", "rows": 2, "cols": 1, "data": [1.0, 2.0]}),
+    oracle_case("layer-no-rows", {"kind": "layer", "weights": {"rows": 0, "cols": 1, "data": []},
+                                  "activation": "tanh"}),
+    oracle_case("nested-2000-deep", "[" * 2000 + "]" * 2000),
     layer_case("top-level-list", [1.0, 1.0]),
     layer_case("top-level-string", json.dumps(json.dumps(GOOD_WEIGHTS))),
     layer_case("missing-data", {"rows": 1, "cols": 2}),
     layer_case("rank-deficient", {"rows": 1, "cols": 2, "data": [0.0, 0.0]}),
+    layer_case("no-rows", {"rows": 0, "cols": 1, "data": []}),
     layer_case("target-length", GOOD_WEIGHTS, w="0.5\n0.5\n"),
     layer_case("target-bad-float", GOOD_WEIGHTS, w="half\n"),
     layer_case("target-missing", GOOD_WEIGHTS, w=None),

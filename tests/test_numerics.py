@@ -428,3 +428,10 @@ def _json_readers():
 def test_json_readers_reject_non_objects(reader, value):
     with pytest.raises(ValueError, match="must be a JSON object"):
         reader(value)
+
+
+@pytest.mark.parametrize("reader", _json_readers(), ids=lambda f: f.__qualname__)
+def test_json_readers_refuse_text_nested_too_deeply(reader):
+    # convex_set_from_json reads parsed objects only, so it refuses any text
+    with pytest.raises(ValueError, match="nested too deeply|must be a JSON object"):
+        reader("[" * 2000 + "]" * 2000)

@@ -50,6 +50,38 @@ def test_the_shared_digit_table_is_read_only():
     assert np.array_equal(encode(FpVectorOperator.identity(2, 3).space(), 2), np.arange(8))
 
 
+@pytest.mark.parametrize("A, b", [
+    pytest.param(np.eye(2, dtype=int), [1], id="b-too-short"),
+    pytest.param(np.eye(2, dtype=int), [1, 2, 0], id="b-too-long"),
+    pytest.param(np.eye(2, dtype=int), [[1, 2]], id="b-a-matrix"),
+    pytest.param([[1, 0, 0], [0, 1, 0]], None, id="A-not-square"),
+    pytest.param([1, 0], None, id="A-a-vector"),
+    pytest.param(3, None, id="A-a-scalar")])
+def test_from_matrix_refuses_shapes_other_than_n_by_n_and_n(A, b):
+    with pytest.raises(ValueError, match="n x n matrix A and n offsets b"):
+        FpVectorOperator.from_matrix(A, 3, b=b)
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(lambda V: V[:, :1], id="too-few-columns"),
+    pytest.param(lambda V: V[:-1], id="too-few-rows"),
+    pytest.param(lambda V: V.T, id="transposed"),
+    pytest.param(lambda V: V.ravel(), id="flat")])
+def test_from_callable_refuses_an_output_that_is_not_p_to_the_n_by_n(f):
+    with pytest.raises(ValueError, match="f must return a 9 x 2 array"):
+        FpVectorOperator.from_callable(3, 2, f)
+
+
+def test_cayley_hamilton_certificate_fires_on_a_corrupted_horner_evaluation(monkeypatch):
+    A = np.array([[2, 1], [1, 1]])
+    assert np.array_equal(cayley_hamilton_inverse(A, 7), fp_invert(A, 7))
+    horner = vanishing._fp_matrix_poly
+    monkeypatch.setattr(vanishing, "_fp_matrix_poly",
+                        lambda coeffs, A, p: (horner(coeffs, A, p) + np.eye(len(A), dtype=int)) % p)
+    with pytest.raises(AssertionError, match="certificate"):
+        cayley_hamilton_inverse(A, 7)
+
+
 def test_find_vanishing_idempotent_divisible_by_x2_minus_x():
     q = find_vanishing_poly(IDEM_F3)
     x2x = OperatorPolynomial([0, -1, 1], 3)
